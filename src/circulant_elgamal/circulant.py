@@ -5,12 +5,20 @@ first row right-rotated k times, so entry (k, j) = c_{(j-k) mod d}.
 The map to the representer polynomial c_0 + c_1 x + ... + c_{d-1}
 x^{d-1} is a ring isomorphism onto F_q[x]/(x^d - 1), which is what the
 multiplication, inversion and CRT routines below actually compute.
+
+Products, squares, powers and matrix-vector products run on the row
+packed into one int, one (2n - 1)-bit slot per coefficient: a product
+is one carry-less multiply of packed rows, a fold of slot k + d onto
+slot k (x^d = 1) and one reduction of all slots mod the field
+polynomial; a square spreads bit i to bit 2i, which squares every
+coefficient and doubles every slot index at once.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .gf2field import (
@@ -141,85 +149,143 @@ def _check_pair(a: Circulant, b: Circulant) -> None:
         raise DimensionMismatch("circulants over different fields")
 
 
+# ---------------------------------------------------------------------------
+# packed-row kernel for F_q[x]/(x^d - 1)
+
+_HEX = "0123456789abcdef"
+
+
+class _Ring:
+    """Rows of F_q[x]/(x^d - 1) packed into one int (Kronecker substitution).
+
+    Coefficient c_k sits in slot k, bits k*w .. k*w + w - 1, with
+    w = 2n - 1: wide enough for the carry-less product of two
+    coefficients, so one carry-less product of packed rows forms every
+    a_i b_j in slot i + j with no slot spilling into the next. x^d = 1
+    folds slot k + d onto slot k, and each step of the reduction mod
+    f(t) = t^n + g(t) clears one high bit of all d slots at once, so
+    one routine serves a sparse and a dense modulus alike.
+    """
+
+    def __init__(self, spec: FieldSpec, d: int):
+        n = spec.n
+        w = 2 * n - 1
+        self.n, self.d, self.width = n, d, w
+        self.row_bits = d * w
+        self.row = (1 << self.row_bits) - 1
+        self.ones = self.row // ((1 << w) - 1)  # bit 0 of every slot
+        # clearing bit b of every slot, b = 2n - 2 .. n, adds f(t) t^(b - n)
+        self.columns = tuple(
+            (b, spec.modulus << (b - n)) for b in range(2 * n - 2, n - 1, -1)
+        )
+
+    def pack(self, coeffs: Sequence[int]) -> int:
+        r, w = 0, self.width
+        for c in reversed(coeffs):
+            r = (r << w) | c
+        return r
+
+    def unpack(self, r: int) -> list[int]:
+        w, mask = self.width, (1 << self.n) - 1
+        return [(r >> (k * w)) & mask for k in range(self.d)]
+
+    def reduce(self, r: int) -> int:
+        """Packed carry-less product (slots 0 .. 2d - 2) to a packed row."""
+        r = (r & self.row) ^ (r >> self.row_bits)
+        ones = self.ones
+        for b, f in self.columns:
+            col = (r >> b) & ones
+            if col:
+                # one bit per slot, so the integer product is carry-less
+                r ^= col * f
+        return r
+
+    @staticmethod
+    def window(a: int) -> dict[str, int]:
+        """Carry-less multiples a * k, k < 16, keyed by the hex digit of k."""
+        t = [0, a]
+        for k in range(2, 16):
+            t.append(t[k >> 1] << 1 if k % 2 == 0 else t[k - 1] ^ a)
+        return dict(zip(_HEX, t))
+
+    def mul(self, table: dict[str, int], b: int) -> int:
+        """Product of the row behind ``table`` with b, 4 bits of b a step."""
+        acc = shift = 0
+        for digit in format(b, "x")[::-1]:
+            if digit != "0":
+                acc ^= table[digit] << shift
+            shift += 4
+        return self.reduce(acc)
+
+    def square(self, a: int) -> int:
+        # bit i to bit 2i squares every coefficient and doubles every slot
+        # index at once (the squaring theorem)
+        return self.reduce(int(format(a, "b"), 4))
+
+
+@lru_cache(maxsize=64)
+def _ring(spec: FieldSpec, d: int) -> _Ring:
+    return _Ring(spec, d)
+
+
+def _check_odd(d: int) -> None:
+    if d % 2 == 0:
+        raise EvenD(f"squaring permutation needs odd d, got {d}")
+
+
 def mul(a: Circulant, b: Circulant, counter: OpCounter | None = None) -> Circulant:
     """Cyclic convolution: c_k = sum over i+j = k (mod d) of a_i b_j.
 
-    Costs d^2 base-field multiplications, booked on the counter.
+    Books d^2 base-field multiplications on the counter, the paper's
+    cost for a convolution.
     """
     _check_pair(a, b)
-    d, spec = a.d, a.spec
-    av, bv = a.bits(), b.bits()
-    out = [0] * d
-    exp, log = spec._exp, spec._log
-    if exp is not None:
-        for i in range(d):
-            ai = av[i]
-            if not ai:
-                continue
-            la = log[ai]
-            for j in range(d):
-                bj = bv[j]
-                if bj:
-                    k = i + j
-                    if k >= d:
-                        k -= d
-                    out[k] ^= exp[la + log[bj]]
-    else:
-        fmul = spec._raw_mul
-        for i in range(d):
-            ai = av[i]
-            if not ai:
-                continue
-            for j in range(d):
-                bj = bv[j]
-                if bj:
-                    k = i + j
-                    if k >= d:
-                        k -= d
-                    out[k] ^= fmul(ai, bj)
+    ring = _ring(a.spec, a.d)
+    r = ring.mul(ring.window(ring.pack(a.bits())), ring.pack(b.bits()))
     if counter is not None:
-        counter.count_mul(d)
-    return Circulant.from_bits(spec, out)
+        counter.count_mul(a.d)
+    return Circulant.from_bits(a.spec, ring.unpack(r))
 
 
 def square(a: Circulant, counter: OpCounter | None = None) -> Circulant:
     """Frobenius squaring: coefficient a_i lands squared at index 2i mod d.
 
-    Needs d odd so that doubling indices is a permutation; costs d field
-    squarings and no general multiplications.
+    Needs d odd so that doubling indices is a permutation; booked as one
+    squaring and no general multiplications.
     """
-    d, spec = a.d, a.spec
-    if d % 2 == 0:
-        raise EvenD(f"squaring permutation needs odd d, got {d}")
-    out = [0] * d
-    sq = spec.square
-    av = a.bits()
-    for i in range(d):
-        k = 2 * i
-        if k >= d:
-            k -= d
-        out[k] = sq(av[i])
+    _check_odd(a.d)
+    ring = _ring(a.spec, a.d)
+    r = ring.square(ring.pack(a.bits()))
     if counter is not None:
         counter.count_square()
-    return Circulant.from_bits(spec, out)
+    return Circulant.from_bits(a.spec, ring.unpack(r))
 
 
 def power(a: Circulant, m: int, counter: OpCounter | None = None) -> Circulant:
     """Left-to-right square and multiply; a^0 is the identity.
 
     Books bit_length(m) - 1 squarings and popcount(m) - 1 general
-    multiplications on the counter.
+    multiplications on the counter. The row is packed once and
+    unpacked once.
     """
     if m < 0:
         raise ValueError("exponent must be nonnegative")
     if m == 0:
         return Circulant.identity(a.spec, a.d)
-    r = a
+    if m > 1:
+        _check_odd(a.d)
+    ring = _ring(a.spec, a.d)
+    r = ring.pack(a.bits())
+    table = ring.window(r)
     for i in range(m.bit_length() - 2, -1, -1):
-        r = square(r, counter)
+        r = ring.square(r)
+        if counter is not None:
+            counter.count_square()
         if (m >> i) & 1:
-            r = mul(r, a, counter)
-    return r
+            r = ring.mul(table, r)
+            if counter is not None:
+                counter.count_mul(a.d)
+    return Circulant.from_bits(a.spec, ring.unpack(r))
 
 
 def inverse(a: Circulant) -> Circulant:
@@ -237,7 +303,11 @@ def inverse(a: Circulant) -> Circulant:
 def matvec(
     a: Circulant, v: Sequence[FieldElement]
 ) -> tuple[FieldElement, ...]:
-    """Product of the expanded matrix with a column vector."""
+    """Product of the expanded matrix with a column vector.
+
+    Entry k is sum over i of a_i v_{k+i}: the cyclic convolution of the
+    reversed row a_0, a_{d-1}, ..., a_1 with v.
+    """
     d, spec = a.d, a.spec
     if len(v) != d:
         raise DimensionMismatch(f"vector length {len(v)} != {d}")
@@ -245,17 +315,11 @@ def matvec(
         if x.spec != spec:
             raise DimensionMismatch("vector entry from a different field")
     av = a.bits()
-    vv = [x.bits for x in v]
-    fmul = spec.mul
-    out = []
-    for k in range(d):
-        acc = 0
-        for j in range(d):
-            c = av[(j - k) % d]
-            if c and vv[j]:
-                acc ^= fmul(c, vv[j])
-        out.append(FieldElement(acc, spec))
-    return tuple(out)
+    ring = _ring(spec, d)
+    r = ring.mul(
+        ring.window(ring.pack(av[:1] + av[:0:-1])), ring.pack([x.bits for x in v])
+    )
+    return tuple(FieldElement(c, spec) for c in ring.unpack(r))
 
 
 def expand(a: Circulant) -> list[list[FieldElement]]:

@@ -24,6 +24,7 @@ import argparse
 import os
 import random
 import sys
+import time
 from pathlib import Path
 
 from . import elgamal, fileio, security
@@ -125,7 +126,7 @@ def cmd_keygen(args) -> int:
 def cmd_encrypt(args) -> int:
     pub = elgamal.load_public(args.pub)
     spec, d = pub.A.spec, pub.A.d
-    rng = random.Random(_resolve_seed(args.seed))
+    rng = elgamal._rng(_resolve_seed(args.seed))
     if args.hexblock is not None:
         v = Circulant.from_hex(spec, args.hexblock).coeffs
         cts = [elgamal.encrypt(pub, v, rng)]
@@ -235,12 +236,15 @@ def cmd_bench_pow(args) -> int:
     spec = field_make(args.n)
     rng = random.Random(_resolve_seed(args.seed))
     total_general = total_field = total_sq = 0
+    total_s = 0.0
     for _ in range(args.trials):
         a = Circulant.random(spec, args.d, rng)
         # top bit forced so every exponent is exactly `bits` long
         m = 1 << (args.bits - 1) | rng.getrandbits(args.bits - 1)
         counter = OpCounter()
+        t0 = time.perf_counter()
         power(a, m, counter)
+        total_s += time.perf_counter() - t0
         total_general += counter.general_mults
         total_field += counter.field_mults
         total_sq += counter.squarings
@@ -253,6 +257,7 @@ def cmd_bench_pow(args) -> int:
     _emit("mean_field_mults", f"{total_field / t:.4f}")
     _emit("mean_squarings", f"{total_sq / t:.4f}")
     _emit("predicted_field_mults", f"{args.d * args.d / 2 * args.bits:.1f}")
+    _emit("mean_power_ms", f"{total_s / t * 1e3:.4f}")
     return 0
 
 
@@ -346,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     vp.set_defaults(func=cmd_security_verify_paper)
 
-    bench = sub.add_parser("bench", help="operation-count benchmarks")
+    bench = sub.add_parser("bench", help="operation-count and timing benchmarks")
     bsub = bench.add_subparsers(dest="subcommand", required=True)
     bpow = bsub.add_parser("pow", help="exponentiation cost versus the d^2/2 model")
     bpow.add_argument("--n", type=_positive, required=True)

@@ -44,7 +44,14 @@ class Ciphertext(NamedTuple):
 
 
 def _rng(seed: int | random.Random | None) -> random.Random:
-    return seed if isinstance(seed, random.Random) else random.Random(seed)
+    """The caller's generator, a seeded one, or the OS CSPRNG when unseeded.
+
+    random.SystemRandom is the class `secrets` exports; importing it from
+    `random` keeps hashlib and OpenSSL out of every CLI process.
+    """
+    if isinstance(seed, random.Random):
+        return seed
+    return random.SystemRandom() if seed is None else random.Random(seed)
 
 
 def keygen(

@@ -63,11 +63,6 @@ class KvReader:
         except ValueError:
             raise FileFormatError(f"{self.path}: {key} is not an integer: {v!r}")
 
-    def peek(self) -> str | None:
-        if self.pos >= len(self.pairs):
-            return None
-        return self.pairs[self.pos][0]
-
     def done(self) -> None:
         if self.pos != len(self.pairs):
             k, _ = self.pairs[self.pos]

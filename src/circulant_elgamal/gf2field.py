@@ -696,37 +696,6 @@ def primitive_poly(
     )
 
 
-def equal_degree_factor(f: Poly, e: int, seed: int = 0) -> list[Poly]:
-    """Split monic squarefree f into its irreducible degree-e factors.
-
-    Binary-field equal-degree splitting by the absolute trace map:
-    T(u) = u + u^2 + ... + u^(2^(ne-1)) lands in GF(2) on each factor's
-    residue field, and gcd(f, T(u)) separates the two classes.
-    """
-    if f.degree == e:
-        return [f.monic()]
-    if f.degree % e != 0:
-        raise ValueError("degree is not a multiple of the factor degree")
-    spec = f.spec
-    ext = ExtensionSpec(spec, f.monic())
-    rng = random.Random((seed << 8) ^ f.degree ^ spec.modulus)
-    while True:
-        u = Poly.make(spec, [spec.rand(rng) for _ in range(f.degree)])
-        if u.degree < 1:
-            continue
-        tr = u % ext.modulus
-        acc = tr
-        for _ in range(spec.n * e - 1):
-            tr = poly_mod_square(tr, ext)
-            acc = acc + tr
-        for shift in (Poly((), spec), Poly.const(spec, 1)):
-            g = poly_gcd(f, acc + shift)
-            if 0 < g.degree < f.degree:
-                left = equal_degree_factor(g, e, seed + 1)
-                right = equal_degree_factor((f // g).monic(), e, seed + 1)
-                return sorted(left + right, key=lambda p: p.coeffs)
-
-
 def min_poly_over_base(a: Poly, ext: ExtensionSpec) -> Poly:
     """Minimal polynomial over F_q of an element of the quotient field."""
     conj = [a % ext.modulus]
@@ -754,60 +723,3 @@ def linear_factor_product(roots: list[Poly], ext: ExtensionSpec) -> Poly:
             raise ArithmeticError("product did not collapse into the base field")
         out.append(c.coeffs[0] if c.coeffs else 0)
     return Poly.make(spec, out)
-
-
-# ---------------------------------------------------------------------------
-# normal bases
-
-class NormalBasis(NamedTuple):
-    theta: FieldElement
-    to_normal: tuple[int, ...]  # GF(2) matrix rows as bitmasks
-    from_normal: tuple[int, ...]
-
-    def encode(self, a: FieldElement) -> int:
-        return matvec_gf2(self.to_normal, a.bits)
-
-    def decode(self, bits: int) -> FieldElement:
-        return FieldElement(matvec_gf2(self.from_normal, bits), self.theta.spec)
-
-
-def matvec_gf2(rows: tuple[int, ...], v: int) -> int:
-    out = 0
-    for i, row in enumerate(rows):
-        out |= ((row & v).bit_count() & 1) << i
-    return out
-
-
-def _gf2_invert(rows: list[int], n: int) -> list[int] | None:
-    aug = [rows[i] | (1 << (n + i)) for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r] >> col & 1), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(n):
-            if r != col and aug[r] >> col & 1:
-                aug[r] ^= aug[col]
-    return [aug[i] >> n for i in range(n)]
-
-
-def normal_basis_find(spec: FieldSpec) -> NormalBasis:
-    """First element (in encoding order) whose conjugates form a basis.
-
-    Coordinates: bit i of the normal encoding multiplies theta^(2^i), so
-    squaring is a cyclic rotation of the coordinate word.
-    """
-    n = spec.n
-    for bits in range(1, 1 << n):
-        conj = [bits]
-        for _ in range(n - 1):
-            conj.append(spec.square(conj[-1]))
-        # from_normal column i is theta^(2^i); build rows from columns
-        rows = [0] * n
-        for col, c in enumerate(conj):
-            for row in range(n):
-                rows[row] |= ((c >> row) & 1) << col
-        inv = _gf2_invert(rows, n)
-        if inv is not None:
-            return NormalBasis(FieldElement(bits, spec), tuple(inv), tuple(rows))
-    raise AssertionError("every finite field has a normal basis")

@@ -7,12 +7,13 @@ deterministic; one subprocess test exercises the installed script.
 
 import contextlib
 import io
+import random
 import shutil
 import subprocess
 
 import pytest
 
-from circulant_elgamal import cli
+from circulant_elgamal import cli, elgamal
 from circulant_elgamal.circulant import Circulant, power
 from circulant_elgamal.elgamal import PublicKey, load_private, load_public, save_public
 from circulant_elgamal.keygen import load_params, save_params
@@ -296,6 +297,7 @@ def test_bench_pow_pinned():
     assert got["mean_field_mults"] == "7656.8800"
     assert got["mean_squarings"] == "127.0000"
     assert got["predicted_field_mults"] == "7744.0"
+    assert float(got["mean_power_ms"]) > 0
     # measured within 5 percent of the d^2/2 per-bit model
     assert abs(float(got["mean_field_mults"]) - 7744.0) <= 0.05 * 7744.0
 
@@ -325,6 +327,33 @@ def test_env_seed(tmp_path, monkeypatch):
     )
     assert kv(stdout_env)["order"] == kv(stdout_flag)["order"]
     assert a.read_text() == b.read_text()
+
+
+def test_unseeded_keygen_and_encrypt_use_system_random(
+    tmp_path, monkeypatch, params_file
+):
+    made = []
+
+    class Spy(random.SystemRandom):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(elgamal.random, "SystemRandom", Spy)
+    monkeypatch.delenv("CIRC_ELGAMAL_SEED", raising=False)
+    priv, pub = str(tmp_path / "k.priv"), str(tmp_path / "k.pub")
+    keygen = ["keygen", "--params", params_file, "--out-priv", priv, "--out-pub", pub]
+    assert run_cli(keygen)[0] == 0
+    assert len(made) == 1
+    block = "0x1,0x2,0x3,0x4,0x5,0x6,0x7,0x0,0x1,0x2,0x3"
+    encrypt = ["encrypt", "--pub", pub, "--in", block, "--out", str(tmp_path / "m.ct")]
+    assert run_cli(encrypt)[0] == 0
+    assert len(made) == 2
+    # a seed, by flag or environment, keeps the reproducible generator
+    assert run_cli(keygen + ["--seed", "1"])[0] == 0
+    monkeypatch.setenv("CIRC_ELGAMAL_SEED", "2")
+    assert run_cli(encrypt)[0] == 0
+    assert len(made) == 2
 
 
 def test_env_seed_malformed(tmp_path, monkeypatch):

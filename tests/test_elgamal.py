@@ -4,6 +4,7 @@ encoding, and the key/ciphertext file formats.
 """
 
 import random
+import secrets
 
 import pytest
 
@@ -16,6 +17,7 @@ from circulant_elgamal.circulant import (
     row_sum,
 )
 from circulant_elgamal.elgamal import (
+    _rng,
     Ciphertext,
     OracleInconsistent,
     PrivateKey,
@@ -292,3 +294,11 @@ def test_ciphertext_file_rejections(tmp_path, params311):
     path.write_text(good + "trailing = junk\n")
     with pytest.raises(fileio.FileFormatError):
         load_ciphertexts(path)
+
+
+def test_unseeded_rng_is_system_random():
+    assert isinstance(_rng(None), secrets.SystemRandom)
+    assert type(_rng(5)) is random.Random
+    assert _rng(5).getrandbits(64) == random.Random(5).getrandbits(64)
+    rng = random.Random(1)
+    assert _rng(rng) is rng

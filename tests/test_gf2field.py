@@ -1,4 +1,4 @@
-"""Binary field towers: base fields, polynomials, extensions, normal bases.
+"""Binary field towers: base fields, polynomials and extensions.
 
 Oracles: sympy polynomial arithmetic mod 2 for GF(2) questions, naive
 convolution for products, brute-force enumeration at tiny sizes.
@@ -18,13 +18,11 @@ from circulant_elgamal.gf2field import (
     Poly,
     SpecMismatch,
     ZeroInverse,
-    equal_degree_factor,
     field_make,
     field_order,
     frobenius,
     linear_factor_product,
     min_poly_over_base,
-    normal_basis_find,
     poly_ext_gcd,
     poly_gcd,
     poly_is_irreducible,
@@ -337,24 +335,6 @@ def test_primitive_poly_deterministic():
     assert a.poly == b.poly
 
 
-def test_equal_degree_factor_roundtrip():
-    # two distinct irreducible quadratics over GF(4); their product must
-    # split back into exactly those factors
-    s2 = field_make(2)
-    irred2 = [
-        Poly.make(s2, [c0, c1, 1])
-        for c0 in range(4)
-        for c1 in range(4)
-        if poly_is_irreducible(Poly.make(s2, [c0, c1, 1]))
-    ]
-    f = irred2[0] * irred2[1]
-    got = equal_degree_factor(f, 2, seed=1)
-    assert sorted(p.to_hex() for p in got) == sorted(
-        p.to_hex() for p in irred2[:2]
-    )
-    assert got[0] * got[1] == f
-
-
 def test_min_poly_over_base():
     s1 = field_make(1)
     f = Poly.make(s1, [1, 1, 0, 0, 1])
@@ -393,29 +373,6 @@ def test_linear_factor_product_rejects_open_sets():
         # two arbitrary roots almost surely do not form a Frobenius
         # orbit, so the product cannot collapse to base coefficients
         linear_factor_product([beta, beta + ext.one], ext)
-
-
-def rotl(v: int, n: int) -> int:
-    return ((v << 1) | (v >> (n - 1))) & ((1 << n) - 1)
-
-
-def test_normal_basis_squaring_is_rotation():
-    for n in (1, 2, 4, 8):
-        spec = field_make(n)
-        nb = normal_basis_find(spec)
-        # conjugates of theta really form a basis: roundtrip everything
-        for bits in range(1 << n):
-            a = FieldElement(bits, spec)
-            assert nb.decode(nb.encode(a)) == a
-            assert nb.encode(a.square()) == rotl(nb.encode(a), n)
-
-
-def test_normal_basis_tiny_cases():
-    s2 = field_make(2)
-    nb = normal_basis_find(s2)
-    assert nb.theta.bits == 0b10  # t is the first valid choice
-    s1 = field_make(1)
-    assert normal_basis_find(s1).theta.bits == 1
 
 
 def test_budget_exceeded_is_runtime_error():
