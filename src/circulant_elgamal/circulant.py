@@ -11,7 +11,10 @@ packed into one int, one (2n - 1)-bit slot per coefficient: a product
 is one carry-less multiply of packed rows, a fold of slot k + d onto
 slot k (x^d = 1) and one reduction of all slots mod the field
 polynomial; a square spreads bit i to bit 2i, which squares every
-coefficient and doubles every slot index at once.
+coefficient and doubles every slot index at once. Raising to q = 2^n
+only permutes the slots (c^q = c in F_q), so a power splits its
+exponent into base-q^t digits and runs one shared squaring chain for
+all of them.
 """
 
 from __future__ import annotations
@@ -57,6 +60,9 @@ class OpCounter:
     A full circulant product is booked as one general multiplication
     and d^2 base-field multiplications (the convolution cost); a
     circulant squaring is booked as one squaring, never as mults.
+    `power` books the paper's model of binary square and multiply on m,
+    bit_length(m) - 1 squarings and popcount(m) - 1 products, not the
+    schedule it runs.
     """
 
     general_mults: int = 0
@@ -69,6 +75,12 @@ class OpCounter:
 
     def count_square(self) -> None:
         self.squarings += 1
+
+    def count_power(self, m: int, d: int) -> None:
+        mults = bin(m).count("1") - 1
+        self.squarings += m.bit_length() - 1
+        self.general_mults += mults
+        self.field_mults += d * d * mults
 
 
 @dataclass(frozen=True)
@@ -152,9 +164,6 @@ def _check_pair(a: Circulant, b: Circulant) -> None:
 # ---------------------------------------------------------------------------
 # packed-row kernel for F_q[x]/(x^d - 1)
 
-_HEX = "0123456789abcdef"
-
-
 class _Ring:
     """Rows of F_q[x]/(x^d - 1) packed into one int (Kronecker substitution).
 
@@ -202,11 +211,14 @@ class _Ring:
 
     @staticmethod
     def window(a: int) -> dict[str, int]:
-        """Carry-less multiples a * k, k < 16, keyed by the hex digit of k."""
-        t = [0, a]
-        for k in range(2, 16):
-            t.append(t[k >> 1] << 1 if k % 2 == 0 else t[k - 1] ^ a)
-        return dict(zip(_HEX, t))
+        """Carry-less multiples a * k, 0 < k < 16, keyed by the hex digit of k."""
+        a2, a4, a8 = a << 1, a << 2, a << 3
+        a3, a6, a10, a12 = a2 ^ a, a4 ^ a2, a8 ^ a2, a8 ^ a4
+        return {
+            "1": a, "2": a2, "3": a3, "4": a4, "5": a4 ^ a, "6": a6, "7": a6 ^ a,
+            "8": a8, "9": a8 ^ a, "a": a10, "b": a10 ^ a, "c": a12, "d": a12 ^ a,
+            "e": a12 ^ a2, "f": a12 ^ a3,
+        }
 
     def mul(self, table: dict[str, int], b: int) -> int:
         """Product of the row behind ``table`` with b, 4 bits of b a step."""
@@ -221,6 +233,121 @@ class _Ring:
         # bit i to bit 2i squares every coefficient and doubles every slot
         # index at once (the squaring theorem)
         return self.reduce(int(format(a, "b"), 4))
+
+    def frobenius(self, a: int, j: int) -> int:
+        """a^(q^j), q = 2^n: slot k moves to slot k q^j mod d, no reduction.
+
+        Every coefficient c satisfies c^q = c in F_q, so raising the row
+        to q^j only permutes its slots; d odd makes that a permutation.
+        """
+        d, w, mask = self.d, self.width, (1 << self.n) - 1
+        e = pow(2, self.n * j, d)
+        if e == 1 % d:  # the identity permutation, always so for d = 1
+            return a
+        r = 0
+        for k in range(d):
+            r |= (a >> k * w & mask) << k * e % d * w
+        return r
+
+    def power(self, a: int, m: int) -> int:
+        """a^m, m >= 1, in one pass over the base-q^t digits of m.
+
+        With sigma(y) = y^q, a^m = prod_i sigma^(ti)(a)^(m_i) for the k
+        digits m_i of m in base q^t, and every sigma^j is a free slot
+        permutation (`frobenius`). The digits are taken g at a time: one
+        table holds the product of every subset of the first g bases,
+        and block G's table is its sigma^(tgG) image; entries are made
+        as they come into use. The pass runs over the nt bit positions
+        once, with one squaring per position shared by all digits and at
+        most one table product per block. With t = ceil(bits / n) and
+        g = 1 this is plain square and multiply.
+        """
+        t, g = _plan(self.n, self.d, m.bit_length())
+        span = self.n * t
+        digits = [m >> s & (1 << span) - 1 for s in range(0, m.bit_length(), span)]
+        k, top = len(digits), max(digits).bit_length()
+        # entries[S]: product of the bases sigma^(tj)(a) with bit j set in S
+        entries, wins = {}, {}
+        for j in range(g):
+            entries[1 << j] = base = self.frobenius(a, t * j)
+            wins[0, 1 << j] = self.window(base)
+
+        def window(G: int, S: int) -> dict[str, int]:
+            """Window of entry S of block G's table, the sigma^(tgG) image."""
+            win = wins.get((G, S))
+            if win is None:
+                low = 0  # the set bits of S below j: one more base a step
+                for j in range(S.bit_length()):
+                    if S >> j & 1:
+                        up = low | 1 << j
+                        if low and up not in entries:
+                            entries[up] = self.mul(wins[0, 1 << j], entries[low])
+                        low = up
+                win = wins[G, S] = self.window(self.frobenius(entries[S], t * g * G))
+            return win
+
+        # spread bit b of every digit to bit b 2^e, 2^e >= k (bit i to 2i,
+        # e times), so that x >> b 2^e holds the k digits' bits at b
+        e = (k - 1).bit_length()
+        x = 0
+        for i, y in enumerate(digits):
+            for _ in range(e):
+                y = int(format(y, "b"), 4)
+            x |= y << i
+        square, mul, steps = self.square, self.mul, {}
+        mask, blocks = (1 << k) - 1, list(enumerate(range(0, k, g)))
+        r = None
+        for shift in range((top - 1) << e, -1, -1 << e):
+            bits = x >> shift & mask
+            ws = steps.get(bits)
+            if ws is None:
+                # one table entry for each block with a bit set here
+                ws = steps[bits] = [
+                    window(G, bits >> i & (1 << g) - 1)
+                    for G, i in blocks
+                    if bits >> i & (1 << g) - 1
+                ]
+            if r is None:
+                r, ws = ws[0]["1"], ws[1:]  # a window maps digit 1 to its row
+            else:
+                r = square(r)
+            for win in ws:
+                r = mul(win, r)
+        return r
+
+
+@lru_cache(maxsize=1024)
+def _plan(n: int, d: int, bits: int) -> tuple[int, int]:
+    """(t, g) for `_Ring.power` with a `bits`-bit exponent: the cheapest
+    by a model of the kernel's costs.
+
+    The costs of a square, a product, a slot permutation and a window,
+    and the pass's bookkeeping per position and block, are fits of the
+    kernel's timings over n = 3 .. 128 and d = 3 .. 37, as functions of
+    n, d and the packed row's bit length L; only their ratios matter.
+    """
+    L = d * (2 * n - 1)
+    red = (n - 1) * (0.1 + L / 5000)
+    sq = 1 + red + L / 500
+    mul = 1.5 + red + L / 60 + L * L / 120000
+    perm, win, step = 0.5 + 0.25 * d, 1.2 + L / 5000, 0.2
+    best = None
+    for t in range(1, -(-bits // n) + 1):
+        span = min(n * t, bits)
+        k = -(-bits // span)
+        for g in range(1, min(k, 8) + 1):
+            cost = sq * (span - 1) + mul * ((1 << g) - 1 - g) + (perm + win) * g
+            for i in range(0, k, g):
+                # a block of h digits multiplies at all but 2^-h of the
+                # positions; each of its entries in use costs a window and,
+                # past the first block, a permutation
+                h = min(g, k - i)
+                p = 0.5 ** h
+                used = ((1 << h) - 1) * (1 - (1 - p) ** span)
+                cost += (step + mul * (1 - p)) * span + (win + perm * (i > 0)) * used
+            if best is None or cost < best[0]:
+                best = (cost, t, g)
+    return best[1], best[2]
 
 
 @lru_cache(maxsize=64)
@@ -262,11 +389,13 @@ def square(a: Circulant, counter: OpCounter | None = None) -> Circulant:
 
 
 def power(a: Circulant, m: int, counter: OpCounter | None = None) -> Circulant:
-    """Left-to-right square and multiply; a^0 is the identity.
+    """a^m; a^0 is the identity.
 
-    Books bit_length(m) - 1 squarings and popcount(m) - 1 general
-    multiplications on the counter. The row is packed once and
-    unpacked once.
+    Runs the Frobenius-digit schedule of `_Ring.power`, packing the row
+    once and unpacking it once. The counter gets the paper's cost model
+    of left-to-right square and multiply, whatever schedule runs:
+    bit_length(m) - 1 squarings and popcount(m) - 1 general
+    multiplications.
     """
     if m < 0:
         raise ValueError("exponent must be nonnegative")
@@ -275,16 +404,9 @@ def power(a: Circulant, m: int, counter: OpCounter | None = None) -> Circulant:
     if m > 1:
         _check_odd(a.d)
     ring = _ring(a.spec, a.d)
-    r = ring.pack(a.bits())
-    table = ring.window(r)
-    for i in range(m.bit_length() - 2, -1, -1):
-        r = ring.square(r)
-        if counter is not None:
-            counter.count_square()
-        if (m >> i) & 1:
-            r = ring.mul(table, r)
-            if counter is not None:
-                counter.count_mul(a.d)
+    r = ring.power(ring.pack(a.bits()), m)
+    if counter is not None:
+        counter.count_power(m, a.d)
     return Circulant.from_bits(a.spec, ring.unpack(r))
 
 

@@ -158,6 +158,7 @@ def _rho_brent(n: int, budget: int) -> tuple[int | None, int]:
                 used += steps
                 g = math.gcd(q, n)
                 k += steps
+            r *= 2
         if g == n:
             # batch collapsed; replay single steps from the saved point
             g = 1

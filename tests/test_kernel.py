@@ -2,13 +2,17 @@
 
 `mul`, `square`, `power` and `matvec` run on rows packed into one int;
 the oracle here is the textbook cyclic convolution over the field's own
-multiplication, plus the expanded matrix for `matvec`. Fields come in
-two kinds: the default modulus of `field_make` (sparse g) and the
-largest irreducible modulus of each degree (g of degree n - 1 and
+multiplication, plus the expanded matrix for `matvec`. Long exponents
+are checked against binary square and multiply over the kernel's own
+`square` and `mul`, which the convolution checks, and q-power
+exponents against the slot permutation of the squaring theorem. Fields
+come in two kinds: the default modulus of `field_make` (sparse g) and
+the largest irreducible modulus of each degree (g of degree n - 1 and
 nearly full weight), as a loaded parameter file may carry.
 """
 
 import functools
+import hashlib
 import random
 
 import pytest
@@ -67,6 +71,16 @@ def convolve_power(av, m, spec):
         r = convolve(r, r, spec)
         if bit == "1":
             r = convolve(r, av, spec)
+    return r
+
+
+def ladder(a, m):
+    """a^m by left-to-right binary square and multiply on `square`, `mul`."""
+    r = Circulant.identity(a.spec, a.d)
+    for bit in bin(m)[2:]:
+        r = square(r)
+        if bit == "1":
+            r = mul(r, a)
     return r
 
 
@@ -161,14 +175,25 @@ def test_square_property(case):
     assert square(Circulant.from_bits(spec, av)).bits() == convolve(av, av, spec)
 
 
+@st.composite
+def power_case(draw):
+    # exponents up to q^(d + 1), past the group order and past the point
+    # where the digits' Frobenius images wrap round
+    spec, av, _ = draw(ring_case())
+    return spec, av, draw(st.integers(0, (1 << spec.n * (len(av) + 1)) - 1))
+
+
 @PROPS
-@given(ring_case(), st.integers(0, 1 << 8))
-def test_power_property_and_counts(case, m):
-    spec, av, _ = case
+@given(power_case())
+def test_power_property_and_counts(case):
+    spec, av, m = case
     d = len(av)
     counter = OpCounter()
-    got = power(Circulant.from_bits(spec, av), m, counter)
-    assert got.bits() == convolve_power(av, m, spec)
+    a = Circulant.from_bits(spec, av)
+    got = power(a, m, counter)
+    assert got == ladder(a, m)
+    if m <= 1 << 8:
+        assert got.bits() == convolve_power(av, m, spec)
     # the paper's cost model: squarings free, d^2 field mults a product
     mults = max(m.bit_count() - 1, 0)
     assert counter.squarings == max(m.bit_length() - 1, 0)
@@ -183,6 +208,73 @@ def test_matvec_property(case):
     a = Circulant.from_bits(spec, av)
     v = tuple(FieldElement(x, spec) for x in vv)
     assert matvec(a, v) == expanded_matvec(a, v)
+
+
+def q_order(n, d):
+    """ord_d(q), q = 2^n: sigma^j is the identity exactly when ord_d(q) | j."""
+    j = 1
+    while pow(2, n * j, d) != 1 % d:
+        j += 1
+    return j
+
+
+@pytest.mark.parametrize("n,dense", SPECS)
+@pytest.mark.parametrize("d", ODD_DS)
+def test_power_q_powers_are_slot_permutations(n, dense, d):
+    # a^(q^j) moves c_i to index i q^j mod d: the squaring theorem
+    spec = field(n, dense)
+    q = 1 << n
+    av = [spec.rand(random.Random(7 * n + d)) for _ in range(d)]
+    a = Circulant.from_bits(spec, av)
+    for j in range(d + 2):
+        want = [0] * d
+        for i, c in enumerate(av):
+            want[i * pow(q, j, d) % d] = c
+        assert power(a, q ** j).bits() == want
+
+
+@pytest.mark.parametrize("n,dense", [(n, dense) for n, dense in SPECS if n <= 17])
+@pytest.mark.parametrize("d", ODD_DS)
+def test_power_past_frobenius_wrap(n, dense, d):
+    # sigma^ord is the identity, so from q^ord on the digits' bases repeat
+    spec = field(n, dense)
+    rng = random.Random(11 * n + d)
+    a = Circulant.from_bits(spec, [spec.rand(rng) for _ in range(d)])
+    big = (1 << n) ** q_order(n, d)
+    assert ladder(a, big) == a
+    for m in (big, big - 1, big + 1, 3 * big + rng.getrandbits(n * d), big * big + 5):
+        assert power(a, m) == ladder(a, m)
+
+
+@pytest.mark.parametrize("n,dense", SPECS)
+def test_power_d1_is_field_power(n, dense):
+    spec = field(n, dense)
+    rng = random.Random(n)
+    c = spec.rand(rng)
+    a = Circulant.from_bits(spec, [c])
+    q = 1 << n
+    for m in (0, 1, 2, q - 1, q, rng.getrandbits(5 * n), rng.getrandbits(300)):
+        assert power(a, m).bits() == [spec.pow(c, m)]
+
+
+NORTH_STAR = (
+    (3, 11), (7, 11), (5, 13), (19, 11), (47, 11), (89, 13), (29, 37), (43, 29)
+)
+
+
+def test_power_pinned_at_north_star_cells():
+    # computed by the plain square-and-multiply `power` the kernel had
+    # before the Frobenius-digit schedule
+    h = hashlib.sha256()
+    for n, d in NORTH_STAR:
+        spec = field_make(n)
+        rng = random.Random(n * d)
+        a = Circulant.from_bits(spec, [spec.rand(rng) for _ in range(d)])
+        m = rng.getrandbits(n * (d - 1)) | 1 << (n * (d - 1) - 1)
+        h.update(power(a, m).to_hex().encode() + b"\n")
+    assert h.hexdigest() == (
+        "4d212b0b4523cc0d496e0209a53eb2c020dd4ee9622231684f392e46934a6dbb"
+    )
 
 
 # ---------------------------------------------------------------------------

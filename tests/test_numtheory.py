@@ -87,6 +87,17 @@ def test_factor_budget_exhaustion_reports_cofactor():
         assert is_prime(p)
 
 
+def test_factor_splits_semiprime_beyond_trial_division():
+    # 32- and 33-bit primes: trial division cannot reach them and rho
+    # needs about sqrt(p) ~ 2^16 steps, so Brent's doubling cycle length
+    # has to work for this to split under the budget
+    p, q = 2147483659, 6442450967
+    assert is_prime(p) and is_prime(q)
+    f = factor(p * q, 1 << 16)
+    assert f.complete
+    assert f.factors == {p: 1, q: 1}
+
+
 def test_factor_matches_sympy():
     rng = random.Random(3)
     for _ in range(150):
