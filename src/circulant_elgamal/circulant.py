@@ -6,15 +6,16 @@ The map to the representer polynomial c_0 + c_1 x + ... + c_{d-1}
 x^{d-1} is a ring isomorphism onto F_q[x]/(x^d - 1), which is what the
 multiplication, inversion and CRT routines below actually compute.
 
-Products, squares, powers and matrix-vector products run on the row
-packed into one int, one (2n - 1)-bit slot per coefficient: a product
-is one carry-less multiply of packed rows, a fold of slot k + d onto
-slot k (x^d = 1) and one reduction of all slots mod the field
-polynomial; a square spreads bit i to bit 2i, which squares every
+Products, squares, powers, inverses and matrix-vector products run on
+the row packed into one int, one (2n - 1)-bit slot per coefficient: a
+product is one carry-less multiply of packed rows, a fold of slot k + d
+onto slot k (x^d = 1) and one Barrett reduction of all slots mod the
+field polynomial; a square spreads bit i to bit 2i, which squares every
 coefficient and doubles every slot index at once. Raising to q = 2^n
 only permutes the slots (c^q = c in F_q), so a power splits its
 exponent into base-q^t digits and runs one shared squaring chain for
-all of them.
+all of them, and an inverse is a power q^L - 2 whose q-power part is a
+chain of such permutations (Itoh-Tsujii).
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from .gf2field import (
     FieldSpec,
     Poly,
     SpecMismatch,
+    _pdivmod,
     frobenius,
     linear_factor_product,
-    poly_ext_gcd,
 )
 from .numtheory import DNotPrime, is_primitive_mod
 
@@ -171,22 +172,28 @@ class _Ring:
     w = 2n - 1: wide enough for the carry-less product of two
     coefficients, so one carry-less product of packed rows forms every
     a_i b_j in slot i + j with no slot spilling into the next. x^d = 1
-    folds slot k + d onto slot k, and each step of the reduction mod
-    f(t) = t^n + g(t) clears one high bit of all d slots at once, so
-    one routine serves a sparse and a dense modulus alike.
+    folds slot k + d onto slot k, and one Barrett step reduces all d
+    slots mod f(t) = t^n + g(t) at once. With mu = t^(2n - 2) div f =
+    t^(n - 2) + (lower terms t^i), the quotient of a slot r = H t^n +
+    (low part) by f is exactly (H mu) div t^(n - 2): H plus H div
+    t^(n - 2 - i) for each lower term. The remainder is the low n bits
+    of r + (quotient) g. Each product by a constant is one shift and XOR
+    per term of it, and no slot spills, so one routine serves a sparse
+    and a dense modulus alike.
     """
 
     def __init__(self, spec: FieldSpec, d: int):
         n = spec.n
         w = 2 * n - 1
-        self.n, self.d, self.width = n, d, w
+        self.spec, self.n, self.d, self.width = spec, n, d, w
         self.row_bits = d * w
         self.row = (1 << self.row_bits) - 1
         self.ones = self.row // ((1 << w) - 1)  # bit 0 of every slot
-        # clearing bit b of every slot, b = 2n - 2 .. n, adds f(t) t^(b - n)
-        self.columns = tuple(
-            (b, spec.modulus << (b - n)) for b in range(2 * n - 2, n - 1, -1)
-        )
+        self.low = self.ones * ((1 << n) - 1)  # the n low bits of every slot
+        self.high = self.ones * ((1 << n - 1) - 1)  # n - 1 low bits, for H
+        mu = _pdivmod(1 << 2 * n - 2, spec.modulus)[0]
+        self.mu_shifts = tuple(n - 2 - i for i in range(n - 2) if mu >> i & 1)
+        self.g_terms = tuple(i for i in range(n) if spec.modulus >> i & 1)
 
     def pack(self, coeffs: Sequence[int]) -> int:
         r, w = 0, self.width
@@ -201,13 +208,14 @@ class _Ring:
     def reduce(self, r: int) -> int:
         """Packed carry-less product (slots 0 .. 2d - 2) to a packed row."""
         r = (r & self.row) ^ (r >> self.row_bits)
-        ones = self.ones
-        for b, f in self.columns:
-            col = (r >> b) & ones
-            if col:
-                # one bit per slot, so the integer product is carry-less
-                r ^= col * f
-        return r
+        h = r >> self.n & self.high
+        quot = h
+        for k in self.mu_shifts:
+            quot ^= h >> k
+        quot &= self.high
+        for i in self.g_terms:
+            r ^= quot << i
+        return r & self.low
 
     @staticmethod
     def window(a: int) -> dict[str, int]:
@@ -229,6 +237,9 @@ class _Ring:
             shift += 4
         return self.reduce(acc)
 
+    def product(self, a: int, b: int) -> int:
+        return self.mul(self.window(a), b)
+
     def square(self, a: int) -> int:
         # bit i to bit 2i squares every coefficient and doubles every slot
         # index at once (the squaring theorem)
@@ -248,6 +259,54 @@ class _Ring:
         for k in range(d):
             r |= (a >> k * w & mask) << k * e % d * w
         return r
+
+    def inverse(self, a: int) -> int:
+        """a^-1; raises NotInvertible when a is not a unit.
+
+        Odd d: x^d - 1 is squarefree, so the ring is a product of fields
+        F_(q^e) with every e dividing L = ord_d(q), and a unit a has
+        a^-1 = a^(q^L - 2) = a^(q - 2) delta^(q + ... + q^(L - 1)) with
+        delta = a^(q - 1). a^(q - 2) is the square of a^(2^(n - 1) - 1)
+        from an Itoh-Tsujii chain, and delta's exponent is a chain of
+        free Frobenius permutations. A non-unit gets some other value,
+        which the product a a^-1 = 1 then tells from an inverse.
+        Even d = 2^s d': b = a^(2^s) lies on the slots that are multiples
+        of 2^s, a copy of the ring for d', and a^-1 = b^-1 a^(2^s - 1).
+        """
+        d, n, prod, square = self.d, self.n, self.product, self.square
+        s = (d & -d).bit_length() - 1
+        if s:
+            # acc = a^(2^i - 1) and b = a^(2^i) for i = 1 .. s
+            acc, b = a, square(a)
+            for _ in range(s - 1):
+                acc, b = prod(acc, b), square(b)
+            sub = _ring(self.spec, d >> s)
+            inv = sub.inverse(sub.pack(self.unpack(b)[:: 1 << s]))
+            out = [0] * d
+            out[:: 1 << s] = sub.unpack(inv)
+            return prod(self.pack(out), acc)
+        # c = a^(2^i - 1), with a^(2^(i + j) - 1) = c^(2^j) a^(2^j - 1)
+        c, i = a, 1
+        for bit in bin(n - 1)[3:]:
+            x = c
+            for _ in range(i):
+                x = square(x)
+            c, i = prod(x, c), 2 * i
+            if bit == "1":
+                c, i = prod(square(c), a), i + 1
+        u = square(c) if n > 1 else 1  # a^(q - 2)
+        # e = delta^(1 + q + ... + q^(j - 1)), with sigma^j a free permutation
+        delta, frob = prod(u, a), self.frobenius
+        e, j = delta, 1
+        L = next(k for k in range(1, d + 1) if pow(2, n * k, d) == 1 % d)
+        for bit in bin(L - 1)[3:]:
+            e, j = prod(e, frob(e, j)), 2 * j
+            if bit == "1":
+                e, j = prod(delta, frob(e, 1)), j + 1
+        inv = prod(u, frob(e, 1)) if L > 1 else u
+        if prod(a, inv) != 1:
+            raise NotInvertible("the matrix is singular, it has no inverse")
+        return inv
 
     def power(self, a: int, m: int) -> int:
         """a^m, m >= 1, in one pass over the base-q^t digits of m.
@@ -327,10 +386,10 @@ def _plan(n: int, d: int, bits: int) -> tuple[int, int]:
     n, d and the packed row's bit length L; only their ratios matter.
     """
     L = d * (2 * n - 1)
-    red = (n - 1) * (0.1 + L / 5000)
-    sq = 1 + red + L / 500
-    mul = 1.5 + red + L / 60 + L * L / 120000
-    perm, win, step = 0.5 + 0.25 * d, 1.2 + L / 5000, 0.2
+    red = 0.8 + L / 2500
+    sq = 0.7 + red + L / 350
+    mul = 1.1 + red + L / 55 + L * L / 170000
+    perm, win, step = 0.5 + 0.25 * d, 1.2 + L / 6000, 0.2
     best = None
     for t in range(1, -(-bits // n) + 1):
         span = min(n * t, bits)
@@ -368,7 +427,7 @@ def mul(a: Circulant, b: Circulant, counter: OpCounter | None = None) -> Circula
     """
     _check_pair(a, b)
     ring = _ring(a.spec, a.d)
-    r = ring.mul(ring.window(ring.pack(a.bits())), ring.pack(b.bits()))
+    r = ring.product(ring.pack(a.bits()), ring.pack(b.bits()))
     if counter is not None:
         counter.count_mul(a.d)
     return Circulant.from_bits(a.spec, ring.unpack(r))
@@ -411,15 +470,10 @@ def power(a: Circulant, m: int, counter: OpCounter | None = None) -> Circulant:
 
 
 def inverse(a: Circulant) -> Circulant:
-    """Inverse via extended Euclid on (representer, x^d - 1)."""
-    d, spec = a.d, a.spec
-    xd1 = Poly.make(spec, [1] + [0] * (d - 1) + [1])
-    g, u, _ = poly_ext_gcd(a.to_poly(), xd1)
-    if g.degree != 0:
-        raise NotInvertible(
-            f"gcd with x^{d} - 1 has degree {g.degree}, matrix is singular"
-        )
-    return Circulant.from_poly(u % xd1, d)
+    """a^-1 on the packed kernel (`_Ring.inverse`); NotInvertible when
+    the matrix is singular."""
+    ring = _ring(a.spec, a.d)
+    return Circulant.from_bits(a.spec, ring.unpack(ring.inverse(ring.pack(a.bits()))))
 
 
 def matvec(
@@ -438,9 +492,7 @@ def matvec(
             raise DimensionMismatch("vector entry from a different field")
     av = a.bits()
     ring = _ring(spec, d)
-    r = ring.mul(
-        ring.window(ring.pack(av[:1] + av[:0:-1])), ring.pack([x.bits for x in v])
-    )
+    r = ring.product(ring.pack(av[:1] + av[:0:-1]), ring.pack([x.bits for x in v]))
     return tuple(FieldElement(c, spec) for c in ring.unpack(r))
 
 

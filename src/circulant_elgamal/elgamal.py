@@ -81,7 +81,7 @@ def encrypt(
 
 
 def decrypt(priv: PrivateKey, ct: Ciphertext) -> tuple[FieldElement, ...]:
-    """Rebuild A^{mr} from A^r, invert by extended Euclid, apply to w."""
+    """Rebuild A^{mr} from A^r, invert it, apply to w."""
     mask = power(ct.Ar, priv.m)
     return matvec(inverse(mask), ct.w)
 

@@ -94,25 +94,8 @@ def _pinvert(a: int, m: int) -> int:
     return _pmod(s0, m)
 
 
-def _pirreducible(f: int) -> bool:
-    """Distinct-degree irreducibility test over GF(2)."""
-    n = _pdeg(f)
-    if n <= 0:
-        return False
-    if f & 1 == 0:
-        return f == 0b10  # t divides f
-    x = _pmod(0b10, f)
-
-    def q_power_chain(k: int) -> int:
-        r = x
-        for _ in range(k):
-            r = _pmod(_pmul(r, r), f)
-        return r
-
-    if q_power_chain(n) != x:
-        return False
-    k, divs = n, []
-    p = 2
+def _prime_divisors(k: int) -> list[int]:
+    divs, p = [], 2
     while p * p <= k:
         if k % p == 0:
             divs.append(p)
@@ -121,10 +104,28 @@ def _pirreducible(f: int) -> bool:
         p += 1
     if k > 1:
         divs.append(k)
-    for r in divs:
-        if _pdeg(_pgcd(q_power_chain(n // r) ^ x, f)) > 0:
-            return False
-    return True
+    return divs
+
+
+def _pirreducible(f: int) -> bool:
+    """Distinct-degree irreducibility test over GF(2).
+
+    One chain of n squarings gives t^(2^j) mod f for j = 1 .. n; f is
+    irreducible when t^(2^n) = t and gcd(t^(2^(n/r)) - t, f) = 1 for
+    every prime r dividing n.
+    """
+    n = _pdeg(f)
+    if n <= 0:
+        return False
+    if f & 1 == 0:
+        return f == 0b10  # t divides f
+    x = r = _pmod(0b10, f)
+    keep = dict.fromkeys(n // p for p in _prime_divisors(n))
+    for j in range(1, n + 1):
+        r = _pmod(_pmul(r, r), f)
+        if j in keep:
+            keep[j] = r
+    return r == x and all(_pdeg(_pgcd(v ^ x, f)) <= 0 for v in keep.values())
 
 
 # per-byte bit spreading table for fast squaring (bit i -> bit 2i)
@@ -576,7 +577,12 @@ def frobenius(a: Poly, ext: ExtensionSpec) -> Poly:
 
 
 def poly_is_irreducible(p: Poly) -> bool:
-    """Distinct-degree test over F_q, q = 2^n."""
+    """Distinct-degree test over F_q, q = 2^n.
+
+    One chain of kn squarings gives x^(q^j) mod p for j = 1 .. k; p is
+    irreducible when x^(q^k) = x and gcd(x^(q^(k/r)) - x, p) = 1 for
+    every prime r dividing k.
+    """
     k = p.degree
     if k <= 0:
         return False
@@ -585,31 +591,16 @@ def poly_is_irreducible(p: Poly) -> bool:
     if p.coeffs[0] == 0:
         return False  # divisible by x
     ext = ExtensionSpec(p.spec, p.monic())
-    x = Poly.x(p.spec)
-
-    def x_q_power(j: int) -> Poly:
-        # x^(q^j) mod p via j*n squarings
-        r = x % ext.modulus
-        for _ in range(j * p.spec.n):
-            r = poly_mod_square(r, ext)
-        return r
-
-    if x_q_power(k) != x % ext.modulus:
-        return False
-    m, divs = k, []
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            divs.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        divs.append(m)
-    for r in divs:
-        if poly_gcd(x_q_power(k // r) + x, ext.modulus).degree > 0:
-            return False
-    return True
+    x = y = Poly.x(p.spec) % ext.modulus
+    keep = dict.fromkeys(k // r for r in _prime_divisors(k))
+    for j in range(1, k + 1):
+        for _ in range(p.spec.n):
+            y = poly_mod_square(y, ext)
+        if j in keep:
+            keep[j] = y
+    return y == x and all(
+        poly_gcd(v + x, ext.modulus).degree <= 0 for v in keep.values()
+    )
 
 
 def poly_order(a: Poly, ext: ExtensionSpec, fact: Factorization) -> int:

@@ -180,6 +180,29 @@ def test_full_pipeline_bytes(tmp_path, params_file):
     assert back.read_bytes() == data
 
 
+@pytest.mark.parametrize("ar", ("0x0", "0x7"))
+def test_decrypt_singular_ar_exits_2(tmp_path, params_file, ar):
+    # a hostile ciphertext: Ar all zero or all ones, both singular, so
+    # A^{mr} has no inverse
+    priv, pub = str(tmp_path / "k.priv"), str(tmp_path / "k.pub")
+    run_cli(["keygen", "--params", params_file, "--out-priv", priv,
+             "--out-pub", pub, "--seed", "41"])
+    ct = tmp_path / "m.ct"
+    run_cli(["encrypt", "--pub", pub, "--in", ",".join(["0x1"] * 11),
+             "--out", str(ct), "--seed", "42"])
+    lines = ct.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("Ar = "))
+    lines[i] = "Ar = " + ",".join([ar] * 11)
+    ct.write_text("\n".join(lines) + "\n")
+    code, stdout, stderr = run_cli(
+        ["decrypt", "--priv", priv, "--in", str(ct), "--out", str(tmp_path / "x")]
+    )
+    assert code == 2
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1 and "singular" in stderr
+    assert "Traceback" not in stderr
+
+
 def test_decrypt_key_mismatch(tmp_path, params_file, params15):
     priv, pub = str(tmp_path / "k.priv"), str(tmp_path / "k.pub")
     run_cli(["keygen", "--params", params_file, "--out-priv", priv,

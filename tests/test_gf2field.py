@@ -18,6 +18,7 @@ from circulant_elgamal.gf2field import (
     Poly,
     SpecMismatch,
     ZeroInverse,
+    _pirreducible,
     field_make,
     field_order,
     frobenius,
@@ -246,6 +247,54 @@ def test_poly_is_irreducible_matches_sympy():
         p = Poly.make(s1, coeffs)
         sp = sympy.Poly(list(reversed(coeffs)), t, modulus=2)
         assert poly_is_irreducible(p) == sp.is_irreducible
+
+
+def irreducible_reference(p):
+    """The distinct-degree test with a fresh squaring chain per check."""
+    k, n = p.degree, p.spec.n
+    ext = ExtensionSpec(p.spec, p.monic())
+    x = Poly.x(p.spec) % ext.modulus
+
+    def x_q_power(j):
+        r = x
+        for _ in range(j * n):
+            r = poly_mod_mul(r, r, ext)
+        return r
+
+    if p.coeffs[0] == 0 or x_q_power(k) != x:
+        return k == 1
+    return all(
+        poly_gcd(x_q_power(k // r) + x, ext.modulus).degree == 0
+        for r in sympy.primefactors(k)
+    )
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 8))
+def test_poly_is_irreducible_matches_reference(n):
+    # random monic polynomials, and products of two, which are reducible
+    spec = field_make(n)
+    rng = random.Random(n)
+
+    def monic(deg):
+        return Poly.make(spec, [spec.rand(rng) for _ in range(deg)] + [1])
+
+    seen = set()
+    for _ in range(60):
+        p = monic(rng.randrange(1, 9))
+        got = poly_is_irreducible(p)
+        assert got == irreducible_reference(p)
+        seen.add(got)
+        q = monic(rng.randrange(1, 5)) * monic(rng.randrange(1, 5))
+        assert not poly_is_irreducible(q) and not irreducible_reference(q)
+    assert seen == {True, False}
+
+
+def test_binary_irreducibility_exhaustive():
+    # every polynomial over GF(2) of degree <= 9 against sympy
+    for f in range(1, 1 << 10):
+        assert _pirreducible(f) == (
+            f.bit_length() > 1 and bits_to_sympy(f).is_irreducible
+        ), bin(f)
 
 
 def test_extension_arithmetic():

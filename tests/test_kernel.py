@@ -1,8 +1,11 @@
 """The packed-row ring kernel against the plain convolution.
 
-`mul`, `square`, `power` and `matvec` run on rows packed into one int;
-the oracle here is the textbook cyclic convolution over the field's own
-multiplication, plus the expanded matrix for `matvec`. Long exponents
+`mul`, `square`, `power`, `matvec` and `inverse` run on rows packed
+into one int; the oracle here is the textbook cyclic convolution over
+the field's own multiplication, plus the expanded matrix for `matvec`
+and extended Euclid on the representer polynomial for `inverse`. The
+Barrett reduction is checked slot by slot against polynomial division
+for every irreducible modulus of small degree. Long exponents
 are checked against binary square and multiply over the kernel's own
 `square` and `mul`, which the convolution checks, and q-power
 exponents against the slot permutation of the squaring theorem. Fields
@@ -16,20 +19,33 @@ import hashlib
 import random
 
 import pytest
+import sympy
+import sympy.abc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circulant_elgamal.circulant import (
     Circulant,
     EvenD,
+    NotInvertible,
     OpCounter,
+    _Ring,
+    det,
     expand,
+    inverse,
     matvec,
     mul,
     power,
     square,
 )
-from circulant_elgamal.gf2field import FieldElement, FieldSpec, field_make
+from circulant_elgamal.gf2field import (
+    FieldElement,
+    FieldSpec,
+    Poly,
+    _pdivmod,
+    field_make,
+    poly_ext_gcd,
+)
 
 NS = (1, 2, 11, 16, 17, 47, 128)
 ODD_DS = (1, 3, 11, 37)
@@ -82,6 +98,16 @@ def ladder(a, m):
         if bit == "1":
             r = mul(r, a)
     return r
+
+
+def euclid_inverse(a):
+    """a^-1 by extended Euclid on (representer, x^d - 1); None if singular."""
+    d, spec = a.d, a.spec
+    xd1 = Poly.make(spec, [1] + [0] * (d - 1) + [1])
+    g, u, _ = poly_ext_gcd(a.to_poly(), xd1)
+    if g.degree != 0:
+        return None
+    return Circulant.from_poly(u % xd1, d)
 
 
 def expanded_matvec(a, v):
@@ -142,6 +168,57 @@ def test_power_full_length_exponent(n, d):
     m = rng.getrandbits(n * (d - 1)) | 1 << (n * (d - 1) - 1)
     a = Circulant.from_bits(spec, av)
     assert power(a, m).bits() == convolve_power(av, m, spec)
+
+
+INVERSE_DS = (1, 2, 3, 4, 7, 9, 11, 12, 15, 37)
+
+
+@pytest.mark.parametrize("n,dense", SPECS)
+@pytest.mark.parametrize("d", INVERSE_DS)
+def test_inverse_matches_euclid(n, dense, d):
+    # d = 7, 9, 15 at n = 1 (and d = 7 at n = 16) have q not primitive
+    # mod d, so x^d - 1 has several factors of one degree; even d are
+    # not squarefree. Multiples of x + 1, and all-ones rows for d > 1,
+    # are singular.
+    spec = field(n, dense)
+    rng = random.Random(n * 100 + d)
+    x1 = Circulant.from_bits(spec, [1, 1] + [0] * (d - 2)) if d > 1 else None
+    cases = list(rows(spec, d, rng)) + [[spec.rand(rng) for _ in range(d)]]
+    if x1 is not None:
+        cases.append(mul(Circulant.from_bits(spec, cases[-1]), x1).bits())
+    cases.append([0] * d)
+    singular = 0
+    for av in cases:
+        a = Circulant.from_bits(spec, av)
+        want = euclid_inverse(a)
+        if want is None:
+            singular += 1
+            with pytest.raises(NotInvertible):
+                inverse(a)
+        else:
+            assert inverse(a) == want
+    assert singular >= min(d, 2)
+
+
+def irreducible_moduli(top):
+    for n in range(1, top + 1):
+        for f in range(1 << n, 1 << n + 1):
+            bits = [int(b) for b in bin(f)[2:]]
+            if sympy.Poly(bits, sympy.abc.t, modulus=2).is_irreducible:
+                yield f
+
+
+@pytest.mark.parametrize("f", list(irreducible_moduli(6)))
+def test_reduce_is_division_slot_by_slot(f):
+    # every slot value of degree <= 2n - 2, once in a low slot and once
+    # in a high slot that the x^d = 1 fold moves down
+    n = f.bit_length() - 1
+    values = range(1 << 2 * n - 1)
+    ring = _Ring(FieldSpec(n, f), len(values))
+    want = [_pdivmod(v, f)[1] for v in values]
+    r = ring.pack(list(values))
+    assert ring.unpack(ring.reduce(r)) == want
+    assert ring.unpack(ring.reduce(r << ring.row_bits)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +285,28 @@ def test_matvec_property(case):
     a = Circulant.from_bits(spec, av)
     v = tuple(FieldElement(x, spec) for x in vv)
     assert matvec(a, v) == expanded_matvec(a, v)
+
+
+@st.composite
+def inverse_case(draw):
+    # coefficients often 0 or 1, so that singular rows come up
+    n, dense = draw(st.sampled_from(SPECS))
+    d = draw(st.sampled_from((1, 2, 3, 4, 7, 9, 11, 12)))
+    spec = field(n, dense)
+    coeff = st.one_of(st.sampled_from((0, 1)), st.integers(0, spec.order))
+    return spec, draw(st.lists(coeff, min_size=d, max_size=d))
+
+
+@PROPS
+@given(inverse_case())
+def test_inverse_property(case):
+    spec, av = case
+    a = Circulant.from_bits(spec, av)
+    if det(a).is_zero():
+        with pytest.raises(NotInvertible):
+            inverse(a)
+    else:
+        assert mul(a, inverse(a)).is_identity()
 
 
 def q_order(n, d):
