@@ -199,13 +199,7 @@ def cmd_security_tables(args) -> int:
     ds = range(args.d_lo, args.d_hi + 1)
     if args.which == 1:
         rows = [
-            security.SecurityReport(
-                n,
-                d,
-                True,
-                security.index_calculus_bits(n, d),
-                security.regime_check(n, d),
-            )
+            security.estimate(n, d)
             for n, primitive_ds in security.scan_primitive_pairs(ns, ds)
             for d in primitive_ds
         ]

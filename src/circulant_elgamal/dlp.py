@@ -1,25 +1,22 @@
 """Desk-scale discrete logarithm attacks on the circulant group.
 
-The pipeline mirrors why the five conditions matter: crt_split turns a
-circulant DLP into a field DLP for the beta component (plus a base
-field instance for the row sum when it is not 1), Pohlig-Hellman peels
-the order into prime powers, and baby-step giant-step solves each leaf.
+For odd d the all-ones row Phi = 1 + x + ... + x^(d-1) is an idempotent
+of R = F_q[x]/(x^d - 1): x Phi = Phi, so Phi^2 = d Phi = Phi. Hence
+R = Phi R x (1 + Phi) R, which is F_q x F_q[x]/Phi, and A = alpha Phi +
+beta (1 + Phi) gives A^x = alpha^x Phi + beta^x (1 + Phi). The paper's
+reduction to the field F_(q^(d-1)) (and the base field of the row sum)
+is therefore already inside the ring: every product of rows carries both
+components, and ord(A) divides q^(d-1) - 1. So the attack runs in <A>
+itself, on rows packed into the circulant kernel: Pohlig-Hellman peels
+ord(A) into prime powers, and baby-step giant-step solves each leaf.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt
-from typing import NamedTuple
+from math import isqrt
 
-from .circulant import Circulant, crt_split, power
-from .gf2field import (
-    ExtensionSpec,
-    Poly,
-    field_order,
-    poly_mod_inv,
-    poly_mod_mul,
-    poly_mod_pow,
-)
+from .circulant import Circulant, _check_odd, _ring, _Ring, power
+from .keygen import order_of
 from .numtheory import (
     DEFAULT_BUDGET,
     Factorization,
@@ -35,170 +32,118 @@ class NotFound(LookupError):
     pass
 
 
-class DlpInstance(NamedTuple):
-    base: Poly
-    target: Poly
-    group_order: Factorization  # of ord(base); may be incomplete
-    ext: ExtensionSpec
+def _packed(base: Circulant, target: Circulant) -> tuple[_Ring, int, int]:
+    """The kernel ring of base, with base and target packed into it."""
+    _check_odd(base.d)
+    ring = _ring(base.spec, base.d)
+    return ring, ring.pack(base.bits()), ring.pack(target.bits())
 
 
-def _key(p: Poly, ext: ExtensionSpec) -> bytes:
-    """Canonical byte serialization for the baby-step table."""
-    nbytes = (ext.base.n + 7) // 8
-    coeffs = list(p.coeffs) + [0] * (ext.degree - len(p.coeffs))
-    return b"".join(c.to_bytes(nbytes, "big") for c in coeffs)
-
-
-def bsgs(
-    base: Poly,
-    target: Poly,
-    order: int,
-    ext: ExtensionSpec,
-    stats: dict | None = None,
-) -> int:
+def bsgs(base: Circulant, target: Circulant, order: int) -> int:
     """Least x in [0, order) with base^x = target.
 
     Table memory is ceil(sqrt(order)) entries, hence the desk bound.
+    A packed row is canonical, so it keys the table as it is.
     """
     if order <= 0:
         raise ValueError("order must be positive")
     if order > BSGS_MAX_ORDER:
         raise ValueError(f"order {order} exceeds the 2^48 desk bound")
-    base = base % ext.modulus
-    target = target % ext.modulus
+    ring, a, b = _packed(base, target)
     m = isqrt(order - 1) + 1
-    table: dict[bytes, int] = {}
-    cur = ext.one
+    step = ring.window(a)
+    table: dict[int, int] = {}
+    cur = 1
     for j in range(m):
-        table.setdefault(_key(cur, ext), j)
-        cur = poly_mod_mul(cur, base, ext)
-    if stats is not None:
-        stats["table_entries"] = len(table)
-    giant = poly_mod_pow(poly_mod_inv(base, ext), m, ext)
-    cur = target
-    for i in range(m + 1):
-        j = table.get(_key(cur, ext))
+        table.setdefault(cur, j)
+        cur = ring.mul(step, cur)
+    giant = ring.window(ring.power(ring.inverse(a), m))
+    cur = b
+    for i in range(m):  # m^2 >= order, so x = i m + j reaches order - 1
+        j = table.get(cur)
         if j is not None:
             x = i * m + j
             if x < order:
                 return x
-        cur = poly_mod_mul(cur, giant, ext)
+        cur = ring.mul(giant, cur)
     raise NotFound("target is not a power of the base in this subgroup")
 
 
-def pohlig_hellman(
-    base: Poly, target: Poly, order: Factorization, ext: ExtensionSpec
-) -> int:
-    """Composite-order solve; ``order`` must factor ord(base) exactly."""
+def pohlig_hellman(base: Circulant, target: Circulant, order: Factorization) -> int:
+    """Composite-order solve; ``order`` must factor ord(base) exactly.
+
+    The answer is canonical in [0, order.n) and checked: NotFound when
+    base^x is not the target.
+    """
     if not order.complete:
         raise IncompleteFactorization(
             f"group order has unfactored cofactor {order.cofactor}"
         )
+    ring, a, b = _packed(base, target)
     n = order.n
-    base = base % ext.modulus
-    target = target % ext.modulus
-    residues, moduli = [], []
+
+    def row(r: int) -> Circulant:
+        return Circulant.from_bits(base.spec, ring.unpack(r))
+
+    residues, moduli = [0], [1]  # x = 0 when ord(base) = 1
     for p, e in sorted(order.factors.items()):
         if p > BSGS_MAX_ORDER:
             raise ValueError(f"prime {p} exceeds the 2^48 desk bound")
-        gamma = poly_mod_pow(base, n // p, ext)  # order p
+        gamma = row(ring.power(a, n // p))  # order p
         x_pe = 0
         pk = 1
-        for k in range(e):
-            shifted = poly_mod_mul(
-                target, poly_mod_pow(base, -x_pe, ext), ext
-            )
-            t = poly_mod_pow(shifted, n // (pk * p), ext)
-            digit = bsgs(gamma, t, p, ext)
+        for _ in range(e):
+            # base^(n - x_pe) = base^(-x_pe), as base^n = 1
+            shifted = ring.product(b, ring.power(a, n - x_pe))
+            digit = bsgs(gamma, row(ring.power(shifted, n // (pk * p))), p)
             x_pe += digit * pk
             pk *= p
         residues.append(x_pe)
         moduli.append(pk)
     x = integer_crt(residues, moduli)
-    if poly_mod_pow(base, x, ext) != target:
+    if power(base, x) != target:
         raise NotFound("reconstructed exponent does not reproduce the target")
     return x
 
 
-class FieldReduction(NamedTuple):
-    instance: DlpInstance
-    alpha_base: int  # row sum of A, as raw field bits
-    alpha_target: int  # row sum of B
-
-
 def reduce_to_field(
     a: Circulant, b: Circulant, budget: int = DEFAULT_BUDGET
-) -> FieldReduction:
-    """Project both matrices through the CRT split.
+) -> Factorization:
+    """ord(a) as a complete factorization, once b may lie in <a>.
 
-    The beta components give a DLP in F_q[x]/Phi whose group order is
-    computed exactly when factor(q^{d-1} - 1) completes within budget;
-    the row sums give the residual base-field instance, trivial for
-    parameters passing conditions a and b.
+    ord(a) divides q^(d-1) - 1, the order of the unit group of the field
+    the paper reduces the circulant DLP to; it comes from `order_of` on
+    the factorization of that number. IncompleteFactorization when the
+    budget does not finish it; NotFound when a^(q^(d-1) - 1) is not 1
+    (a lies outside that group) or b^ord(a) is not 1 (b is no power of
+    a).
     """
-    sa, sb = crt_split(a), crt_split(b)
-    spec, d = a.spec, a.d
-    big_n = (1 << (spec.n * (d - 1))) - 1
-    fact = factor(big_n, budget)
-    if fact.complete:
-        t = big_n
-        vals: dict[int, int] = {}
-        for p, e in fact.factors.items():
-            v = e
-            while v > 0 and poly_mod_pow(sa.beta, t // p, sa.ext) == sa.ext.one:
-                t //= p
-                v -= 1
-            if v:
-                vals[p] = v
-        group = Factorization(t, vals)
-    else:
-        group = fact  # incomplete; solvers will refuse and say why
-    inst = DlpInstance(sa.beta, sb.beta, group, sa.ext)
-    return FieldReduction(inst, sa.alpha.bits, sb.alpha.bits)
-
-
-def _merge_congruence(
-    r1: int, m1: int, r2: int, m2: int
-) -> tuple[int, int]:
-    """Combine x = r1 (mod m1), x = r2 (mod m2) with non-coprime moduli."""
-    g = gcd(m1, m2)
-    if (r1 - r2) % g != 0:
-        raise NotFound("component exponents are inconsistent")
-    l = m1 // g * m2
-    step = pow(m1 // g, -1, m2 // g) if m2 != g else 0
-    k = ((r2 - r1) // g * step) % (m2 // g) if m2 != g else 0
-    return (r1 + m1 * k) % l, l
+    fact = factor((1 << a.spec.n * (a.d - 1)) - 1, budget)
+    if not fact.complete:
+        raise IncompleteFactorization(
+            f"q^(d-1) - 1 has unfactored cofactor {fact.cofactor}"
+        )
+    try:
+        order = order_of(a, budget).order
+    except ArithmeticError as exc:
+        raise NotFound(str(exc)) from None
+    if not power(b, order).is_identity():
+        raise NotFound("the target's order does not divide ord(a)")
+    return Factorization(
+        order, {p: _valuation(order, p) for p in fact.factors if order % p == 0}
+    )
 
 
 def solve_circulant_dlp(
     a: Circulant, b: Circulant, budget: int = DEFAULT_BUDGET
 ) -> int:
-    """m with a^m = b, canonical in [0, ord(a))."""
-    red = reduce_to_field(a, b, budget)
-    inst = red.instance
-    x_beta = pohlig_hellman(inst.base, inst.target, inst.group_order, inst.ext)
-    x, mod = x_beta, inst.group_order.n
-    spec = a.spec
-    if red.alpha_base == 1:
-        if red.alpha_target != 1:
-            raise NotFound("row sums rule out any solution")
-    else:
-        qm1 = factor(spec.order, budget)
-        ord_alpha = field_order(spec, red.alpha_base, qm1)
-        alpha_fact = Factorization(
-            ord_alpha,
-            {p: _valuation(ord_alpha, p) for p in qm1.factors if ord_alpha % p == 0},
-        )
-        x_alpha = pohlig_hellman(
-            Poly.const(spec, red.alpha_base),
-            Poly.const(spec, red.alpha_target),
-            alpha_fact,
-            inst.ext,
-        )
-        x, mod = _merge_congruence(x_beta, mod, x_alpha, ord_alpha)
-    if power(a, x) != b:
-        raise NotFound("no exponent maps a to b")
-    return x
+    """m with a^m = b, canonical in [0, ord(a)).
+
+    Pohlig-Hellman in <a>, which checks a^m = b before it returns.
+    """
+    if a.d % 2 == 0 or a.d < 3:
+        raise ValueError(f"the attack needs odd d >= 3, got d = {a.d}")
+    return pohlig_hellman(a, b, reduce_to_field(a, b, budget))
 
 
 def _valuation(n: int, p: int) -> int:

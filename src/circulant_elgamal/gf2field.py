@@ -549,8 +549,7 @@ def poly_mod_square(a: Poly, ext: ExtensionSpec) -> Poly:
 
 def poly_mod_pow(a: Poly, e: int, ext: ExtensionSpec) -> Poly:
     if e < 0:
-        a = poly_mod_inv(a, ext)
-        e = -e
+        raise ValueError("exponent must be nonnegative")
     r = Poly.const(ext.base, 1)
     a = a % ext.modulus
     while e:
@@ -559,13 +558,6 @@ def poly_mod_pow(a: Poly, e: int, ext: ExtensionSpec) -> Poly:
         a = poly_mod_square(a, ext)
         e >>= 1
     return r
-
-
-def poly_mod_inv(a: Poly, ext: ExtensionSpec) -> Poly:
-    g, u, _ = poly_ext_gcd(a % ext.modulus, ext.modulus)
-    if g.degree != 0:
-        raise ZeroInverse("element is not a unit in the quotient ring")
-    return u.scale(ext.base.inv(g.coeffs[0])) % ext.modulus
 
 
 def frobenius(a: Poly, ext: ExtensionSpec) -> Poly:

@@ -249,6 +249,38 @@ def test_attack_failure_exit_code(tmp_path, params_file, params311):
     assert "attack failed" in stderr
 
 
+def _row(d, entries):
+    return ",".join(hex(entries.get(k, 0)) for k in range(d))
+
+
+@pytest.mark.parametrize(
+    "d, a, am",
+    [
+        (1, {0: 3}, {0: 5}),
+        (2, {1: 1}, {0: 1}),
+        (4, {1: 1}, {2: 1}),
+        # d = 9 is odd but composite, so Phi is reducible. 2 x^2 has row
+        # sum 2 and lies outside <x>; 1 + x is singular (row sum 0).
+        (9, {1: 1}, {2: 2}),
+        (9, {0: 1, 1: 1}, {0: 1, 2: 1}),
+    ],
+    ids=["d1", "d2", "d4", "d9-outside", "d9-singular"],
+)
+def test_attack_fails_cleanly_off_the_supported_cells(tmp_path, d, a, am):
+    header = f"version = 1\nn = 3\nd = {d}\nfield_poly = 0xb\n"
+    params, pub = tmp_path / "h.params", tmp_path / "h.pub"
+    params.write_text(header + f"A = {_row(d, a)}\n")
+    pub.write_text(header + f"A = {_row(d, a)}\nAm = {_row(d, am)}\n")
+    code, stdout, stderr = run_cli(
+        ["attack", "dlp", "--params", str(params), "--pub", str(pub)]
+    )
+    assert code == 3
+    assert stdout == ""
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("attack failed: ")
+    assert "Traceback" not in stderr
+
+
 # ---------------------------------------------------------------------------
 # security
 

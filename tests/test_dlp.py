@@ -1,8 +1,11 @@
-"""Discrete-log attacks: baby-step giant-step, Pohlig-Hellman, the CRT
-reduction to a field instance, and the full circulant solver.
+"""Discrete-log attacks: baby-step giant-step, Pohlig-Hellman, the group
+order behind them, and the full circulant solver.
 
-Small primitive extensions of GF(2) give groups where exhaustive
-search is the oracle.
+Everything runs in groups of circulants. At (1,5) the ring is F_2 x
+GF(16), and 1 + x + x^2 generates a cyclic group of order 15, small
+enough that exhaustive search is the oracle; at (3,3) it is F_8 x F_64,
+and x + 2x^2 has order 63 = 3^2 * 7, which takes Pohlig-Hellman through
+its prime-power lifting.
 """
 
 import random
@@ -21,168 +24,154 @@ from circulant_elgamal.circulant import (
 from circulant_elgamal.dlp import (
     BSGS_MAX_ORDER,
     NotFound,
-    _merge_congruence,
     bsgs,
     pohlig_hellman,
     reduce_to_field,
     solve_circulant_dlp,
 )
 from circulant_elgamal.elgamal import keygen
-from circulant_elgamal.gf2field import (
-    ExtensionSpec,
-    Poly,
-    field_make,
-    poly_mod_pow,
-)
+from circulant_elgamal.gf2field import field_make
 from circulant_elgamal.numtheory import Factorization, IncompleteFactorization, factor
 
-S1 = field_make(1)
-GF16 = ExtensionSpec(S1, Poly.make(S1, [1, 1, 0, 0, 1]))  # x^4+x+1, primitive
-GF64 = ExtensionSpec(S1, Poly.make(S1, [1, 1, 0, 0, 0, 0, 1]))  # x^6+x+1
+S1, S3 = field_make(1), field_make(3)
+G15 = Circulant.from_bits(S1, [1, 1, 1, 0, 0])  # order 15 at (1,5)
+G63 = Circulant.from_bits(S3, [0, 1, 2])  # order 63 at (3,3)
 
 
-def g16():
-    return Poly.x(S1)
+@pytest.mark.parametrize("g, order", [(G15, 15), (G63, 63)])
+def test_generators_have_the_stated_order(g, order):
+    assert power(g, order).is_identity()
+    for p in factor(order).factors:
+        assert not power(g, order // p).is_identity()
 
 
 # ---------------------------------------------------------------------------
 # baby-step giant-step
 
 def test_bsgs_knowns():
-    g = g16()
-    assert bsgs(g, GF16.one, 15, GF16) == 0
-    assert bsgs(g, g, 15, GF16) == 1
-    assert bsgs(g, poly_mod_pow(g, 7, GF16), 15, GF16) == 7
+    g = G15
+    assert bsgs(g, Circulant.identity(S1, 5), 15) == 0
+    assert bsgs(g, g, 15) == 1
+    assert bsgs(g, power(g, 7), 15) == 7
 
 
 def test_bsgs_exhaustive_gf16():
-    g = g16()
     for x in range(15):
-        assert bsgs(g, poly_mod_pow(g, x, GF16), 15, GF16) == x
+        assert bsgs(G15, power(G15, x), 15) == x
 
 
 def test_bsgs_returns_least_exponent():
-    h = poly_mod_pow(g16(), 3, GF16)  # order 5
+    h = power(G15, 3)  # order 5
     # x = 2 solves, and so do 7 and 12; the least must come back
-    assert bsgs(h, poly_mod_pow(h, 2, GF16), 15, GF16) == 2
+    assert bsgs(h, power(h, 2), 15) == 2
+    # order 3 < 4 baby steps: a repeated row must keep its first j
+    h = power(G15, 5)
+    assert bsgs(h, Circulant.identity(S1, 5), 15) == 0
+    assert bsgs(h, h, 15) == 1
 
 
 def test_bsgs_not_found():
-    h = poly_mod_pow(g16(), 3, GF16)  # order-5 subgroup
+    h = power(G15, 3)  # order-5 subgroup
     with pytest.raises(NotFound):
-        bsgs(h, g16(), 5, GF16)  # generator is outside the subgroup
-
-
-def test_bsgs_table_telemetry():
-    # memory is ceil(sqrt(order)) entries, the whole point of the bound
-    from math import isqrt
-
-    for order in (15, 63):
-        ext = GF16 if order == 15 else GF64
-        stats = {}
-        bsgs(Poly.x(S1), poly_mod_pow(Poly.x(S1), 5, ext), order, ext, stats)
-        assert stats["table_entries"] == isqrt(order - 1) + 1
+        bsgs(h, G15, 5)  # generator is outside the subgroup
+    with pytest.raises(NotFound):
+        bsgs(G15, power(G15, 6), 5)  # the least exponent is past the bound
 
 
 def test_bsgs_bounds():
-    g = g16()
+    g = G15
     with pytest.raises(ValueError):
-        bsgs(g, g, 0, GF16)
+        bsgs(g, g, 0)
     with pytest.raises(ValueError):
-        bsgs(g, g, BSGS_MAX_ORDER + 1, GF16)
+        bsgs(g, g, BSGS_MAX_ORDER + 1)
 
 
 # ---------------------------------------------------------------------------
 # Pohlig-Hellman
 
 def test_pohlig_hellman_exhaustive_gf16():
-    g = g16()
     f15 = factor(15)
     for x in range(15):
-        assert pohlig_hellman(g, poly_mod_pow(g, x, GF16), f15, GF16) == x
+        assert pohlig_hellman(G15, power(G15, x), f15) == x
+    one = Circulant.identity(S1, 5)
+    assert pohlig_hellman(one, one, factor(1)) == 0  # the trivial group
 
 
 def test_pohlig_hellman_prime_power_branch():
-    g = Poly.x(S1)
     f63 = factor(63)  # 3^2 * 7 exercises multi-digit lifting
     rng = random.Random(40)
     for _ in range(10):
         x = rng.randrange(63)
-        assert pohlig_hellman(g, poly_mod_pow(g, x, GF64), f63, GF64) == x
+        assert pohlig_hellman(G63, power(G63, x), f63) == x
 
 
 def test_pohlig_hellman_refuses_incomplete():
-    g = g16()
     fake = Factorization(15, {3: 1}, cofactor=5)
     assert not fake.complete
     with pytest.raises(IncompleteFactorization):
-        pohlig_hellman(g, g, fake, GF16)
+        pohlig_hellman(G15, G15, fake)
 
 
 def test_pohlig_hellman_not_found():
-    h = poly_mod_pow(Poly.x(S1), 7, GF64)  # order 9
+    h = power(G63, 7)  # order 9
     with pytest.raises(NotFound):
-        pohlig_hellman(h, Poly.x(S1), factor(9), GF64)
+        pohlig_hellman(h, G63, factor(9))
+    one = Circulant.identity(S3, 3)
+    with pytest.raises(NotFound):
+        pohlig_hellman(one, G63, factor(1))  # no leaf to catch it
 
 
 def test_pohlig_hellman_desk_bound():
-    g = g16()
     p = int(sympy.nextprime(BSGS_MAX_ORDER))
     with pytest.raises(ValueError):
-        pohlig_hellman(g, g, Factorization(p, {p: 1}), GF16)
+        pohlig_hellman(G15, G15, Factorization(p, {p: 1}))
 
 
 # ---------------------------------------------------------------------------
-# reduction to the field
+# the group order
 
 def test_reduce_to_field_trivia(params311):
     a = params311.A
-    red = reduce_to_field(a, a)
-    assert red.instance.target == red.instance.base
-    assert red.alpha_base == 1 and red.alpha_target == 1
-    red = reduce_to_field(a, Circulant.identity(params311.spec, 11))
-    assert red.instance.target == red.instance.ext.one
+    order = reduce_to_field(a, a)
+    assert order == reduce_to_field(a, Circulant.identity(params311.spec, 11))
+    assert order.n == params311.order_info.order
+    # the all-ones row is singular, so it lies outside the unit group
+    ones = Circulant.from_bits(params311.spec, [1] * 11)
+    with pytest.raises(NotFound):
+        reduce_to_field(ones, ones)
+    # 2A has row sum 2, of order 7 in F_8, and ord(A) is prime to 7
+    two = params311.spec.element(0x2)
+    scaled = Circulant(tuple(two * c for c in a.coeffs), params311.spec)
+    with pytest.raises(NotFound):
+        reduce_to_field(a, scaled)
 
 
 def test_reduce_to_field_group_order_is_exact(params311):
-    # the instance order must be ord(beta), not just a multiple
-    red = reduce_to_field(params311.A, params311.A)
-    g = red.instance.group_order
-    assert g.complete
-    assert g.n == params311.order_info.order == 153391689
-    assert poly_mod_pow(red.instance.base, g.n, red.instance.ext) == red.instance.ext.one
+    # the order must be ord(A), not just a multiple, and fully factored
+    a = params311.A
+    order = reduce_to_field(a, a)
+    assert order.complete and order.check()
+    assert order.n == params311.order_info.order == 153391689
+    assert power(a, order.n).is_identity()
+    for p in order.factors:
+        assert not power(a, order.n // p).is_identity()
 
 
 def test_reduce_to_field_incomplete_budget():
     a = Circulant.shift(field_make(47), 11)
-    red = reduce_to_field(a, a, budget=1 << 10)
-    assert not red.instance.group_order.complete
-
-
-# ---------------------------------------------------------------------------
-# congruence merging
-
-def test_merge_congruence():
-    assert _merge_congruence(1, 3, 2, 5) == (7, 15)
-    assert _merge_congruence(2, 6, 5, 9) == (14, 18)
-    assert _merge_congruence(5, 12, 1, 4) == (5, 12)  # m2 divides m1
-    with pytest.raises(NotFound):
-        _merge_congruence(0, 2, 1, 2)
-
-
-def test_merge_congruence_randomized():
-    rng = random.Random(41)
-    for _ in range(200):
-        l = rng.randrange(1, 5000)
-        m1 = rng.randrange(1, 200)
-        m2 = rng.randrange(1, 200)
-        r, m = _merge_congruence(l % m1, m1, l % m2, m2)
-        assert m % m1 == 0 and m % m2 == 0
-        assert r == l % m
+    with pytest.raises(IncompleteFactorization):
+        reduce_to_field(a, a, budget=1 << 10)
 
 
 # ---------------------------------------------------------------------------
 # the full solver
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_solve_needs_odd_d_from_3(d):
+    a = Circulant.identity(S3, d)
+    with pytest.raises(ValueError, match="odd d >= 3"):
+        solve_circulant_dlp(a, a)
+
 
 def test_solver_recovers_private_keys(params311):
     for seed in range(20):
