@@ -4,7 +4,7 @@ A circulant is stored as its first row c_0 .. c_{d-1}; row k is the
 first row right-rotated k times, so entry (k, j) = c_{(j-k) mod d}.
 The map to the representer polynomial c_0 + c_1 x + ... + c_{d-1}
 x^{d-1} is a ring isomorphism onto F_q[x]/(x^d - 1), which is what the
-multiplication, inversion and CRT routines below actually compute.
+multiplication and inversion routines below actually compute.
 
 Products, squares, powers, inverses and matrix-vector products run on
 the row packed into one int, one (2n - 1)-bit slot per coefficient: a
@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .gf2field import (
     ExtensionSpec,
@@ -35,7 +35,7 @@ from .gf2field import (
     frobenius,
     linear_factor_product,
 )
-from .numtheory import DNotPrime, is_primitive_mod
+from .numtheory import DNotPrime, NotAUnit, is_primitive_mod
 
 
 class DimensionMismatch(ValueError):
@@ -123,17 +123,6 @@ class Circulant:
     @classmethod
     def random(cls, spec: FieldSpec, d: int, rng: random.Random) -> "Circulant":
         return cls.from_bits(spec, [spec.rand(rng) for _ in range(d)])
-
-    @classmethod
-    def from_poly(cls, p: Poly, d: int) -> "Circulant":
-        """Representer polynomial to first row, folding x^d to 1."""
-        out = [0] * d
-        for i, c in enumerate(p.coeffs):
-            out[i % d] ^= c
-        return cls.from_bits(p.spec, out)
-
-    def to_poly(self) -> Poly:
-        return Poly.make(self.spec, self.bits())
 
     def is_identity(self) -> bool:
         return self.coeffs[0].bits == 1 and all(
@@ -539,40 +528,7 @@ def det(a: Circulant) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# CRT decomposition F_q[x]/(x^d - 1) = F_q[x]/(x - 1) x F_q[x]/Phi
-
-class CrtPair(NamedTuple):
-    alpha: FieldElement  # image mod x - 1, the row sum
-    beta: Poly  # image mod Phi, degree < d - 1
-    ext: ExtensionSpec  # quotient by Phi
-
-
-def phi_extension(spec: FieldSpec, d: int) -> ExtensionSpec:
-    """Quotient by Phi(x) = 1 + x + ... + x^{d-1}."""
-    if d % 2 == 0:
-        raise EvenD(f"x - 1 and Phi are coprime only for odd d, got {d}")
-    if d < 3:
-        raise ValueError("CRT decomposition needs d >= 3")
-    return ExtensionSpec(spec, Poly.make(spec, (1,) * d))
-
-
-def crt_split(a: Circulant) -> CrtPair:
-    ext = phi_extension(a.spec, a.d)
-    return CrtPair(row_sum(a), a.to_poly() % ext.modulus, ext)
-
-
-def crt_join(pair: CrtPair) -> Circulant:
-    """Unique preimage: beta + (alpha + beta(1)) * Phi.
-
-    Works because Phi(1) = d = 1 in characteristic 2 for odd d, so the
-    correction term fixes the x - 1 component without moving beta.
-    """
-    spec = pair.ext.base
-    d = pair.ext.degree + 1
-    s = pair.alpha.bits ^ pair.beta.evaluate(1)
-    psi = pair.beta + pair.ext.modulus.scale(s)
-    return Circulant.from_poly(psi, d)
-
+# the characteristic polynomial over the field F_q[x]/Phi
 
 def char_poly_quotient(a: Circulant) -> tuple[Poly, bool]:
     """Product of (x - beta^{q^i}) over the d - 1 Frobenius conjugates.
@@ -583,18 +539,18 @@ def char_poly_quotient(a: Circulant) -> tuple[Poly, bool]:
     product is irreducible.
     """
     d, spec = a.d, a.spec
-    pair = crt_split(a)
     try:
         primitive = is_primitive_mod(1 << spec.n, d)
-    except DNotPrime:
+    except (DNotPrime, NotAUnit):
         primitive = False
     if not primitive:
         raise PhiReducible(
             f"2^{spec.n} is not primitive mod {d}, so Phi factors and the "
             "conjugate construction does not apply"
         )
-    conj = [pair.beta]
+    ext = ExtensionSpec(spec, Poly.make(spec, (1,) * d))
+    conj = [Poly.make(spec, a.bits()) % ext.modulus]
     for _ in range(d - 2):
-        conj.append(frobenius(conj[-1], pair.ext))
+        conj.append(frobenius(conj[-1], ext))
     distinct = len({c.coeffs for c in conj}) == d - 1
-    return linear_factor_product(conj, pair.ext), distinct
+    return linear_factor_product(conj, ext), distinct

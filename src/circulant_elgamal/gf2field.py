@@ -679,16 +679,6 @@ def primitive_poly(
     )
 
 
-def min_poly_over_base(a: Poly, ext: ExtensionSpec) -> Poly:
-    """Minimal polynomial over F_q of an element of the quotient field."""
-    conj = [a % ext.modulus]
-    nxt = frobenius(conj[0], ext)
-    while nxt != conj[0]:
-        conj.append(nxt)
-        nxt = frobenius(nxt, ext)
-    return linear_factor_product(conj, ext)
-
-
 def linear_factor_product(roots: list[Poly], ext: ExtensionSpec) -> Poly:
     """Expand prod (X - r) for roots in the quotient; coefficients must
     collapse into the base field."""

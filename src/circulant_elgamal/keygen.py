@@ -4,9 +4,10 @@ A good public matrix A over GF(2^n) must satisfy: determinant 1,
 row-sum 1, d prime, chi_A/(x-1) irreducible, and 2^n primitive mod d.
 Together these make the circulant DLP as hard as the DLP of the field
 with 2^{n(d-1)} elements and no easier. The generator below constructs
-such matrices from a random primitive polynomial tau: it CRT-combines
-psi = 1 mod (x-1), psi = tau mod Phi, and raises circ(psi) to the order
-of tau's constant term in the base field, which forces determinant 1.
+such matrices from a random primitive polynomial tau: it builds the row
+psi with psi = 1 mod (x-1) and psi = tau mod Phi, and raises circ(psi)
+to the order of tau's constant term in the base field, which forces
+determinant 1.
 """
 
 from __future__ import annotations
@@ -16,25 +17,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import fileio
-from .circulant import (
-    Circulant,
-    CrtPair,
-    PhiReducible,
-    char_poly_quotient,
-    crt_join,
-    det,
-    phi_extension,
-    power,
-    row_sum,
-)
-from .gf2field import (
-    FieldSpec,
-    Poly,
-    field_make,
-    field_order,
-    poly_is_irreducible,
-    primitive_poly,
-)
+from .circulant import Circulant, _ring, det, power, row_sum
+from .gf2field import FieldSpec, Poly, field_make, field_order, primitive_poly
 from .numtheory import (
     DEFAULT_BUDGET,
     DNotPrime,
@@ -120,81 +104,28 @@ def _q_primitive(n: int, d: int) -> bool:
         return False
 
 
-def _char_poly_dense(rows: list[list[int]], spec: FieldSpec) -> Poly:
-    """Characteristic polynomial det(xI - M) by the Berkowitz iteration.
-
-    Division-free, so it works over any F_q including GF(2); signs
-    vanish in characteristic 2. Coefficient vectors are kept highest
-    degree first.
-    """
-    n = len(rows)
-    fmul = spec.mul
-    c = [1]
-    for r in range(1, n + 1):
-        rv = rows[r - 1][: r - 1]
-        sv = [rows[i][r - 1] for i in range(r - 1)]
-        col = [1, rows[r - 1][r - 1]]
-        v = sv[:]
-        for k in range(r - 1):
-            acc = 0
-            for x, y in zip(rv, v):
-                if x and y:
-                    acc ^= fmul(x, y)
-            col.append(acc)
-            if k < r - 2:
-                # v <- leading (r-1) x (r-1) block times v
-                nv = [0] * (r - 1)
-                for i in range(r - 1):
-                    acc = 0
-                    ri = rows[i]
-                    for j in range(r - 1):
-                        if ri[j] and v[j]:
-                            acc ^= fmul(ri[j], v[j])
-                    nv[i] = acc
-                v = nv
-        newc = [0] * (r + 1)
-        for i in range(r + 1):
-            acc = 0
-            lo = max(0, i - (len(col) - 1))
-            for j in range(lo, min(i, r - 1) + 1):
-                t = col[i - j]
-                cj = c[j]
-                if t and cj:
-                    acc ^= cj if t == 1 else fmul(t, cj)
-            newc[i] = acc
-        c = newc
-    return Poly.make(spec, list(reversed(c)))
-
-
-_FALLBACK_MAX_D = 13
-
-
 def _quotient_condition(a: Circulant) -> bool:
-    """Is chi_A/(x-1) irreducible?
+    """Is chi_A/(x - 1) irreducible?
 
-    Primitive case: Phi is irreducible, so the quotient is the product
-    of the d-1 Frobenius conjugates of the beta component and it is
-    irreducible exactly when they are pairwise distinct. Otherwise, at
-    d <= 13, compute the characteristic polynomial outright and factor.
-    Beyond that bound the answer is False on structural grounds: for
-    odd d with Phi reducible the quotient splits across at least two
-    CRT blocks, and for even d (where x^d - 1 = (x^{d/2} - 1)^2) the
-    characteristic polynomial is a perfect square, which leaves an
-    irreducible quotient possible only at d = 2.
+    The roots of chi_A are a(zeta) over the d-th roots of unity zeta,
+    and a(zeta)^q = a(zeta^q). A root of degree d - 1 over F_q, which an
+    irreducible quotient of degree d - 1 needs for d >= 3, therefore
+    exists only when d is prime and q is primitive mod d. There Phi is
+    irreducible, the quotient is the product of the d - 1 conjugates
+    A^(q^j) mod Phi, and it is irreducible exactly when they are
+    pairwise distinct. Each A^(q^j) is a free slot permutation, and no
+    reduction mod Phi is needed: two of them that agree mod Phi differ
+    by some f Phi = f(1) Phi = c Phi, both have row sum a(1), and c Phi
+    has row sum c d = c, so c = 0. Elsewhere the answer is d = 2 with
+    a(1) = 1, since then chi_A = (x + a(1))^2; at d = 1 the quotient is
+    a constant.
     """
     d, spec = a.d, a.spec
-    if d >= 3 and _q_primitive(spec.n, d):
-        return char_poly_quotient(a)[1]
-    if d > _FALLBACK_MAX_D:
-        return False
-    av = a.bits()
-    rows = [[av[(j - k) % d] for j in range(d)] for k in range(d)]
-    chi = _char_poly_dense(rows, spec)
-    x_minus_1 = Poly.make(spec, [1, 1])
-    quotient, rem = divmod(chi, x_minus_1)
-    if not rem.is_zero():
-        return False  # 1 is not an eigenvalue, the quotient is undefined
-    return poly_is_irreducible(quotient)
+    if not _q_primitive(spec.n, d):  # so d >= 3 below
+        return d == 2 and row_sum(a).bits == 1
+    ring = _ring(spec, d)
+    r = ring.pack(a.bits())
+    return len({ring.frobenius(r, j) for j in range(d - 1)}) == d - 1
 
 
 def five_conditions(a: Circulant) -> ConditionReport:
@@ -257,7 +188,7 @@ def generate(
 
     Draw a primitive tau of degree d-1; det_order is the order of
     tau(0), the determinant of tau's companion matrix, in the base
-    field; psi is the CRT combination of 1 mod (x-1) and tau mod Phi;
+    field; psi is the row with psi = 1 mod (x-1) and psi = tau mod Phi;
     A = circ(psi)^det_order. The result is re-validated and, when the
     group order is exactly computable, required to reach q^{d-3};
     failures draw a fresh tau, up to MAX_ATTEMPTS times.
@@ -274,7 +205,6 @@ def generate(
     q = 1 << n
     qm1 = factor(q - 1, budget)
     order_floor = q ** (d - 3)
-    ext = phi_extension(spec, d)
     for _ in range(MAX_ATTEMPTS):
         tau = primitive_poly(d - 1, spec, rng, budget).poly
         tau0 = tau.coeffs[0]
@@ -286,7 +216,10 @@ def generate(
             # q - 1 is always a multiple of the true order; using it
             # keeps det(A) = 1 without the exact factorization
             det_order = q - 1
-        psi = crt_join(CrtPair(spec.one, tau % ext.modulus, ext))
+        # tau is monic of degree d - 1, so tau mod Phi = tau + Phi, and
+        # psi = (tau + Phi) + tau(1) Phi is 1 mod (x - 1) (Phi(1) = d = 1)
+        s = tau.evaluate(1)
+        psi = Circulant.from_bits(spec, [c ^ 1 ^ s for c in tau.coeffs[:-1]] + [s])
         a = power(psi, det_order)
         if not five_conditions(a).all:
             continue

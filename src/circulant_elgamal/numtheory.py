@@ -10,6 +10,7 @@ than silently returning multiples.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -128,7 +129,7 @@ def _small_primes() -> tuple[int, ...]:
     for i in range(2, math.isqrt(bound) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return tuple(i for i in range(bound) if sieve[i])
+    return tuple(itertools.compress(range(bound), sieve))
 
 
 def _rho_brent(n: int, budget: int) -> tuple[int | None, int]:

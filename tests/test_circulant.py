@@ -1,5 +1,6 @@
 """Circulant ring arithmetic: convolution products, squaring permutation,
-operation counting, CRT split, and the characteristic-polynomial quotient.
+operation counting, the idempotent split by Phi, and the
+characteristic-polynomial quotient.
 
 The expanded d x d matrix is the oracle for everything the first-row
 representation claims.
@@ -11,30 +12,26 @@ import pytest
 
 from circulant_elgamal.circulant import (
     Circulant,
-    CrtPair,
     DimensionMismatch,
     EvenD,
     NotInvertible,
     OpCounter,
     PhiReducible,
     char_poly_quotient,
-    crt_join,
-    crt_split,
     det,
     expand,
     inverse,
     matvec,
     mul,
-    phi_extension,
     power,
     row_sum,
     square,
 )
 from circulant_elgamal.gf2field import (
+    ExtensionSpec,
     FieldElement,
     Poly,
     field_make,
-    min_poly_over_base,
     poly_mod_mul,
 )
 
@@ -261,48 +258,20 @@ def test_det():
         assert det(mul(a, b)) == det(a) * det(b)
 
 
-def test_crt_split_join_roundtrip():
-    spec = field_make(3)
-    ident = Circulant.identity(spec, 11)
-    pair = crt_split(ident)
-    assert pair.alpha == spec.one
-    assert pair.beta == pair.ext.one
+def test_idempotent_split():
+    # for odd d, Phi = 1 + x + ... + x^(d-1) is idempotent, so R = Phi R x
+    # (1 + Phi) R: A Phi = A(1) Phi, and A (1 + Phi) = A mod Phi
+    spec, d = field_make(3), 11
+    phi = Poly.make(spec, (1,) * d)
+    phi_row = Circulant.from_bits(spec, phi.coeffs)
+    one_plus_phi = Circulant.from_bits(spec, [0] + [1] * (d - 1))
+    assert mul(phi_row, phi_row) == phi_row
     rng = random.Random(12)
-    for _ in range(200):
-        a = Circulant.random(spec, 11, rng)
-        assert crt_join(crt_split(a)) == a
-
-
-def test_crt_is_ring_homomorphism():
-    rng = random.Random(13)
-    spec = field_make(3)
-    for _ in range(50):
-        a = Circulant.random(spec, 11, rng)
-        b = Circulant.random(spec, 11, rng)
-        sa, sb, sp = crt_split(a), crt_split(b), crt_split(mul(a, b))
-        assert sp.alpha == sa.alpha * sb.alpha
-        assert sp.beta == poly_mod_mul(sa.beta, sb.beta, sa.ext)
-
-
-def test_crt_join_builds_requested_components():
-    spec = field_make(3)
-    ext = phi_extension(spec, 11)
-    rng = random.Random(14)
-    for _ in range(20):
-        beta = Poly.make(spec, [rng.getrandbits(3) for _ in range(10)])
-        alpha = FieldElement(rng.getrandbits(3), spec)
-        joined = crt_join(CrtPair(alpha, beta, ext))
-        back = crt_split(joined)
-        assert back.alpha == alpha and back.beta == beta
-
-
-def test_phi_extension_rejects_bad_d():
-    spec = field_make(3)
-    with pytest.raises(EvenD):
-        phi_extension(spec, 4)
-    with pytest.raises(ValueError):
-        phi_extension(spec, 1)
-    assert phi_extension(spec, 11).modulus == Poly.make(spec, [1] * 11)
+    for _ in range(100):
+        a = Circulant.random(spec, d, rng)
+        assert mul(a, phi_row) == Circulant.from_bits(spec, [row_sum(a).bits] * d)
+        got = Poly.make(spec, mul(a, one_plus_phi).bits()) % phi
+        assert got == Poly.make(spec, a.bits()) % phi
 
 
 def test_char_poly_quotient_identity():
@@ -320,16 +289,24 @@ def test_char_poly_quotient_constructed_minimal_polynomial():
     # pick a beta in F_2[x]/Phi_5 whose minimal polynomial is x^4+x+1;
     # the quotient must then be exactly that polynomial
     s1 = field_make(1)
-    ext = phi_extension(s1, 5)
+    ext = ExtensionSpec(s1, Poly.make(s1, [1] * 5))
     target = Poly.make(s1, [1, 1, 0, 0, 1])
     beta = None
     for bits in range(2, 16):
+        # target is irreducible, so it is the minimal polynomial of each
+        # of its roots outside F_2
         p = Poly.make(s1, [(bits >> i) & 1 for i in range(4)])
-        if min_poly_over_base(p, ext) == target:
+        value = Poly.make(s1, [0])
+        for c in reversed(target.coeffs):
+            value = poly_mod_mul(value, p, ext) + Poly.const(s1, c)
+        if value.is_zero():
             beta = p
             break
     assert beta is not None
-    a = crt_join(CrtPair(s1.one, beta, ext))
+    # the row that is 1 mod (x - 1) and beta mod Phi: beta + (1 + beta(1)) Phi
+    s = 1 ^ beta.evaluate(1)
+    coeffs = list(beta.coeffs) + [0] * (4 - len(beta.coeffs))
+    a = Circulant.from_bits(s1, [c ^ s for c in coeffs] + [s])
     g, irred = char_poly_quotient(a)
     assert irred and g == target
 

