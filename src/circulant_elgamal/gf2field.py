@@ -2,9 +2,16 @@
 
 Base-field elements are plain ints: bit i is the coefficient of t^i, so
 the n-bit value fully describes the residue mod the field polynomial.
-Small fields (n <= 16) get exp/log tables; larger ones use carry-less
-multiplication on ints. Polynomials over the field are tuples of such
-ints, lowest degree first.
+Polynomials over the field are tuples of such ints, lowest degree first.
+
+Products over the field run on one kernel, `_Ring`: rows of
+F_q[x]/(x^d - 1) packed into one int, multiplied with one carry-less
+product and reduced mod the field polynomial by one Barrett step. At
+d = 1 it is GF(2^n) itself, which fields above n = 16 multiply and
+square on (smaller ones keep exp/log tables), and at d = deg(ab) + 1
+its fold never wraps, so it is the plain product of `Poly` a and b
+(Kronecker substitution). The circulant ring of `circulant` is the
+same kernel at the matrix size d.
 """
 
 from __future__ import annotations
@@ -12,13 +19,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .numtheory import (
     DEFAULT_BUDGET,
     Factorization,
     IncompleteFactorization,
     NotAUnit,
+    _prime_divisors,
     factor,
 )
 
@@ -35,6 +43,10 @@ class SpecMismatch(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
+    pass
+
+
+class NotInvertible(ArithmeticError):
     pass
 
 
@@ -94,19 +106,6 @@ def _pinvert(a: int, m: int) -> int:
     return _pmod(s0, m)
 
 
-def _prime_divisors(k: int) -> list[int]:
-    divs, p = [], 2
-    while p * p <= k:
-        if k % p == 0:
-            divs.append(p)
-            while k % p == 0:
-                k //= p
-        p += 1
-    if k > 1:
-        divs.append(k)
-    return divs
-
-
 def _pirreducible(f: int) -> bool:
     """Distinct-degree irreducibility test over GF(2).
 
@@ -122,26 +121,10 @@ def _pirreducible(f: int) -> bool:
     x = r = _pmod(0b10, f)
     keep = dict.fromkeys(n // p for p in _prime_divisors(n))
     for j in range(1, n + 1):
-        r = _pmod(_pmul(r, r), f)
+        r = _pmod(int(format(r, "b"), 4), f)  # bit i to bit 2i squares r
         if j in keep:
             keep[j] = r
     return r == x and all(_pdeg(_pgcd(v ^ x, f)) <= 0 for v in keep.values())
-
-
-# per-byte bit spreading table for fast squaring (bit i -> bit 2i)
-_SPREAD8 = tuple(
-    sum(((b >> i) & 1) << (2 * i) for i in range(8)) for b in range(256)
-)
-
-
-def _pspread(a: int) -> int:
-    out = 0
-    shift = 0
-    while a:
-        out |= _SPREAD8[a & 0xFF] << shift
-        a >>= 8
-        shift += 16
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +135,11 @@ class FieldSpec:
 
     Raw arithmetic works on ints; ``element`` wraps them in FieldElement
     for operator syntax. Instances compare equal iff (n, modulus) match.
+    Products and squares use exp/log tables for n <= 16 and the packed
+    kernel at d = 1 above that.
     """
 
-    __slots__ = ("n", "modulus", "order", "_exp", "_log")
+    __slots__ = ("n", "modulus", "order", "_exp", "_log", "_ring")
 
     def __init__(self, n: int, modulus: int):
         if not 1 <= n <= MAX_FIELD_BITS:
@@ -168,8 +153,11 @@ class FieldSpec:
         self.order = (1 << n) - 1
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._ring: _Ring | None = None
         if n <= _TABLE_MAX:
             self._build_tables()
+        else:
+            self._ring = _Ring(self, 1)
 
     def _build_tables(self) -> None:
         order = self.order
@@ -185,7 +173,7 @@ class FieldSpec:
             for i in range(order):
                 exp[i] = cur
                 log[cur] = i
-                cur = self._raw_mul(cur, g)
+                cur = _pmod(_pmul(cur, g), self.modulus)
                 if cur == 1 and i + 1 < order:
                     ok = False
                     break
@@ -196,17 +184,6 @@ class FieldSpec:
                 self._log = log
                 return
         raise AssertionError("no generator found, modulus cannot be irreducible")
-
-    def _reduce(self, v: int) -> int:
-        n, m = self.n, self.modulus
-        d = v.bit_length() - 1
-        while d >= n:
-            v ^= m << (d - n)
-            d = v.bit_length() - 1
-        return v
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        return self._reduce(_pmul(a, b))
 
     # -- raw int kernels ----------------------------------------------------
 
@@ -219,14 +196,14 @@ class FieldSpec:
             if a == 0 or b == 0:
                 return 0
             return self._exp[self._log[a] + self._log[b]]
-        return self._raw_mul(a, b)
+        return self._ring.product(a, b)
 
     def square(self, a: int) -> int:
         if self._exp is not None:
             if a == 0:
                 return 0
             return self._exp[2 * self._log[a]]
-        return self._reduce(_pspread(a))
+        return self._ring.square(a)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -416,16 +393,11 @@ class Poly:
         self._same(other)
         if self.is_zero() or other.is_zero():
             return Poly((), self.spec)
-        fmul = self.spec.mul
         a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] ^= fmul(ai, bj)
-        return Poly.make(self.spec, out)
+        # d = deg(ab) + 1, so the x^d - 1 fold never wraps
+        ring = _ring(self.spec, len(a) + len(b) - 1)
+        r = ring.product(ring.pack(a), ring.pack(b))
+        return Poly.make(self.spec, ring.unpack(r))
 
     def scale(self, c: int) -> "Poly":
         fmul = self.spec.mul
@@ -488,6 +460,258 @@ class Poly:
             return "Poly(0)"
         terms = [f"{c:#x}*x^{i}" for i, c in enumerate(self.coeffs) if c]
         return "Poly(" + " + ".join(terms) + f", GF(2^{self.spec.n}))"
+
+
+# ---------------------------------------------------------------------------
+# packed-row kernel for F_q[x]/(x^d - 1)
+
+class _Ring:
+    """Rows of F_q[x]/(x^d - 1) packed into one int (Kronecker substitution).
+
+    Coefficient c_k sits in slot k, bits k*w .. k*w + w - 1, with
+    w = 2n - 1: wide enough for the carry-less product of two
+    coefficients, so one carry-less product of packed rows forms every
+    a_i b_j in slot i + j with no slot spilling into the next. x^d = 1
+    folds slot k + d onto slot k, and one Barrett step reduces all d
+    slots mod f(t) = t^n + g(t) at once. With mu = t^(2n - 2) div f =
+    t^(n - 2) + (lower terms t^i), the quotient of a slot r = H t^n +
+    (low part) by f is exactly (H mu) div t^(n - 2): H plus H div
+    t^(n - 2 - i) for each lower term. The remainder is the low n bits
+    of r + (quotient) g. Each product by a constant is one shift and XOR
+    per term of it, and no slot spills, so one routine serves a sparse
+    and a dense modulus alike.
+    """
+
+    def __init__(self, spec: FieldSpec, d: int):
+        n = spec.n
+        w = 2 * n - 1
+        self.spec, self.n, self.d, self.width = spec, n, d, w
+        self.row_bits = d * w
+        self.row = (1 << self.row_bits) - 1
+        self.ones = self.row // ((1 << w) - 1)  # bit 0 of every slot
+        self.low = self.ones * ((1 << n) - 1)  # the n low bits of every slot
+        self.high = self.ones * ((1 << n - 1) - 1)  # n - 1 low bits, for H
+        mu = _pdivmod(1 << 2 * n - 2, spec.modulus)[0]
+        self.mu_shifts = tuple(n - 2 - i for i in range(n - 2) if mu >> i & 1)
+        self.g_terms = tuple(i for i in range(n) if spec.modulus >> i & 1)
+
+    def pack(self, coeffs: Sequence[int]) -> int:
+        r, w = 0, self.width
+        for c in reversed(coeffs):
+            r = (r << w) | c
+        return r
+
+    def unpack(self, r: int) -> list[int]:
+        w, mask = self.width, (1 << self.n) - 1
+        return [(r >> (k * w)) & mask for k in range(self.d)]
+
+    def reduce(self, r: int) -> int:
+        """Packed carry-less product (slots 0 .. 2d - 2) to a packed row."""
+        r = (r & self.row) ^ (r >> self.row_bits)
+        h = r >> self.n & self.high
+        quot = h
+        for k in self.mu_shifts:
+            quot ^= h >> k
+        quot &= self.high
+        for i in self.g_terms:
+            r ^= quot << i
+        return r & self.low
+
+    @staticmethod
+    def window(a: int) -> dict[str, int]:
+        """Carry-less multiples a * k, 0 < k < 16, keyed by the hex digit of k."""
+        a2, a4, a8 = a << 1, a << 2, a << 3
+        a3, a6, a10, a12 = a2 ^ a, a4 ^ a2, a8 ^ a2, a8 ^ a4
+        return {
+            "1": a, "2": a2, "3": a3, "4": a4, "5": a4 ^ a, "6": a6, "7": a6 ^ a,
+            "8": a8, "9": a8 ^ a, "a": a10, "b": a10 ^ a, "c": a12, "d": a12 ^ a,
+            "e": a12 ^ a2, "f": a12 ^ a3,
+        }
+
+    def mul(self, table: dict[str, int], b: int) -> int:
+        """Product of the row behind ``table`` with b, 4 bits of b a step."""
+        acc = shift = 0
+        for digit in format(b, "x")[::-1]:
+            if digit != "0":
+                acc ^= table[digit] << shift
+            shift += 4
+        return self.reduce(acc)
+
+    def product(self, a: int, b: int) -> int:
+        return self.mul(self.window(a), b)
+
+    def square(self, a: int) -> int:
+        # bit i to bit 2i squares every coefficient and doubles every slot
+        # index at once (the squaring theorem)
+        return self.reduce(int(format(a, "b"), 4))
+
+    def frobenius(self, a: int, j: int) -> int:
+        """a^(q^j), q = 2^n: slot k moves to slot k q^j mod d, no reduction.
+
+        Every coefficient c satisfies c^q = c in F_q, so raising the row
+        to q^j only permutes its slots; d odd makes that a permutation.
+        """
+        d, w, mask = self.d, self.width, (1 << self.n) - 1
+        e = pow(2, self.n * j, d)
+        if e == 1 % d:  # the identity permutation, always so for d = 1
+            return a
+        r = 0
+        for k in range(d):
+            r |= (a >> k * w & mask) << k * e % d * w
+        return r
+
+    def inverse(self, a: int) -> int:
+        """a^-1; raises NotInvertible when a is not a unit.
+
+        Odd d: x^d - 1 is squarefree, so the ring is a product of fields
+        F_(q^e) with every e dividing L = ord_d(q), and a unit a has
+        a^-1 = a^(q^L - 2) = a^(q - 2) delta^(q + ... + q^(L - 1)) with
+        delta = a^(q - 1). a^(q - 2) is the square of a^(2^(n - 1) - 1)
+        from an Itoh-Tsujii chain, and delta's exponent is a chain of
+        free Frobenius permutations. A non-unit gets some other value,
+        which the product a a^-1 = 1 then tells from an inverse.
+        Even d = 2^s d': b = a^(2^s) lies on the slots that are multiples
+        of 2^s, a copy of the ring for d', and a^-1 = b^-1 a^(2^s - 1).
+        """
+        d, n, prod, square = self.d, self.n, self.product, self.square
+        s = (d & -d).bit_length() - 1
+        if s:
+            # acc = a^(2^i - 1) and b = a^(2^i) for i = 1 .. s
+            acc, b = a, square(a)
+            for _ in range(s - 1):
+                acc, b = prod(acc, b), square(b)
+            sub = _ring(self.spec, d >> s)
+            inv = sub.inverse(sub.pack(self.unpack(b)[:: 1 << s]))
+            out = [0] * d
+            out[:: 1 << s] = sub.unpack(inv)
+            return prod(self.pack(out), acc)
+        # c = a^(2^i - 1), with a^(2^(i + j) - 1) = c^(2^j) a^(2^j - 1)
+        c, i = a, 1
+        for bit in bin(n - 1)[3:]:
+            x = c
+            for _ in range(i):
+                x = square(x)
+            c, i = prod(x, c), 2 * i
+            if bit == "1":
+                c, i = prod(square(c), a), i + 1
+        u = square(c) if n > 1 else 1  # a^(q - 2)
+        # e = delta^(1 + q + ... + q^(j - 1)), with sigma^j a free permutation
+        delta, frob = prod(u, a), self.frobenius
+        e, j = delta, 1
+        L = next(k for k in range(1, d + 1) if pow(2, n * k, d) == 1 % d)
+        for bit in bin(L - 1)[3:]:
+            e, j = prod(e, frob(e, j)), 2 * j
+            if bit == "1":
+                e, j = prod(delta, frob(e, 1)), j + 1
+        inv = prod(u, frob(e, 1)) if L > 1 else u
+        if prod(a, inv) != 1:
+            raise NotInvertible("the matrix is singular, it has no inverse")
+        return inv
+
+    def power(self, a: int, m: int) -> int:
+        """a^m, m >= 1, in one pass over the base-q^t digits of m.
+
+        With sigma(y) = y^q, a^m = prod_i sigma^(ti)(a)^(m_i) for the k
+        digits m_i of m in base q^t, and every sigma^j is a free slot
+        permutation (`frobenius`). The digits are taken g at a time: one
+        table holds the product of every subset of the first g bases,
+        and block G's table is its sigma^(tgG) image; entries are made
+        as they come into use. The pass runs over the nt bit positions
+        once, with one squaring per position shared by all digits and at
+        most one table product per block. With t = ceil(bits / n) and
+        g = 1 this is plain square and multiply.
+        """
+        t, g = _plan(self.n, self.d, m.bit_length())
+        span = self.n * t
+        digits = [m >> s & (1 << span) - 1 for s in range(0, m.bit_length(), span)]
+        k, top = len(digits), max(digits).bit_length()
+        # entries[S]: product of the bases sigma^(tj)(a) with bit j set in S
+        entries, wins = {}, {}
+        for j in range(g):
+            entries[1 << j] = base = self.frobenius(a, t * j)
+            wins[0, 1 << j] = self.window(base)
+
+        def window(G: int, S: int) -> dict[str, int]:
+            """Window of entry S of block G's table, the sigma^(tgG) image."""
+            win = wins.get((G, S))
+            if win is None:
+                low = 0  # the set bits of S below j: one more base a step
+                for j in range(S.bit_length()):
+                    if S >> j & 1:
+                        up = low | 1 << j
+                        if low and up not in entries:
+                            entries[up] = self.mul(wins[0, 1 << j], entries[low])
+                        low = up
+                win = wins[G, S] = self.window(self.frobenius(entries[S], t * g * G))
+            return win
+
+        # spread bit b of every digit to bit b 2^e, 2^e >= k (bit i to 2i,
+        # e times), so that x >> b 2^e holds the k digits' bits at b
+        e = (k - 1).bit_length()
+        x = 0
+        for i, y in enumerate(digits):
+            for _ in range(e):
+                y = int(format(y, "b"), 4)
+            x |= y << i
+        square, mul, steps = self.square, self.mul, {}
+        mask, blocks = (1 << k) - 1, list(enumerate(range(0, k, g)))
+        r = None
+        for shift in range((top - 1) << e, -1, -1 << e):
+            bits = x >> shift & mask
+            ws = steps.get(bits)
+            if ws is None:
+                # one table entry for each block with a bit set here
+                ws = steps[bits] = [
+                    window(G, bits >> i & (1 << g) - 1)
+                    for G, i in blocks
+                    if bits >> i & (1 << g) - 1
+                ]
+            if r is None:
+                r, ws = ws[0]["1"], ws[1:]  # a window maps digit 1 to its row
+            else:
+                r = square(r)
+            for win in ws:
+                r = mul(win, r)
+        return r
+
+
+@lru_cache(maxsize=1024)
+def _plan(n: int, d: int, bits: int) -> tuple[int, int]:
+    """(t, g) for `_Ring.power` with a `bits`-bit exponent: the cheapest
+    by a model of the kernel's costs.
+
+    The costs of a square, a product, a slot permutation and a window,
+    and the pass's bookkeeping per position and block, are fits of the
+    kernel's timings over n = 3 .. 128 and d = 3 .. 37, as functions of
+    n, d and the packed row's bit length L; only their ratios matter.
+    """
+    L = d * (2 * n - 1)
+    red = 0.8 + L / 2500
+    sq = 0.7 + red + L / 350
+    mul = 1.1 + red + L / 55 + L * L / 170000
+    perm, win, step = 0.5 + 0.25 * d, 1.2 + L / 6000, 0.2
+    best = None
+    for t in range(1, -(-bits // n) + 1):
+        span = min(n * t, bits)
+        k = -(-bits // span)
+        for g in range(1, min(k, 8) + 1):
+            cost = sq * (span - 1) + mul * ((1 << g) - 1 - g) + (perm + win) * g
+            for i in range(0, k, g):
+                # a block of h digits multiplies at all but 2^-h of the
+                # positions; each of its entries in use costs a window and,
+                # past the first block, a permutation
+                h = min(g, k - i)
+                p = 0.5 ** h
+                used = ((1 << h) - 1) * (1 - (1 - p) ** span)
+                cost += (step + mul * (1 - p)) * span + (win + perm * (i > 0)) * used
+            if best is None or cost < best[0]:
+                best = (cost, t, g)
+    return best[1], best[2]
+
+
+@lru_cache(maxsize=64)
+def _ring(spec: FieldSpec, d: int) -> _Ring:
+    return _Ring(spec, d)
 
 
 def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:

@@ -26,6 +26,7 @@ from .numtheory import (
     factor,
     is_prime,
     is_primitive_mod,
+    primitive_cell,
 )
 
 MAX_ATTEMPTS = 32
@@ -97,32 +98,30 @@ class ParamSet:
         return 1 << (self.spec.n * (self.d - 1))
 
 
-def _q_primitive(n: int, d: int) -> bool:
-    try:
-        return is_primitive_mod(1 << n, d)
-    except (DNotPrime, NotAUnit):
-        return False
-
-
 def _quotient_condition(a: Circulant) -> bool:
-    """Is chi_A/(x - 1) irreducible?
+    """Does x - 1 divide chi_A, with chi_A/(x - 1) irreducible?
 
     The roots of chi_A are a(zeta) over the d-th roots of unity zeta,
-    and a(zeta)^q = a(zeta^q). A root of degree d - 1 over F_q, which an
-    irreducible quotient of degree d - 1 needs for d >= 3, therefore
+    and a(zeta)^q = a(zeta^q). For d >= 3 an irreducible quotient has
+    no root in F_q, so the root 1 that x - 1 takes out must be the row
+    sum a(1), and the quotient's roots are the a(zeta) with zeta != 1.
+    One of degree d - 1 over F_q, which an irreducible quotient needs,
     exists only when d is prime and q is primitive mod d. There Phi is
     irreducible, the quotient is the product of the d - 1 conjugates
     A^(q^j) mod Phi, and it is irreducible exactly when they are
     pairwise distinct. Each A^(q^j) is a free slot permutation, and no
     reduction mod Phi is needed: two of them that agree mod Phi differ
     by some f Phi = f(1) Phi = c Phi, both have row sum a(1), and c Phi
-    has row sum c d = c, so c = 0. Elsewhere the answer is d = 2 with
-    a(1) = 1, since then chi_A = (x + a(1))^2; at d = 1 the quotient is
-    a constant.
+    has row sum c d = c, so c = 0. At d = 2, chi_A = (x + a(1))^2, so
+    a(1) = 1 leaves x + 1; at d = 1 the quotient is a constant.
     """
     d, spec = a.d, a.spec
-    if not _q_primitive(spec.n, d):  # so d >= 3 below
-        return d == 2 and row_sum(a).bits == 1
+    if row_sum(a).bits != 1:
+        return False
+    if d == 2:
+        return True
+    if not primitive_cell(spec.n, d):  # so d >= 3 below
+        return False
     ring = _ring(spec, d)
     r = ring.pack(a.bits())
     return len({ring.frobenius(r, j) for j in range(d - 1)}) == d - 1
@@ -135,7 +134,7 @@ def five_conditions(a: Circulant) -> ConditionReport:
         row_sum_one=row_sum(a).bits == 1,
         d_prime=is_prime(a.d),
         quotient_irreducible=_quotient_condition(a),
-        q_primitive=_q_primitive(a.spec.n, a.d),
+        q_primitive=primitive_cell(a.spec.n, a.d),
     )
 
 

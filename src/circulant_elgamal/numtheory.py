@@ -1,11 +1,11 @@
-"""Integer-side number theory: primality, budgeted factoring, orders, CRT.
+"""Integer-side number theory: primality, budgeted factoring, primitivity, CRT.
 
 Everything operates on plain Python ints. Factoring is budgeted so callers
 can bound work on large inputs: trial division runs below a fixed bound,
 then Brent-cycle Pollard rho consumes the remaining budget, counted in
 f-evaluations. A Factorization records what was proven and whether the
-job finished; order computations refuse incomplete factorizations rather
-than silently returning multiples.
+job finished, so that the order computations built on it can refuse
+incomplete factorizations rather than silently return multiples.
 """
 
 from __future__ import annotations
@@ -209,36 +209,39 @@ def factor(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     return Factorization(n, found, cofactor)
 
 
-def mult_order(g: int, modulus: int, fact: Factorization) -> int:
-    """Multiplicative order of g mod modulus.
-
-    ``fact`` must be a complete factorization of some multiple of the
-    order (typically the group order).
-    """
-    if not fact.complete:
-        raise IncompleteFactorization(
-            f"need a complete factorization, cofactor {fact.cofactor} remains"
-        )
-    g %= modulus
-    if math.gcd(g, modulus) != 1:
-        raise NotAUnit(f"{g} is not a unit mod {modulus}")
-    order = fact.n
-    if pow(g, order, modulus) != 1:
-        raise ValueError("claimed group order does not annihilate g")
-    for p in fact.factors:
-        while order % p == 0 and pow(g, order // p, modulus) == 1:
-            order //= p
-    return order
+def _prime_divisors(k: int) -> list[int]:
+    divs, p = [], 2
+    while p * p <= k:
+        if k % p == 0:
+            divs.append(p)
+            while k % p == 0:
+                k //= p
+        p += 1
+    if k > 1:
+        divs.append(k)
+    return divs
 
 
 def is_primitive_mod(q: int, d: int) -> bool:
-    """Is q a generator of (Z/dZ)* for prime d?"""
+    """Is q a generator of (Z/dZ)* for prime d?
+
+    It is when q^((d - 1)/p) != 1 mod d for every prime p dividing d - 1.
+    """
     if not is_prime(d):
         raise DNotPrime(f"d must be prime, got {d}")
     r = q % d
     if r == 0:
         raise NotAUnit(f"{q} is divisible by {d}")
-    return mult_order(r, d, factor(d - 1)) == d - 1
+    return all(pow(r, (d - 1) // p, d) != 1 for p in _prime_divisors(d - 1))
+
+
+def primitive_cell(n: int, d: int) -> bool:
+    """Is 2^n a generator of (Z/dZ)*? False, not an error, on a d that
+    is not prime or divides 2^n."""
+    try:
+        return is_primitive_mod(1 << n, d)
+    except (DNotPrime, NotAUnit):
+        return False
 
 
 def integer_crt(residues: list[int], moduli: list[int]) -> int:

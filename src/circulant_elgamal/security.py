@@ -15,15 +15,7 @@ from dataclasses import dataclass
 from importlib.resources import files
 from typing import Iterable, NamedTuple
 
-from .numtheory import (
-    DEFAULT_BUDGET,
-    DNotPrime,
-    NotAUnit,
-    factor,
-    is_prime,
-    is_primitive_mod,
-    mod_pow,
-)
+from .numtheory import DEFAULT_BUDGET, factor, is_prime, mod_pow, primitive_cell
 
 
 def index_calculus_bits(n: int, d: int) -> int:
@@ -43,20 +35,13 @@ def regime_check(n: int, d: int) -> bool:
     return d > n * n
 
 
-def _primitive(n: int, d: int) -> bool:
-    try:
-        return is_primitive_mod(1 << n, d)
-    except (DNotPrime, NotAUnit):
-        return False
-
-
 def scan_primitive_pairs(
     n_range: Iterable[int], d_range: Iterable[int]
 ) -> list[tuple[int, list[int]]]:
     """For each n, the prime d values with 2^n primitive mod d."""
     d_candidates = [d for d in d_range if is_prime(d)]
     return [
-        (n, [d for d in d_candidates if _primitive(n, d)]) for n in n_range
+        (n, [d for d in d_candidates if primitive_cell(n, d)]) for n in n_range
     ]
 
 
@@ -77,7 +62,7 @@ def estimate(n: int, d: int) -> SecurityReport:
     return SecurityReport(
         n=n,
         d=d,
-        primitive=_primitive(n, d),
+        primitive=primitive_cell(n, d),
         index_calculus_bits=index_calculus_bits(n, d),
         regime_exponential=regime_check(n, d),
     )
@@ -98,7 +83,7 @@ def security_table(
     d_candidates = [d for d in d_range if is_prime(d)]
     for n in sorted(set(n_range)):
         for d in d_candidates:
-            if not _primitive(n, d):
+            if not primitive_cell(n, d):
                 continue
             fact = factor((1 << (n * (d - 1))) - 1, budget)
             largest = max(fact.factors) if fact.factors else None
@@ -199,7 +184,7 @@ def reference_pairs_diff() -> PairsDiff:
         computed = {
             d
             for d in REFERENCE_D_RANGE
-            if is_prime(d) and _primitive(n, d)
+            if is_prime(d) and primitive_cell(n, d)
         }
         bad_listed.extend((n, d) for d in sorted(ds - computed))
         missing.extend((n, d) for d in sorted(computed - ds))
@@ -295,7 +280,7 @@ def verify_reference_primes() -> list[PrimeCheck]:
                 ref=ref,
                 is_prime_ok=is_prime(ref.p),
                 divides_ok=mod_pow(2, bits, ref.p) == 1,
-                primitive_ok=_primitive(ref.n, ref.d),
+                primitive_ok=primitive_cell(ref.n, ref.d),
                 log2=log2,
                 log2_ok=log2_ok,
             )

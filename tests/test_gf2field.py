@@ -1,13 +1,18 @@
 """Binary field towers: base fields, polynomials and extensions.
 
 Oracles: sympy polynomial arithmetic mod 2 for GF(2) questions, naive
-convolution for products, brute-force enumeration at tiny sizes.
+convolution for products, brute-force enumeration at tiny sizes. Field
+products above the exp/log tables and all `Poly` products run on the
+packed kernel; they are checked against bit-by-bit multiplication and
+division, and against the schoolbook double loop.
 """
 
 import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.abc import t
 
 from circulant_elgamal.gf2field import (
@@ -19,6 +24,9 @@ from circulant_elgamal.gf2field import (
     SpecMismatch,
     ZeroInverse,
     _pirreducible,
+    _pmod,
+    _pmul,
+    _Ring,
     field_make,
     field_order,
     frobenius,
@@ -136,6 +144,47 @@ def test_fieldspec_rejects_reducible_modulus():
         FieldSpec(3, 0b1011 ^ 0b1000 ^ 0b10000)  # degree mismatch
 
 
+# largest irreducible polynomial of each degree: t^n + g(t), deg g = n - 1
+DENSE_MODULI = {
+    17: 0x3FFEF,
+    29: 0x3FFFFFE9,
+    43: 0xFFFFFFFFFCB,
+    47: 0xFFFFFFFFFFFD,
+    64: 0x1FFFFFFFFFFFFFFBB,
+    89: 0x3FFFFFFFFFFFFFFFFFFFFDF,
+    128: 0x1FFFFFFFFFFFFFFFFFFFFFFFFFFFFFF5F,
+}
+
+
+@pytest.mark.parametrize("dense", (False, True))
+@pytest.mark.parametrize("n", sorted(DENSE_MODULI))
+def test_field_mul_square_match_bitwise_reduction(n, dense):
+    # above the tables, products and squares run on the kernel at d = 1
+    spec = FieldSpec(n, DENSE_MODULI[n]) if dense else field_make(n)
+    assert spec.n > 16
+    m, rng = spec.modulus, random.Random(n)
+    vals = [0, 1, spec.order, 1 << n - 1] + [spec.rand(rng) for _ in range(36)]
+    for a in vals:
+        assert spec.square(a) == _pmod(_pmul(a, a), m)
+        for b in vals:
+            assert spec.mul(a, b) == _pmod(_pmul(a, b), m)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_field_tables_match_kernel(n):
+    # the exp/log tables and the kernel at d = 1 agree on every pair, for
+    # the default modulus and the largest irreducible one
+    dense = (2 << n) - 1
+    while not _pirreducible(dense):
+        dense -= 2
+    for spec in (field_make(n), FieldSpec(n, dense)):
+        ring = _Ring(spec, 1)
+        for a in range(1 << n):
+            assert spec.square(a) == ring.square(a)
+            for b in range(1 << n):
+                assert spec.mul(a, b) == ring.product(a, b)
+
+
 def poly_mul_naive(a: Poly, b: Poly) -> Poly:
     spec = a.spec
     out = [0] * (len(a.coeffs) + len(b.coeffs))
@@ -160,6 +209,21 @@ def test_poly_algebra_random():
             assert q * b + r == a
             assert r.is_zero() or r.degree < b.degree
             assert a // b == q and a % b == r
+
+
+@st.composite
+def poly_pair(draw):
+    # lengths 0 .. 40, 0 being the zero polynomial
+    spec = field_make(draw(st.sampled_from((1, 2, 3, 11, 16, 17, 47))))
+    coeffs = st.lists(st.integers(0, spec.order), max_size=40)
+    return Poly.make(spec, draw(coeffs)), Poly.make(spec, draw(coeffs))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(poly_pair())
+def test_poly_mul_matches_schoolbook(pair):
+    a, b = pair
+    assert a * b == poly_mul_naive(a, b) == b * a
 
 
 def test_poly_basics():

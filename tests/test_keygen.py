@@ -94,18 +94,12 @@ def _char_poly_dense(rows: list[list[int]], spec: FieldSpec) -> Poly:
 
 
 def quotient_oracle(a: Circulant) -> bool:
-    """Condition 4 from the full characteristic polynomial.
-
-    chi_A has the row sum a(1) as an eigenvalue; the condition asks that
-    chi_A without its factor x - a(1) be irreducible. At d = 2 that
-    leaves x - a(1), irreducible whatever a(1) is, so there the
-    condition reads chi_A/(x - 1) literally and holds only when a(1) = 1.
-    """
-    spec, s = a.spec, row_sum(a).bits
+    """Condition 4 from the full characteristic polynomial, literally:
+    x - 1 divides chi_A and chi_A/(x - 1) is irreducible."""
+    spec = a.spec
     rows = [[e.bits for e in r] for r in expand(a)]
-    quotient, rem = divmod(_char_poly_dense(rows, spec), Poly.make(spec, [s, 1]))
-    assert rem.is_zero()
-    return poly_is_irreducible(quotient) and (a.d != 2 or s == 1)
+    quotient, rem = divmod(_char_poly_dense(rows, spec), Poly.make(spec, [1, 1]))
+    return rem.is_zero() and poly_is_irreducible(quotient)
 
 
 def test_char_poly_identity_and_shift():
@@ -181,7 +175,8 @@ def test_quotient_condition_on_degenerate_orbits(n, d):
     rows += [[spec.rand(rng) for _ in range(d)] for _ in range(3)]
     for bits in rows:
         a = Circulant.from_bits(spec, bits)
-        assert five_conditions(a).quotient_irreducible == char_poly_quotient(a)[1]
+        want = char_poly_quotient(a)[1] and row_sum(a).bits == 1
+        assert five_conditions(a).quotient_irreducible == want
 
 
 def test_five_conditions_identity():

@@ -9,7 +9,6 @@ import sympy
 from circulant_elgamal.numtheory import (
     DNotPrime,
     Factorization,
-    IncompleteFactorization,
     InvalidModulus,
     NotAUnit,
     NotCoprime,
@@ -19,7 +18,6 @@ from circulant_elgamal.numtheory import (
     is_prime,
     is_primitive_mod,
     mod_pow,
-    mult_order,
 )
 
 BIG_PRIME = 7993364465170792998716337691033251350895453313
@@ -129,41 +127,6 @@ def test_factor_reassembly_property():
 def test_factor_rejects_nonpositive():
     with pytest.raises(ValueError):
         factor(0)
-
-
-def test_mult_order_known_values():
-    assert mult_order(2, 11, factor(10)) == 10
-    assert mult_order(10, 11, factor(10)) == 2
-    assert mult_order(1, 97, factor(96)) == 1
-
-
-def test_mult_order_matches_sympy():
-    rng = random.Random(5)
-    checked = 0
-    while checked < 100:
-        m = rng.randrange(3, 10 ** 6)
-        g = rng.randrange(1, m)
-        if math.gcd(g, m) != 1:
-            continue
-        k = mult_order(g, m, factor(int(sympy.totient(m))))
-        assert k == sympy.n_order(g, m)
-        assert pow(g, k, m) == 1
-        checked += 1
-
-
-def test_mult_order_refuses_incomplete_factorization():
-    partial = Factorization(100, {2: 2}, 25)
-    assert not partial.complete
-    with pytest.raises(IncompleteFactorization):
-        mult_order(3, 101, partial)
-
-
-def test_mult_order_rejects_bad_inputs():
-    with pytest.raises(NotAUnit):
-        mult_order(4, 8, factor(4))
-    with pytest.raises(ValueError):
-        # 7 is not a multiple of ord(2) mod 11 = 10
-        mult_order(2, 11, factor(7))
 
 
 def test_factorization_helpers():
