@@ -177,6 +177,8 @@ def _read_field_header(r: fileio.KvReader) -> tuple[FieldSpec, int]:
     fileio.check_version(r)
     n = r.expect_int("n")
     d = r.expect_int("d")
+    if d < 1:
+        raise fileio.FileFormatError(f"{r.path}: d must be positive, got {d}")
     modulus = r.expect_int("field_poly")
     try:
         spec = FieldSpec(n, modulus)
@@ -270,4 +272,12 @@ def load_ciphertexts(
             raise fileio.FileFormatError(f"{path}: w has {len(w)} entries")
         blocks.append(Ciphertext(ar, w))
     r.done()
+    if length is not None:
+        # the count encode_bytes gives, so decode_blocks never builds a
+        # mask wider than the blocks
+        units = (8 * length + spec.n - 1) // spec.n
+        if length < 0 or count != max(1, (units + d - 1) // d):
+            raise fileio.FileFormatError(
+                f"{path}: {count} blocks cannot hold {length} bytes"
+            )
     return spec, d, blocks, length

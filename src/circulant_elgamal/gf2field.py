@@ -10,8 +10,11 @@ product and reduced mod the field polynomial by one Barrett step. At
 d = 1 it is GF(2^n) itself, which fields above n = 16 multiply and
 square on (smaller ones keep exp/log tables), and at d = deg(ab) + 1
 its fold never wraps, so it is the plain product of `Poly` a and b
-(Kronecker substitution). The circulant ring of `circulant` is the
-same kernel at the matrix size d.
+(Kronecker substitution). `Poly` long division keeps the remainder
+packed and subtracts one kernel product of the divisor a step, and the
+irreducibility test runs on Berlekamp's Q-matrix: x^(q^j) mod p by
+matrix-vector products over F_q whose columns are kernel rows. The
+circulant ring of `circulant` is the same kernel at the matrix size d.
 """
 
 from __future__ import annotations
@@ -415,24 +418,24 @@ class Poly:
         self._same(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        spec = self.spec
-        fmul, finv = spec.mul, spec.inv
-        db = other.degree
-        inv_lead = finv(other.leading())
-        rem = list(self.coeffs)
-        if len(rem) - 1 < db:
+        spec, a, db = self.spec, self.coeffs, other.degree
+        if len(a) - 1 < db:
             return Poly((), spec), self
-        q = [0] * (len(rem) - db)
-        bc = other.coeffs
-        for k in range(len(rem) - 1, db - 1, -1):
-            c = rem[k]
+        ring, sub = _ring(spec, len(a)), _ring(spec, db + 1)
+        win, rem = sub.window(sub.pack(other.coeffs)), ring.pack(a)
+        w, mask = ring.width, (1 << spec.n) - 1
+        lead = other.leading()
+        inv_lead = spec.inv(lead) if lead != 1 else None
+        q = [0] * (len(a) - db)
+        for k in range(len(a) - 1, db - 1, -1):
+            c = rem >> k * w & mask
             if c == 0:
                 continue
-            f = fmul(c, inv_lead)
+            f = c if inv_lead is None else spec.mul(c, inv_lead)
             q[k - db] = f
-            for j in range(db + 1):
-                rem[k - db + j] ^= fmul(f, bc[j])
-        return Poly.make(spec, q), Poly.make(spec, rem)
+            # f b fills the db + 1 slots of sub, so its fold never wraps
+            rem ^= sub.mul(win, f) << (k - db) * w
+        return Poly.make(spec, q), Poly.make(spec, ring.unpack(rem)[:db])
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
@@ -742,8 +745,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 class ExtensionSpec(NamedTuple):
     """Quotient F_q[x]/(modulus); a field when the modulus is irreducible.
 
-    Construction does not force irreducibility: CRT plumbing works in the
-    plain quotient ring too. Field-only operations check on their own.
+    Construction does not force irreducibility; field-only operations
+    check on their own.
     """
 
     base: FieldSpec
@@ -793,11 +796,14 @@ def frobenius(a: Poly, ext: ExtensionSpec) -> Poly:
 
 
 def poly_is_irreducible(p: Poly) -> bool:
-    """Distinct-degree test over F_q, q = 2^n.
+    """Distinct-degree test over F_q, q = 2^n, on Berlekamp's Q-matrix.
 
-    One chain of kn squarings gives x^(q^j) mod p for j = 1 .. k; p is
-    irreducible when x^(q^k) = x and gcd(x^(q^(k/r)) - x, p) = 1 for
-    every prime r dividing k.
+    p is irreducible when x^(q^k) = x mod p and gcd(x^(q^(k/r)) - x, p)
+    = 1 for every prime r dividing k. In F_q[x]/p the map y -> y^q is
+    F_q-linear, (sum y_i x^i)^q = sum y_i (x^q)^i, so `frobenius` gives
+    x^q, k - 2 products give the columns (x^q)^i, and each next x^(q^j)
+    is one matrix-vector product over F_q: the columns scaled by the
+    coefficients of the last one, on the packed kernel.
     """
     k = p.degree
     if k <= 0:
@@ -806,16 +812,31 @@ def poly_is_irreducible(p: Poly) -> bool:
         return True
     if p.coeffs[0] == 0:
         return False  # divisible by x
-    ext = ExtensionSpec(p.spec, p.monic())
-    x = y = Poly.x(p.spec) % ext.modulus
-    keep = dict.fromkeys(k // r for r in _prime_divisors(k))
-    for j in range(1, k + 1):
-        for _ in range(p.spec.n):
-            y = poly_mod_square(y, ext)
+    spec = p.spec
+    ext = ExtensionSpec(spec, p.monic())
+    x = Poly.x(spec)
+    xq = frobenius(x, ext)
+    cols = [ext.one, xq]
+    for _ in range(k - 2):
+        cols.append(poly_mod_mul(cols[-1], xq, ext))
+    ring = _ring(spec, k)
+    wins = [ring.window(ring.pack(c.coeffs)) for c in cols]
+    w, mask, mul = ring.width, (1 << spec.n) - 1, ring.mul
+    keep = dict.fromkeys(k // r for r in _prime_divisors(k))  # all below k
+    y = ring.pack(xq.coeffs)  # x^(q^j), j = 1 .. k
+    for j in range(1, k):
         if j in keep:
             keep[j] = y
-    return y == x and all(
-        poly_gcd(v + x, ext.modulus).degree <= 0 for v in keep.values()
+        # mul reduces each column's product on its own: reduction is linear
+        nxt = 0
+        for i, win in enumerate(wins):
+            c = y >> i * w & mask
+            if c:
+                nxt ^= mul(win, c)
+        y = nxt
+    return y == ring.pack(x.coeffs) and all(
+        poly_gcd(Poly.make(spec, ring.unpack(v)) + x, ext.modulus).degree <= 0
+        for v in keep.values()
     )
 
 

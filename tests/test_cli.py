@@ -1,5 +1,6 @@
 """Command-line interface: full pipelines through temp files, the
-key=value output contract, and the 0/1/2/3 exit-code map.
+key=value output contract, the 0/1/2/3 exit-code map, and mutated
+input files, which must exit 0 or 2.
 
 Commands run in process via main(argv) so coverage and seeding stay
 deterministic. Two subprocess tests cover the console script: one
@@ -17,6 +18,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import circulant_elgamal
 from circulant_elgamal import cli, elgamal
@@ -361,6 +364,106 @@ def test_bench_pow_pinned():
     assert float(got["mean_power_ms"]) > 0
     # measured within 5 percent of the d^2/2 per-bit model
     assert abs(float(got["mean_field_mults"]) - 7744.0) <= 0.05 * 7744.0
+
+
+# ---------------------------------------------------------------------------
+# hostile files: mutated params, public keys and ciphertexts exit 0 or 2
+
+HOSTILE_VALUES = (
+    "", "0", "1", "-1", "2", "3", "11", "129", "0x", "0x0", "-0x1", "0xb",
+    "0b1011", "1_1", "1e3", "nan", "9" * 40, "0x" + "f" * 40, "0x1,0x2", ",",
+    "0x1,,0x3", "0x8", "raw", "bytes", "true", "é",
+)
+
+
+@st.composite
+def mutated(draw, text):
+    """text with one to four line edits: a line dropped or copied, a key or
+    value or one comma-separated entry replaced, or a slice overwritten
+    (surrogates included, which make the file invalid UTF-8)."""
+    lines = text.splitlines()
+    values = [v.strip() for line in lines for v in line.partition("=")[2].split(",")]
+    keys = [line.partition("=")[0].strip() for line in lines]
+    token = st.sampled_from(HOSTILE_VALUES) | st.sampled_from(values)
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        key, eq, value = lines[i].partition("=")
+        op = draw(st.sampled_from(("drop", "copy", "key", "value", "entry", "slice")))
+        if op == "drop":
+            del lines[i]
+        elif op == "copy":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif op == "key":
+            new = draw(st.sampled_from(keys) | st.sampled_from(HOSTILE_VALUES))
+            lines[i] = f"{new} ={value}"
+        elif op == "value":
+            lines[i] = f"{key}= {draw(token)}"
+        elif op == "entry":
+            parts = value.split(",")
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(token)
+            lines[i] = key + eq + ",".join(parts)
+        else:
+            a = draw(st.integers(0, len(lines[i])))
+            b = draw(st.integers(a, len(lines[i])))
+            lines[i] = lines[i][:a] + draw(st.text(max_size=6)) + lines[i][b:]
+    return ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass")
+
+
+@pytest.fixture(scope="module")
+def hostile_setup(tmp_path_factory, params311):
+    root = tmp_path_factory.mktemp("hostile")
+    params, priv, pub, ct = (str(root / f) for f in ("p", "k.priv", "k.pub", "m.ct"))
+    save_params(params311, params)
+    run_cli(["keygen", "--params", params, "--out-priv", priv, "--out-pub", pub,
+             "--seed", "51"])
+    plain = root / "plain.bin"
+    plain.write_bytes(b"hostile")
+    run_cli(["encrypt", "--pub", pub, "--infile", str(plain), "--out", ct,
+             "--seed", "52"])
+    return root, {"params": params, "pub": pub, "ct": ct}, priv, str(plain)
+
+
+@pytest.mark.parametrize("length", ("-1", "2", "9", "1000"))
+def test_decrypt_rejects_length_the_blocks_cannot_hold(hostile_setup, length):
+    # 7 or 8 bytes are 19 to 22 3-bit entries, two (3,11) blocks; a larger
+    # claimed length would make the decoder build a mask of 8 * length bits
+    root, files, priv, _ = hostile_setup
+    ct = root / "length.ct"
+    text = Path(files["ct"]).read_text()
+    assert "length = 7\n" in text and "blocks = 2\n" in text
+    ct.write_text(text.replace("length = 7\n", f"length = {length}\n"))
+    code, stdout, stderr = run_cli(
+        ["decrypt", "--priv", priv, "--in", str(ct), "--out", str(root / "x")]
+    )
+    assert code == 2 and stdout == ""
+    assert "cannot hold" in stderr
+
+
+@pytest.mark.parametrize("kind", ("params", "pub", "ct"))
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_files_exit_0_or_2(hostile_setup, kind, data):
+    root, files, priv, plain = hostile_setup
+    path = root / f"mutated.{kind}"
+    path.write_bytes(data.draw(mutated(Path(files[kind]).read_text())))
+    out = str(root / "out")
+    argv = {
+        "params": ["params", "check", str(path)],
+        "pub": ["encrypt", "--pub", str(path), "--infile", plain, "--out", out,
+                "--seed", "53"],
+        "ct": ["decrypt", "--priv", priv, "--in", str(path), "--out", out],
+    }[kind]
+    code, _, stderr = run_cli(argv)
+    assert code in (0, 2), stderr
+    assert "Traceback" not in stderr
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,13 @@ packed kernel; they are checked against bit-by-bit multiplication and
 division, and against the schoolbook double loop.
 """
 
+import functools
+import operator
 import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.abc import t
 
@@ -226,6 +228,42 @@ def test_poly_mul_matches_schoolbook(pair):
     assert a * b == poly_mul_naive(a, b) == b * a
 
 
+def poly_divmod_naive(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Schoolbook long division, one field product per divisor coefficient."""
+    spec, db = a.spec, b.degree
+    inv_lead = spec.inv(b.leading())
+    rem = list(a.coeffs)
+    if len(rem) - 1 < db:
+        return Poly((), spec), a
+    q = [0] * (len(rem) - db)
+    for k in range(len(rem) - 1, db - 1, -1):
+        f = spec.mul(rem[k], inv_lead)
+        q[k - db] = f
+        for j in range(db + 1):
+            rem[k - db + j] ^= spec.mul(f, b.coeffs[j])
+    return Poly.make(spec, q), Poly.make(spec, rem)
+
+
+F16, F47 = field_make(16), field_make(47)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(poly_pair())
+@example((Poly((), F47), Poly.make(F47, [5, 0, 7])))  # zero dividend
+@example((Poly.make(F47, [1, 2]), Poly.make(F47, [3, 4, 9])))  # shorter dividend
+@example((Poly.make(F16, range(1, 30)), Poly.make(F16, [7, 0, 0, 0xBEEF])))  # non-monic
+@example((Poly.make(F47, [1, 1, 0, 1]), Poly((), F47)))  # division by zero
+def test_poly_divmod_matches_long_division(pair):
+    a, b = pair
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            divmod(a, b)
+    else:
+        q, r = divmod(a, b)
+        assert (q, r) == poly_divmod_naive(a, b)
+        assert q * b + r == a and r.degree < b.degree
+
+
 def test_poly_basics():
     spec = field_make(2)
     p = Poly.make(spec, [1, 0, 3, 0])  # trailing zeros trimmed
@@ -331,9 +369,10 @@ def irreducible_reference(p):
     )
 
 
-@pytest.mark.parametrize("n", (2, 3, 4, 8))
+@pytest.mark.parametrize("n", (2, 3, 4, 8, 17, 47))
 def test_poly_is_irreducible_matches_reference(n):
-    # random monic polynomials, and products of two, which are reducible
+    # random monic polynomials, and products of two, which are reducible;
+    # fewer draws above the table fields, where the reference is slow
     spec = field_make(n)
     rng = random.Random(n)
 
@@ -341,7 +380,7 @@ def test_poly_is_irreducible_matches_reference(n):
         return Poly.make(spec, [spec.rand(rng) for _ in range(deg)] + [1])
 
     seen = set()
-    for _ in range(60):
+    for _ in range(60 if n <= 8 else 24):
         p = monic(rng.randrange(1, 9))
         got = poly_is_irreducible(p)
         assert got == irreducible_reference(p)
@@ -349,6 +388,43 @@ def test_poly_is_irreducible_matches_reference(n):
         q = monic(rng.randrange(1, 5)) * monic(rng.randrange(1, 5))
         assert not poly_is_irreducible(q) and not irreducible_reference(q)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 17, 47))
+def test_poly_is_irreducible_gcd_rejections(n):
+    # squarefree products of irreducibles whose degrees divide k and are
+    # below k: x^(q^k) = x mod p, so only the gcds can reject them
+    spec, rng = field_make(n), random.Random(100 + n)
+    x = Poly.x(spec)
+
+    def irreducibles(deg, count):
+        found = set()
+        for _ in range(300):
+            c = [spec.rand(rng) for _ in range(deg)] + [1]
+            c[0] = c[0] or 1
+            p = Poly.make(spec, c)
+            if p not in found and irreducible_reference(p):
+                found.add(p)
+                if len(found) == count:
+                    return list(found)
+        return None  # the field has too few of them
+
+    tried = 0
+    recipes = ((1, 1), (1, 1, 2), (2, 2), (3, 3), (2, 2, 2), (1, 2, 3), (4, 4), (3, 3, 3))
+    for degrees in recipes:
+        factors = []
+        for deg in sorted(set(degrees)):
+            got = irreducibles(deg, degrees.count(deg))
+            if got is None:
+                break
+            factors += got
+        else:
+            p = functools.reduce(operator.mul, factors)
+            ext = ExtensionSpec(spec, p)
+            assert poly_mod_pow(x, (1 << n) ** p.degree, ext) == x
+            assert not poly_is_irreducible(p), degrees
+            tried += 1
+    assert tried == (3 if n == 1 else 8)  # GF(2) has one quadratic, two cubics
 
 
 def test_binary_irreducibility_exhaustive():
