@@ -20,6 +20,7 @@ circulant ring of `circulant` is the same kernel at the matrix size d.
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -485,6 +486,9 @@ class _Ring:
     and a dense modulus alike.
     """
 
+    # how many bases' `power` tables a ring keeps; the least recently used go
+    KEPT_BASES = 4
+
     def __init__(self, spec: FieldSpec, d: int):
         n = spec.n
         w = 2 * n - 1
@@ -497,6 +501,7 @@ class _Ring:
         mu = _pdivmod(1 << 2 * n - 2, spec.modulus)[0]
         self.mu_shifts = tuple(n - 2 - i for i in range(n - 2) if mu >> i & 1)
         self.g_terms = tuple(i for i in range(n) if spec.modulus >> i & 1)
+        self.kept = OrderedDict()  # (a, t, g) -> `power`'s (entries, wins)
 
     def pack(self, coeffs: Sequence[int]) -> int:
         r, w = 0, self.width
@@ -623,16 +628,28 @@ class _Ring:
         once, with one squaring per position shared by all digits and at
         most one table product per block. With t = ceil(bits / n) and
         g = 1 this is plain square and multiply.
+
+        A fixed base, such as a public key's A and A^m, pays for its
+        tables once: the ring keeps the entries and windows of its last
+        `KEPT_BASES` bases, keyed by (a, t, g), and a later power of the
+        same row under the same plan reuses and extends them. A row's
+        tables hold at most 2^g - 1 entries and, per block, one window of
+        15 rows for each entry.
         """
         t, g = _plan(self.n, self.d, m.bit_length())
         span = self.n * t
         digits = [m >> s & (1 << span) - 1 for s in range(0, m.bit_length(), span)]
         k, top = len(digits), max(digits).bit_length()
         # entries[S]: product of the bases sigma^(tj)(a) with bit j set in S
-        entries, wins = {}, {}
-        for j in range(g):
-            entries[1 << j] = base = self.frobenius(a, t * j)
-            wins[0, 1 << j] = self.window(base)
+        kept, key = self.kept, (a, t, g)
+        entries, wins = kept.pop(key, None) or ({}, {})
+        if not entries:
+            for j in range(g):
+                entries[1 << j] = base = self.frobenius(a, t * j)
+                wins[0, 1 << j] = self.window(base)
+        kept[key] = entries, wins  # now the most recently used
+        if len(kept) > self.KEPT_BASES:
+            kept.popitem(last=False)
 
         def window(G: int, S: int) -> dict[str, int]:
             """Window of entry S of block G's table, the sigma^(tgG) image."""

@@ -35,7 +35,7 @@ from circulant_elgamal.elgamal import (
     save_private,
     save_public,
 )
-from circulant_elgamal.gf2field import FieldElement, field_make
+from circulant_elgamal.gf2field import FieldElement, _ring, field_make
 from circulant_elgamal.keygen import OrderInfo, ParamSet
 
 
@@ -97,6 +97,26 @@ def test_encrypt_determinism(params311):
     c3 = encrypt(pub, v, seed=10)
     assert c1 == c2
     assert c1 != c3  # fresh randomness moves the ciphertext
+
+
+def test_encrypt_cold_equals_warm(params311):
+    # the power tables a ring keeps for A and A^m change no ciphertext
+    priv, pub = keygen(params311, seed=1)
+    spec = params311.spec
+    v = rand_vector(spec, 11, random.Random(33))
+    _ring.cache_clear()
+    cold = encrypt(pub, v, seed=random.Random(34))
+    warm_up = random.Random(35)
+    for _ in range(10):
+        encrypt(pub, rand_vector(spec, 11, warm_up), seed=warm_up)
+    ring = _ring(spec, 11)
+    assert {key[0] for key in ring.kept} >= {
+        ring.pack(pub.A.bits()),
+        ring.pack(pub.Am.bits()),
+    }
+    warm = encrypt(pub, v, seed=random.Random(34))
+    assert warm == cold
+    assert decrypt(priv, warm) == v
 
 
 def test_zero_vector_encrypts_to_zero_mask(params311):

@@ -8,7 +8,9 @@ Barrett reduction is checked slot by slot against polynomial division
 for every irreducible modulus of small degree. Long exponents
 are checked against binary square and multiply over the kernel's own
 `square` and `mul`, which the convolution checks, and q-power
-exponents against the slot permutation of the squaring theorem. Fields
+exponents against the slot permutation of the squaring theorem. The
+tables `power` keeps across calls are checked the same way, on
+interleaved calls with bases that are evicted and come back. Fields
 come in two kinds: the default modulus of `field_make` (sparse g) and
 the largest irreducible modulus of each degree (g of degree n - 1 and
 nearly full weight), as a loaded parameter file may carry.
@@ -21,7 +23,7 @@ import random
 import pytest
 import sympy
 import sympy.abc
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circulant_elgamal.circulant import (
@@ -308,6 +310,85 @@ def test_inverse_property(case):
             inverse(a)
     else:
         assert mul(a, inverse(a)).is_identity()
+
+
+# ---------------------------------------------------------------------------
+# the tables `power` keeps across calls
+
+def plain_power(ring, a, m):
+    """a^m by left-to-right binary square and multiply on `product`, `square`."""
+    r = 1  # the identity row: 1 in slot 0
+    for bit in bin(m)[2:]:
+        r = ring.square(r)
+        if bit == "1":
+            r = ring.product(r, a)
+    return r
+
+
+# two rings that read one packed int as two different rows
+KEPT_CELLS = ((3, 11), (5, 11))
+
+
+@st.composite
+def kept_table_calls(draw):
+    """Interleaved (ring, base, exponent) calls on the two rings.
+
+    More bases than a ring keeps, so bases are evicted and come back;
+    every exponent length up to q^(d + 1), so one base meets several
+    plans; and each base int is read on both rings.
+    """
+    pool = draw(st.lists(st.integers(0, (1 << 100) - 1), min_size=6, max_size=7))
+    calls = []
+    for _ in range(draw(st.integers(10, 40))):
+        r = draw(st.integers(0, 1))
+        n, d = KEPT_CELLS[r]
+        bits = draw(st.integers(1, n * (d + 1)))
+        m = draw(st.integers(1 << bits - 1, (1 << bits) - 1))
+        calls.append((r, draw(st.sampled_from(pool)), m))
+    return calls
+
+
+def scripted_calls():
+    """One base on the (3,11) ring under the plans (t, g) = (1, 2), (3, 2),
+    (1, 1) and (3, 3), at 14, 16, 9 and 25 bits: the same g with another t,
+    then the same t with another g. Four other bases evict it, it comes
+    back, and its int then runs on the (5,11) ring under (1, 2) and (2, 3).
+    """
+    bases = [random.Random(i).getrandbits(100) for i in range(5)]
+
+    def exp(bits):
+        return random.Random(bits).getrandbits(bits) | 1 << bits - 1
+
+    calls = [(0, bases[0], exp(b)) for b in (14, 16, 9, 25)]
+    calls += [(0, a, exp(14)) for a in bases[1:]]
+    calls += [(0, bases[0], exp(14)), (0, bases[0], exp(9))]
+    return calls + [(1, bases[0], exp(9)), (1, bases[0], exp(26))]
+
+
+@PROPS
+@given(kept_table_calls())
+@example(scripted_calls())
+def test_power_kept_tables_match_plain_power(calls):
+    rings = [_Ring(field_make(n), d) for n, d in KEPT_CELLS]
+    row = rings[0].low & rings[1].low  # a valid row on both rings
+    for r, a, m in calls:
+        ring = rings[r]
+        a &= row
+        assert ring.power(a, m) == plain_power(ring, a, m)
+        assert len(ring.kept) <= ring.KEPT_BASES
+
+
+def test_power_keeps_the_recently_used_bases():
+    # an encrypt-decrypt loop: two fixed bases, then a fresh one each round
+    ring = _Ring(field_make(3), 11)
+    rng = random.Random(12)
+    fixed = [ring.pack([rng.getrandbits(3) for _ in range(11)]) for _ in range(2)]
+    for _ in range(8):
+        fresh = ring.pack([rng.getrandbits(3) for _ in range(11)])
+        for a in fixed + [fresh]:
+            m = rng.getrandbits(30) | 1 << 29
+            assert ring.power(a, m) == plain_power(ring, a, m)
+        assert {key[0] for key in ring.kept} >= set(fixed)
 
 
 def q_order(n, d):
