@@ -11,9 +11,9 @@ the packed-row kernel `gf2field._Ring` at size d: the row packed into
 one int, one carry-less product per ring product, squares by spreading
 bits, Frobenius-digit powers and Itoh-Tsujii inversion. This module
 holds the `Circulant` type and its operations on that kernel, the
-operation counter of the paper's cost model, the determinant by
-Gaussian elimination, and the characteristic-polynomial quotient over
-F_q[x]/Phi, kept as a test oracle.
+operation counter of the paper's cost model, the determinant as a
+resultant, and the characteristic-polynomial quotient over F_q[x]/Phi,
+kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -243,31 +243,20 @@ def row_sum(a: Circulant) -> FieldElement:
 
 
 def det(a: Circulant) -> FieldElement:
-    """Determinant of the expanded matrix by Gaussian elimination."""
-    d, spec = a.d, a.spec
-    av = a.bits()
-    rows = [[av[(j - k) % d] for j in range(d)] for k in range(d)]
-    fmul, finv = spec.mul, spec.inv
+    """Determinant of the expanded matrix: Res(x^d - 1, a(x)), the product
+    of a(zeta) over the roots of x^d - 1, for every d. Euclid, with no
+    signs in characteristic 2: Res(f, h) = lc(h)^(deg f - deg r) Res(h, r)
+    for r = f mod h, and Res(f, c) = c^(deg f) for a constant c."""
+    spec = a.spec
+    f = Poly.make(spec, [1] + [0] * (a.d - 1) + [1])
+    h = Poly.make(spec, a.bits())
     acc = 1
-    for col in range(d):
-        piv = next((r for r in range(col, d) if rows[r][col]), None)
-        if piv is None:
-            return spec.zero
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]  # char 2: no sign flip
-        pivot = rows[col][col]
-        acc = fmul(acc, pivot)
-        inv_p = finv(pivot)
-        rc = rows[col]
-        for r in range(col + 1, d):
-            f = rows[r][col]
-            if f:
-                fac = fmul(f, inv_p)
-                rr = rows[r]
-                for c in range(col, d):
-                    if rc[c]:
-                        rr[c] ^= fmul(fac, rc[c])
-    return FieldElement(acc, spec)
+    while h.degree > 0:
+        r = f % h
+        acc = spec.mul(acc, spec.pow(h.leading(), f.degree - r.degree))
+        f, h = h, r
+    c = h.coeffs[0] if h.coeffs else 0  # 0 once a remainder vanished
+    return FieldElement(spec.mul(acc, spec.pow(c, f.degree)), spec)
 
 
 # ---------------------------------------------------------------------------

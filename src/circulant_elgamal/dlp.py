@@ -7,8 +7,9 @@ beta (1 + Phi) gives A^x = alpha^x Phi + beta^x (1 + Phi). The paper's
 reduction to the field F_(q^(d-1)) (and the base field of the row sum)
 is therefore already inside the ring: every product of rows carries both
 components, and ord(A) divides q^(d-1) - 1. So the attack runs in <A>
-itself, on rows packed into the circulant kernel: Pohlig-Hellman peels
-ord(A) into prime powers, and baby-step giant-step solves each leaf.
+itself, on rows packed into the circulant kernel: `element_order` finds
+ord(A), Pohlig-Hellman peels it into prime powers, and baby-step
+giant-step solves each leaf.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from __future__ import annotations
 from math import isqrt
 
 from .circulant import Circulant, _check_odd, _ring, _Ring, power
-from .keygen import order_of
 from .numtheory import (
     DEFAULT_BUDGET,
     Factorization,
     IncompleteFactorization,
+    element_order,
     factor,
     integer_crt,
 )
@@ -112,26 +113,27 @@ def reduce_to_field(
     """ord(a) as a complete factorization, once b may lie in <a>.
 
     ord(a) divides q^(d-1) - 1, the order of the unit group of the field
-    the paper reduces the circulant DLP to; it comes from `order_of` on
-    the factorization of that number. IncompleteFactorization when the
-    budget does not finish it; NotFound when a^(q^(d-1) - 1) is not 1
-    (a lies outside that group) or b^ord(a) is not 1 (b is no power of
+    the paper reduces the circulant DLP to; `element_order` peels it out
+    of the factorization of that number. IncompleteFactorization when
+    the budget does not finish it; NotFound when a^(q^(d-1) - 1) is not
+    1 (a lies outside that group) or b^ord(a) is not 1 (b is no power of
     a).
     """
-    fact = factor((1 << a.spec.n * (a.d - 1)) - 1, budget)
+    big_n = (1 << a.spec.n * (a.d - 1)) - 1
+    fact = factor(big_n, budget)
     if not fact.complete:
         raise IncompleteFactorization(
             f"q^(d-1) - 1 has unfactored cofactor {fact.cofactor}"
         )
-    try:
-        order = order_of(a, budget).order
-    except ArithmeticError as exc:
-        raise NotFound(str(exc)) from None
-    if not power(b, order).is_identity():
+    if not power(a, big_n).is_identity():
+        raise NotFound(
+            "order does not divide q^(d-1) - 1; the matrix is outside the "
+            "group these parameters assume"
+        )
+    order = element_order(fact, lambda e: power(a, e).is_identity())
+    if not power(b, order.n).is_identity():
         raise NotFound("the target's order does not divide ord(a)")
-    return Factorization(
-        order, {p: _valuation(order, p) for p in fact.factors if order % p == 0}
-    )
+    return order
 
 
 def solve_circulant_dlp(
@@ -145,10 +147,3 @@ def solve_circulant_dlp(
         raise ValueError(f"the attack needs odd d >= 3, got d = {a.d}")
     return pohlig_hellman(a, b, reduce_to_field(a, b, budget))
 
-
-def _valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v

@@ -15,6 +15,8 @@ packed and subtracts one kernel product of the divisor a step, and the
 irreducibility test runs on Berlekamp's Q-matrix: x^(q^j) mod p by
 matrix-vector products over F_q whose columns are kernel rows. The
 circulant ring of `circulant` is the same kernel at the matrix size d.
+`primitive_poly` keeps an irreducible tau when x mod tau has order
+q^deg(tau) - 1 (`numtheory.element_order`).
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from typing import Iterable, NamedTuple, Sequence
 from .numtheory import (
     DEFAULT_BUDGET,
     Factorization,
-    IncompleteFactorization,
-    NotAUnit,
     _prime_divisors,
+    element_order,
     factor,
 )
 
@@ -857,50 +858,6 @@ def poly_is_irreducible(p: Poly) -> bool:
     )
 
 
-def poly_order(a: Poly, ext: ExtensionSpec, fact: Factorization) -> int:
-    """Multiplicative order of a unit in the quotient field.
-
-    ``fact`` must completely factor a multiple of the order (usually
-    q^degree - 1).
-    """
-    if not fact.complete:
-        raise IncompleteFactorization(
-            f"need a complete factorization, cofactor {fact.cofactor} remains"
-        )
-    a = a % ext.modulus
-    if a.is_zero():
-        raise NotAUnit("0 has no multiplicative order")
-    order = fact.n
-    one = Poly.const(ext.base, 1)
-    if poly_mod_pow(a, order, ext) != one:
-        raise NotAUnit("element order does not divide the claimed group order")
-    for p in fact.factors:
-        while order % p == 0 and poly_mod_pow(a, order // p, ext) == one:
-            order //= p
-    return order
-
-
-def field_order(spec: FieldSpec, bits: int, fact: Factorization) -> int:
-    """Multiplicative order of a nonzero base-field element.
-
-    ``fact`` must be the complete factorization of a multiple of the
-    order, normally q - 1.
-    """
-    if bits == 0:
-        raise NotAUnit("0 has no multiplicative order")
-    if not fact.complete:
-        raise IncompleteFactorization(
-            f"need a complete factorization, cofactor {fact.cofactor} remains"
-        )
-    t = fact.n
-    if spec.pow(bits, t) != 1:
-        raise NotAUnit("element order does not divide the claimed group order")
-    for p in fact.factors:
-        while t % p == 0 and spec.pow(bits, t // p) == 1:
-            t //= p
-    return t
-
-
 class PrimitivePoly(NamedTuple):
     poly: Poly
     order_factorization: Factorization
@@ -933,8 +890,10 @@ def primitive_poly(
             continue
         if not fact.complete:
             return PrimitivePoly(cand, fact, False)
-        ext = ExtensionSpec(base, cand)
-        if poly_order(Poly.x(base), ext, fact) == group:
+        # irreducibility showed x^(q^degree) = x, so x^group = 1 already
+        ext, x = ExtensionSpec(base, cand), Poly.x(base)
+        order = element_order(fact, lambda e: poly_mod_pow(x, e, ext) == ext.one)
+        if order.n == group:
             return PrimitivePoly(cand, fact, True)
     raise BudgetExceeded(
         f"no primitive polynomial of degree {degree} found in {max_draws} draws"

@@ -6,8 +6,10 @@ Together these make the circulant DLP as hard as the DLP of the field
 with 2^{n(d-1)} elements and no easier. The generator below constructs
 such matrices from a random primitive polynomial tau: it builds the row
 psi with psi = 1 mod (x-1) and psi = tau mod Phi, and raises circ(psi)
-to the order of tau's constant term in the base field, which forces
-determinant 1.
+to det_order, the order of tau(0) in F_q. psi's Phi-component is
+tau(zeta), not a root of tau, so tau(0) is not det(psi); but a verified
+primitive tau has tau(0) primitive, so det_order = q - 1 and det(A) =
+det(psi)^(q-1) = 1.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from typing import NamedTuple
 
 from . import fileio
 from .circulant import Circulant, _ring, det, power, row_sum
-from .gf2field import FieldSpec, Poly, field_make, field_order, primitive_poly
+from .gf2field import FieldSpec, Poly, field_make, primitive_poly
 from .numtheory import (
     DEFAULT_BUDGET,
     DNotPrime,
     NotAUnit,
+    element_order,
     factor,
     is_prime,
     is_primitive_mod,
@@ -145,36 +148,17 @@ def order_of(a: Circulant, budget: int = DEFAULT_BUDGET) -> OrderInfo:
     order whenever Phi is irreducible. If the budget cannot finish the
     factorization, the result is the product of the prime powers whose
     exact contribution to the order could be certified, a divisor of
-    the true order, flagged exact=False.
+    the true order, flagged exact=False (`element_order`).
     """
-    spec, d = a.spec, a.d
-    n_exp = 1 << (spec.n * (d - 1))
-    big_n = n_exp - 1
+    big_n = (1 << (a.spec.n * (a.d - 1))) - 1
     fact = factor(big_n, budget)
     if not power(a, big_n).is_identity():
         raise ArithmeticError(
             "order does not divide q^(d-1) - 1; the matrix is outside the "
             "group these parameters assume"
         )
-    if fact.complete:
-        t = big_n
-        for p, e in fact.factors.items():
-            for _ in range(e):
-                if t % p == 0 and power(a, t // p).is_identity():
-                    t //= p
-                else:
-                    break
-        return OrderInfo(t, True)
-    certified = 1
-    for p, e in sorted(fact.factors.items()):
-        if fact.cofactor % p == 0:
-            # more copies of p may hide in the cofactor, valuation unknown
-            continue
-        k = 0
-        while k < e and power(a, big_n // p ** (k + 1)).is_identity():
-            k += 1
-        certified *= p ** (e - k)
-    return OrderInfo(certified, False)
+    order = element_order(fact, lambda e: power(a, e).is_identity())
+    return OrderInfo(order.n, fact.complete)
 
 
 def generate(
@@ -186,9 +170,10 @@ def generate(
     """Construct a matrix passing all five conditions at (2^n, d).
 
     Draw a primitive tau of degree d-1; det_order is the order of
-    tau(0), the determinant of tau's companion matrix, in the base
-    field; psi is the row with psi = 1 mod (x-1) and psi = tau mod Phi;
-    A = circ(psi)^det_order. The result is re-validated and, when the
+    tau(0) in the base field, q - 1 when tau is verified primitive; psi
+    is the row with psi = 1 mod (x-1) and psi = tau mod Phi; A =
+    circ(psi)^det_order, whose determinant det(psi)^det_order is 1 when
+    det_order = q - 1. The result is re-validated and, when the
     group order is exactly computable, required to reach q^{d-3};
     failures draw a fresh tau, up to MAX_ATTEMPTS times.
     """
@@ -206,11 +191,9 @@ def generate(
     order_floor = q ** (d - 3)
     for _ in range(MAX_ATTEMPTS):
         tau = primitive_poly(d - 1, spec, rng, budget).poly
-        tau0 = tau.coeffs[0]
-        if q == 2:
-            det_order = 1
-        elif qm1.complete:
-            det_order = field_order(spec, tau0, qm1)
+        if qm1.complete:
+            tau0 = tau.coeffs[0]
+            det_order = element_order(qm1, lambda e: spec.pow(tau0, e) == 1).n
         else:
             # q - 1 is always a multiple of the true order; using it
             # keeps det(A) = 1 without the exact factorization

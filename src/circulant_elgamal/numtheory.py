@@ -1,11 +1,11 @@
-"""Integer-side number theory: primality, budgeted factoring, primitivity, CRT.
+"""Integer-side number theory: primality, factoring, element orders, CRT.
 
 Everything operates on plain Python ints. Factoring is budgeted so callers
 can bound work on large inputs: trial division runs below a fixed bound,
 then Brent-cycle Pollard rho consumes the remaining budget, counted in
 f-evaluations. A Factorization records what was proven and whether the
-job finished, so that the order computations built on it can refuse
-incomplete factorizations rather than silently return multiples.
+job finished. `element_order` turns one into an element's order, given a
+test for g^e = 1; an incomplete one gives a certified divisor of it.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 DEFAULT_BUDGET = 1 << 26  # rho f-evaluations per factor() call
 TRIAL_DIVISION_BOUND = 10 ** 6
@@ -207,6 +208,29 @@ def factor(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
         stack.append(f)
         stack.append(m // f)
     return Factorization(n, found, cofactor)
+
+
+def element_order(
+    fact: Factorization, is_one: Callable[[int], bool]
+) -> Factorization:
+    """ord(g), factored, from a factorization of a multiple N = fact.n.
+
+    ``is_one(e)`` says whether g^e = 1; the caller has checked g^N = 1.
+    A proven prime p^e of N contributes p^(e - k), k <= e the largest
+    with g^(N/p^k) = 1 (Handbook of Applied Cryptography, Alg. 4.79).
+    Primes dividing the cofactor, whose multiplicity is unknown, are
+    left out, so an incomplete ``fact`` gives a certified divisor.
+    """
+    n, order = fact.n, {}
+    for p, e in sorted(fact.factors.items()):
+        if fact.cofactor % p == 0:
+            continue
+        k = 0
+        while k < e and is_one(n // p ** (k + 1)):
+            k += 1
+        if k < e:
+            order[p] = e - k
+    return Factorization(math.prod(p ** e for p, e in order.items()), order)
 
 
 def _prime_divisors(k: int) -> list[int]:

@@ -19,6 +19,7 @@ from circulant_elgamal.circulant import (
     char_poly_quotient,
     det,
     expand,
+    power,
     row_sum,
 )
 from circulant_elgamal.gf2field import (
@@ -28,6 +29,7 @@ from circulant_elgamal.gf2field import (
     field_make,
     poly_is_irreducible,
     poly_mod_pow,
+    primitive_poly,
 )
 from circulant_elgamal.keygen import (
     NotPrimitive,
@@ -326,6 +328,37 @@ def test_generate_construction_invariant(params311):
     want = poly_mod_pow(params311.tau % ext.modulus, params311.det_order, ext)
     assert Poly.make(spec, params311.A.bits()) % ext.modulus == want
     assert det(params311.A).bits == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_verified_primitive_tau_has_primitive_constant_term(n):
+    # what tau's primitivity gives generate: tau(0) of order q - 1 in F_q,
+    # so det_order = q - 1 on every verified draw
+    spec = field_make(n)
+    q = 1 << n
+    rng = random.Random(n)
+    for degree in (1, 2, 4, 6, 10):
+        for _ in range(4):
+            got = primitive_poly(degree, spec, rng)
+            assert got.primitivity_verified
+            tau0 = got.poly.coeffs[0]
+            assert len({spec.pow(tau0, i) for i in range(q - 1)}) == q - 1
+
+
+def test_tau0_is_not_det_psi_but_det_a_is_one():
+    # psi = tau mod Phi carries tau(zeta), a value of tau, on Phi: det(circ
+    # psi) is not tau(0), and det(A) = det(psi)^(q - 1) = 1 all the same
+    differ = 0
+    for seed in range(4):
+        p = generate(3, 11, seed=seed)
+        s = p.tau.evaluate(1)
+        psi = Circulant.from_bits(
+            p.spec, [c ^ 1 ^ s for c in p.tau.coeffs[:-1]] + [s]
+        )
+        assert power(psi, p.det_order) == p.A
+        assert p.det_order == 7 and det(p.A).bits == 1
+        differ += det(psi).bits != p.tau.coeffs[0]
+    assert differ > 0
 
 
 def test_generate_rejects_non_primitive_cells():

@@ -1,4 +1,8 @@
-"""Integer number theory, cross-checked against brute force and sympy."""
+"""Integer number theory, cross-checked against brute force and sympy.
+
+Element orders are checked on the three groups the library asks about:
+units of F_(2^n), x mod an irreducible tau, and units of the circulant
+ring."""
 
 import math
 import random
@@ -6,6 +10,16 @@ import random
 import pytest
 import sympy
 
+from circulant_elgamal.circulant import Circulant, det
+from circulant_elgamal.gf2field import (
+    ExtensionSpec,
+    Poly,
+    _ring,
+    field_make,
+    poly_is_irreducible,
+    poly_mod_mul,
+    poly_mod_pow,
+)
 from circulant_elgamal.numtheory import (
     DNotPrime,
     Factorization,
@@ -13,6 +27,7 @@ from circulant_elgamal.numtheory import (
     NotAUnit,
     NotCoprime,
     _small_primes,
+    element_order,
     factor,
     integer_crt,
     is_prime,
@@ -135,6 +150,122 @@ def test_factorization_helpers():
     assert f.primes() == [2, 3]
     assert not Factorization(24, {2: 3}, 3).complete
     assert not Factorization(24, {2: 2}, 1).check()
+
+
+# ---------------------------------------------------------------------------
+# element orders, against brute force in F_(2^n), F_2[x]/tau and the
+# circulant rings
+
+
+def _brute_order(g, mul, one):
+    t, cur = 1, g
+    while cur != one:
+        cur, t = mul(cur, g), t + 1
+    return t
+
+
+def _valuation(n, p):
+    v = 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    return v
+
+
+def _field_units(n):
+    """(N, is_one, brute-force order) for every unit of F_(2^n)."""
+    spec = field_make(n)
+    big_n = (1 << n) - 1
+    for a in range(1, big_n + 1):
+        is_one = lambda e, a=a: spec.pow(a, e) == 1  # noqa: E731
+        yield big_n, is_one, _brute_order(a, spec.mul, 1)
+
+
+def _x_mod_irreducibles(max_degree):
+    """(N, is_one, brute-force order) of x mod each irreducible tau over GF(2)."""
+    s1 = field_make(1)
+    x = Poly.x(s1)
+    for k in range(1, max_degree + 1):
+        for low in range(1, 1 << k, 2):  # tau(0) != 0, so x is a unit
+            tau = Poly.make(s1, [(low >> i) & 1 for i in range(k)] + [1])
+            if not poly_is_irreducible(tau):
+                continue
+            ext = ExtensionSpec(s1, tau)
+            g = x % tau
+            brute = _brute_order(g, lambda u, v: poly_mod_mul(u, v, ext), ext.one)
+
+            def is_one(e, ext=ext):
+                return poly_mod_pow(x, e, ext) == ext.one
+
+            yield (1 << k) - 1, is_one, brute
+
+
+def _circulant_units(n, d, count, seed):
+    """(N, is_one, brute-force order) of random units of F_q[x]/(x^d - 1);
+    N = q^(d-1) - 1, a multiple of every unit's order for odd prime d."""
+    spec = field_make(n)
+    ring = _ring(spec, d)
+    one = ring.pack([1] + [0] * (d - 1))
+    rng = random.Random(seed)
+    done = 0
+    while done < count:
+        row = Circulant.random(spec, d, rng)
+        if det(row).is_zero():
+            continue
+        a = ring.pack(row.bits())
+        is_one = lambda e, a=a: ring.power(a, e) == one  # noqa: E731
+        yield (1 << n * (d - 1)) - 1, is_one, _brute_order(a, ring.product, one)
+        done += 1
+
+
+def _all_cases():
+    yield from (c for n in range(1, 7) for c in _field_units(n))
+    yield from _x_mod_irreducibles(6)
+    for n, d in ((1, 5), (2, 5), (1, 7)):
+        yield from _circulant_units(n, d, 40, 100 * n + d)
+
+
+def test_element_order_matches_brute_force():
+    seen = set()
+    for big_n, is_one, brute in _all_cases():
+        got = element_order(factor(big_n), is_one)
+        assert got.n == brute and got.complete and got.check()
+        assert all(got.factors.values())  # no prime of exponent 0
+        seen.add((big_n, brute))
+    # orders with p^2, p^1 and p^0 of 3^2 | 63 all occur, and the (2,5) ring
+    assert {(63, 9), (63, 21), (63, 7), (255, 15)} <= seen
+
+
+def test_element_order_of_the_trivial_group():
+    # q = 2: factor(1) is complete with no primes, so every order is 1
+    assert element_order(factor(1), lambda e: False) == Factorization(1, {})
+
+
+def _one_prime_in_the_cofactor(fact):
+    """Each way to move one prime of a complete factorization into the
+    cofactor: all its copies, or (multiplicity >= 2) one copy."""
+    for p, e in fact.factors.items():
+        rest = {r: f for r, f in fact.factors.items() if r != p}
+        yield p, Factorization(fact.n, rest, p ** e)
+        if e > 1:
+            yield p, Factorization(fact.n, {**rest, p: e - 1}, p)
+
+
+def test_element_order_incomplete_certifies_the_other_primes():
+    cases = list(_all_cases())
+    spec = field_make(12)  # 4095 = 3^2 5 7 13; order by scanning divisors
+    divisors = [t for t in range(1, 4096) if 4095 % t == 0]
+    for a in range(1, 4096, 7):
+        is_one = lambda e, a=a: spec.pow(a, e) == 1  # noqa: E731
+        cases.append((4095, is_one, next(t for t in divisors if is_one(t))))
+    for big_n, is_one, brute in cases:
+        for p, fact in _one_prime_in_the_cofactor(factor(big_n)):
+            assert fact.check() and not fact.complete
+            got = element_order(fact, is_one)
+            assert p not in got.factors
+            assert got.check() and brute % got.n == 0
+            for r in fact.factors:
+                if r != p:
+                    assert got.factors.get(r, 0) == _valuation(brute, r)
 
 
 def test_is_primitive_mod_table_anchors():
