@@ -15,8 +15,9 @@ packed and subtracts one kernel product of the divisor a step, and the
 irreducibility test runs on Berlekamp's Q-matrix: x^(q^j) mod p by
 matrix-vector products over F_q whose columns are kernel rows. The
 circulant ring of `circulant` is the same kernel at the matrix size d.
-`primitive_poly` keeps an irreducible tau when x mod tau has order
-q^deg(tau) - 1 (`numtheory.element_order`).
+`primitive_poly` keeps an irreducible tau when x^(N/p) != 1 mod tau
+for every prime p of N = q^deg(tau) - 1, each power a product of the
+Q-matrix's x^(q^j) raised to the base-q digits of N/p.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .numtheory import (
     DEFAULT_BUDGET,
     Factorization,
     _prime_divisors,
-    element_order,
     factor,
 )
 
@@ -813,15 +813,42 @@ def frobenius(a: Poly, ext: ExtensionSpec) -> Poly:
     return r
 
 
+def _frobenius_orbit(p: Poly) -> list[Poly]:
+    """x^(q^j) mod p for j = 0 .. k, k = deg(p) >= 1, p monic, q = 2^n.
+
+    In F_q[x]/p, y -> y^q is F_q-linear, (sum y_i x^i)^q = sum y_i
+    (x^q)^i, so `frobenius` gives x^q, k - 2 products give the columns
+    (x^q)^i of Berlekamp's Q-matrix, and each next x^(q^j) is one
+    matrix-vector product over F_q on the packed kernel.
+    """
+    spec, k = p.spec, p.degree
+    ext = ExtensionSpec(spec, p)
+    x = Poly.x(spec) % p  # p(0) when k = 1
+    xq = frobenius(x, ext)
+    cols = [ext.one, xq]
+    for _ in range(k - 2):
+        cols.append(poly_mod_mul(cols[-1], xq, ext))
+    ring = _ring(spec, k)
+    wins = [ring.window(ring.pack(c.coeffs)) for c in cols[:k]]
+    w, mask, mul = ring.width, (1 << spec.n) - 1, ring.mul
+    ys = [ring.pack(x.coeffs), ring.pack(xq.coeffs)]
+    for _ in range(1, k):
+        # mul reduces each column's product on its own: reduction is linear
+        y, nxt = ys[-1], 0
+        for i, win in enumerate(wins):
+            c = y >> i * w & mask
+            if c:
+                nxt ^= mul(win, c)
+        ys.append(nxt)
+    return [Poly.make(spec, ring.unpack(y)) for y in ys]
+
+
 def poly_is_irreducible(p: Poly) -> bool:
     """Distinct-degree test over F_q, q = 2^n, on Berlekamp's Q-matrix.
 
     p is irreducible when x^(q^k) = x mod p and gcd(x^(q^(k/r)) - x, p)
-    = 1 for every prime r dividing k. In F_q[x]/p the map y -> y^q is
-    F_q-linear, (sum y_i x^i)^q = sum y_i (x^q)^i, so `frobenius` gives
-    x^q, k - 2 products give the columns (x^q)^i, and each next x^(q^j)
-    is one matrix-vector product over F_q: the columns scaled by the
-    coefficients of the last one, on the packed kernel.
+    = 1 for every prime r dividing k; `_frobenius_orbit` gives the
+    x^(q^j).
     """
     k = p.degree
     if k <= 0:
@@ -830,32 +857,61 @@ def poly_is_irreducible(p: Poly) -> bool:
         return True
     if p.coeffs[0] == 0:
         return False  # divisible by x
-    spec = p.spec
-    ext = ExtensionSpec(spec, p.monic())
-    x = Poly.x(spec)
-    xq = frobenius(x, ext)
-    cols = [ext.one, xq]
-    for _ in range(k - 2):
-        cols.append(poly_mod_mul(cols[-1], xq, ext))
-    ring = _ring(spec, k)
-    wins = [ring.window(ring.pack(c.coeffs)) for c in cols]
-    w, mask, mul = ring.width, (1 << spec.n) - 1, ring.mul
-    keep = dict.fromkeys(k // r for r in _prime_divisors(k))  # all below k
-    y = ring.pack(xq.coeffs)  # x^(q^j), j = 1 .. k
-    for j in range(1, k):
-        if j in keep:
-            keep[j] = y
-        # mul reduces each column's product on its own: reduction is linear
-        nxt = 0
-        for i, win in enumerate(wins):
-            c = y >> i * w & mask
-            if c:
-                nxt ^= mul(win, c)
-        y = nxt
-    return y == ring.pack(x.coeffs) and all(
-        poly_gcd(Poly.make(spec, ring.unpack(v)) + x, ext.modulus).degree <= 0
-        for v in keep.values()
+    p = p.monic()
+    ys = _frobenius_orbit(p)
+    x = ys[0]
+    return ys[k] == x and all(
+        poly_gcd(ys[k // r] + x, p).degree <= 0 for r in _prime_divisors(k)
     )
+
+
+# Frobenius digits per subset-product table of `_x_is_primitive`
+_DIGIT_BLOCK = 4
+
+
+def _x_is_primitive(tau: Poly, fact: Factorization) -> bool:
+    """Does x generate (F_q[x]/tau)*, tau monic irreducible of degree k
+    and ``fact`` the complete factorization of N = q^k - 1?
+
+    It does when x^(N/p) != 1 for every prime p of N (Lidl-Niederreiter,
+    ch. 3). With y_j = x^(q^j) (`_frobenius_orbit`), x^e = prod_j
+    y_j^(e_j) for the base-q digits e_j of e (von zur Gathen-Shoup
+    1992): one pass over the n bit positions of the digits, a squaring
+    per position and at most one product per block of `_DIGIT_BLOCK`
+    digits, from subset-product tables that all primes share. The
+    primes go in ascending order, and the first that rejects stops it.
+    """
+    spec, k, g = tau.spec, tau.degree, _DIGIT_BLOCK
+    ext, n = ExtensionSpec(spec, tau), spec.n
+    ys = _frobenius_orbit(tau)[:k]
+    blocks = [ys[i : i + g] for i in range(0, k, g)]
+    table = {}  # (G, S): the product of blocks[G][j] over the bits j of S
+
+    def entry(G: int, S: int) -> Poly:
+        r = table.get((G, S))
+        if r is None:
+            top = S.bit_length() - 1
+            r = blocks[G][top]
+            if S != 1 << top:
+                r = poly_mod_mul(entry(G, S ^ 1 << top), r, ext)
+            table[G, S] = r
+        return r
+
+    for p in fact.primes():
+        e = fact.n // p
+        digits = [e >> n * j & (1 << n) - 1 for j in range(k)]
+        chunks = [digits[i : i + g] for i in range(0, k, g)]
+        r = None
+        for b in reversed(range(n)):
+            if r is not None:
+                r = poly_mod_square(r, ext)
+            for G, chunk in enumerate(chunks):
+                S = sum((digit >> b & 1) << j for j, digit in enumerate(chunk))
+                if S:
+                    r = entry(G, S) if r is None else poly_mod_mul(r, entry(G, S), ext)
+        if r == ext.one:
+            return False
+    return True
 
 
 class PrimitivePoly(NamedTuple):
@@ -872,8 +928,10 @@ def primitive_poly(
 ) -> PrimitivePoly:
     """Random monic primitive polynomial of the given degree over GF(2^n).
 
-    Primitivity needs the factorization of q^degree - 1; when the budget
-    cannot finish it, the first irreducible candidate is returned with
+    Each draw is tested for irreducibility, and an irreducible one is
+    kept when x generates (F_q[x]/tau)* (`_x_is_primitive`). That needs
+    the factorization of q^degree - 1; when the budget cannot finish it,
+    the first irreducible candidate is returned with
     ``primitivity_verified`` False.
     """
     if degree < 1:
@@ -890,10 +948,7 @@ def primitive_poly(
             continue
         if not fact.complete:
             return PrimitivePoly(cand, fact, False)
-        # irreducibility showed x^(q^degree) = x, so x^group = 1 already
-        ext, x = ExtensionSpec(base, cand), Poly.x(base)
-        order = element_order(fact, lambda e: poly_mod_pow(x, e, ext) == ext.one)
-        if order.n == group:
+        if _x_is_primitive(cand, fact):
             return PrimitivePoly(cand, fact, True)
     raise BudgetExceeded(
         f"no primitive polynomial of degree {degree} found in {max_draws} draws"

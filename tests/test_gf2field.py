@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.abc import t
 
+from circulant_elgamal import gf2field
 from circulant_elgamal.gf2field import (
     BudgetExceeded,
     ExtensionSpec,
@@ -29,6 +30,7 @@ from circulant_elgamal.gf2field import (
     _pmod,
     _pmul,
     _Ring,
+    _x_is_primitive,
     field_make,
     frobenius,
     linear_factor_product,
@@ -527,6 +529,77 @@ def test_primitive_poly_deterministic():
     a = primitive_poly(4, s3, random.Random(20))
     b = primitive_poly(4, s3, random.Random(20))
     assert a.poly == b.poly
+
+
+@pytest.mark.parametrize(
+    "n, degrees",
+    [(1, (1, 2, 4, 6, 10, 12)), (3, (1, 2, 4, 10)), (11, (1, 2, 5)), (17, (1, 2, 3))],
+)
+def test_x_is_primitive_matches_order_oracle(n, degrees):
+    # random irreducible tau, and for each prime p of N = q^k - 1 the
+    # minimal polynomial of g^p, g the x of a primitive tau: x mod it has
+    # order N/p, so p is the one prime that rejects it
+    spec, rng = field_make(n), random.Random(300 + n)
+    x = Poly.x(spec)
+    verdicts, single = set(), 0
+    for k in degrees:
+        N = (1 << n * k) - 1
+        fact = factor(N)
+        assert fact.complete
+        taus = []
+        for _ in range(400):
+            c = [spec.rand(rng) for _ in range(k)] + [1]
+            c[0] = c[0] or 1
+            tau = Poly.make(spec, c)
+            if poly_is_irreducible(tau):
+                taus.append(tau)
+                if len(taus) == 6:
+                    break
+        ext = ExtensionSpec(spec, primitive_poly(k, spec, rng).poly)
+        assert _poly_order(x, ext, fact) == N
+        for p in fact.primes():
+            tau = min_poly_over_base(poly_mod_pow(x, p, ext), ext)
+            if tau.degree == k:
+                taus.append(tau)
+                single += 1
+        for tau in taus:
+            order = _poly_order(x, ExtensionSpec(spec, tau), fact)
+            assert _x_is_primitive(tau, fact) == (order == N), (k, tau)
+            verdicts.add(order == N)
+    assert verdicts == {True, False} and single >= len(degrees)
+
+
+# seeds whose runs see reducible draws and rejected irreducible ones
+@pytest.mark.parametrize("n, degree, seed", [(1, 10, 7), (3, 10, 5), (2, 4, 1)])
+def test_primitive_poly_tests_each_draw_once(monkeypatch, n, degree, seed):
+    # the tracer's draw_yield divides results by the irreducibility tests
+    # under primitive_poly, so each draw must be tested exactly once, and
+    # the first candidate that passes both tests is the result
+    spec = field_make(n)
+    tested, verdicts = [], []
+    irreducible, primitive = gf2field.poly_is_irreducible, gf2field._x_is_primitive
+
+    def count_irreducible(p):
+        tested.append(p)
+        return irreducible(p)
+
+    def count_primitive(tau, fact):
+        verdicts.append(primitive(tau, fact))
+        return verdicts[-1]
+
+    monkeypatch.setattr(gf2field, "poly_is_irreducible", count_irreducible)
+    monkeypatch.setattr(gf2field, "_x_is_primitive", count_primitive)
+    got = primitive_poly(degree, spec, random.Random(seed))
+    replay = random.Random(seed)
+    for cand in tested:
+        c = [spec.rand(replay) for _ in range(degree)] + [1]
+        if c[0] == 0:
+            c[0] = 1 + replay.randrange(spec.order)
+        assert cand == Poly.make(spec, c)
+    assert got.primitivity_verified and got.poly == tested[-1]
+    assert verdicts == [False] * (len(verdicts) - 1) + [True]
+    assert len(verdicts) == sum(map(irreducible, tested))
+    assert len(tested) > len(verdicts) > 1
 
 
 def min_poly_over_base(a: Poly, ext: ExtensionSpec) -> Poly:
