@@ -123,10 +123,11 @@ def expanded_matvec(a, v):
 
 # ---------------------------------------------------------------------------
 # fixed cases: every field and dimension, including all-ones rows, whose
-# products fill every high bit of every slot
+# products fill every high bit of every slot, and the zero row
 
 def rows(spec, d, rng):
     top = spec.order
+    yield [0] * d
     yield [top] * d
     yield [top] + [0] * (d - 1)
     yield [0] * (d - 1) + [top]
@@ -143,6 +144,10 @@ def test_mul_matches_convolution(n, dense, d):
         a, b = Circulant.from_bits(spec, av), Circulant.from_bits(spec, bv)
         assert mul(a, b).bits() == convolve(av, bv, spec)
         assert mul(a, a).bits() == convolve(av, av, spec)
+        # the fixed row as the multiplier the kernel reads a byte at a time:
+        # empty (zero), one coefficient (as `Poly.__divmod__` passes it),
+        # only the top slot set
+        assert mul(b, a).bits() == convolve(bv, av, spec)
 
 
 @pytest.mark.parametrize("n,dense", SPECS)
@@ -189,7 +194,6 @@ def test_inverse_matches_euclid(n, dense, d):
     cases = list(rows(spec, d, rng)) + [[spec.rand(rng) for _ in range(d)]]
     if x1 is not None:
         cases.append(mul(Circulant.from_bits(spec, cases[-1]), x1).bits())
-    cases.append([0] * d)
     singular = 0
     for av in cases:
         a = Circulant.from_bits(spec, av)
