@@ -3,9 +3,14 @@
 Everything operates on plain Python ints. Factoring is budgeted so callers
 can bound work on large inputs: trial division runs below a fixed bound,
 then Brent-cycle Pollard rho consumes the remaining budget, counted in
-f-evaluations. A Factorization records what was proven and whether the
-job finished. `element_order` turns one into an element's order, given a
-test for g^e = 1; an incomplete one gives a certified divisor of it.
+f-evaluations. Every number the library factors is 2^N - 1, and a prime p
+divides it exactly when ord_p(2) divides N; so trial division of 2^N - 1
+tries only the primes 1 mod k, or 1 mod 2k for odd k, for each divisor k of
+N (Brillhart et al., *Factorizations of b^n +- 1*), and finds what a scan
+of every prime below the bound finds. A Factorization records what was
+proven and whether the job finished. `element_order` turns one into an
+element's order, given a test for g^e = 1; an incomplete one gives a
+certified divisor of it.
 """
 
 from __future__ import annotations
@@ -123,14 +128,16 @@ class Factorization:
 
 
 @lru_cache(maxsize=None)
-def _small_primes() -> tuple[int, ...]:
+def _small_primes() -> bytearray:
+    """Primality flags below the trial bound: entry i is 1 exactly when i
+    is prime (sieve of Eratosthenes)."""
     bound = TRIAL_DIVISION_BOUND
     sieve = bytearray([1]) * bound
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(bound) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return tuple(itertools.compress(range(bound), sieve))
+            sieve[i * i :: i] = bytes(len(range(i * i, bound, i)))
+    return sieve
 
 
 def _rho_brent(n: int, budget: int) -> tuple[int | None, int]:
@@ -174,23 +181,59 @@ def _rho_brent(n: int, budget: int) -> tuple[int | None, int]:
     return None, used
 
 
+def _trial_walks(n: int) -> list[tuple[int, int]]:
+    """(step, top) of each progression 1 + j step < top, j >= 1, whose
+    primes trial division of n tries, in the order it tries them.
+
+    A prime p divides 2^N - 1 exactly when k = ord_p(2) divides N, and then
+    k | p - 1 and p < 2^k; p is odd, so p = 1 mod 2k for odd k. For
+    n = 2^N - 1 that is one walk per divisor k >= 2 of N, ascending, with
+    step k for even k and 2k for odd k, except that a walk whose step is a
+    multiple of an earlier walk's that reached the bound is left out: that
+    walk tried its every candidate. Any other n gets 2 and then the odd
+    numbers, an ascending scan of every prime.
+    """
+    if n & (n + 1):
+        return [(1, 3), (2, TRIAL_DIVISION_BOUND)]
+    big_n, walks = n.bit_length(), []
+    for k in range(2, big_n + 1):
+        if big_n % k:
+            continue
+        step = k if k % 2 == 0 else 2 * k
+        if not any(
+            step % s == 0 for s, top in walks if top >= TRIAL_DIVISION_BOUND
+        ):
+            walks.append((step, 1 << k))
+    return walks
+
+
 @lru_cache(maxsize=512)
 def factor(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     """Factor n >= 1 within a work budget.
 
     Trial division below 10^6 first, then budgeted Brent rho on what
     remains. Composite leftovers end up multiplied into ``cofactor``.
+
+    Trial division tries only the primes that can divide n (every prime
+    unless n = 2^N - 1; see ``_trial_walks``), each walk stopping once p^2
+    exceeds what is left. A prime below 10^6 that it leaves undivided is
+    then the whole of what is left, so the result is the one a scan of
+    every prime below 10^6 in ascending order gives.
     """
     if n < 1:
         raise ValueError("factor() wants n >= 1")
     found: dict[int, int] = {}
     m = n
-    for p in _small_primes():
-        if p * p > m:
-            break
-        while m % p == 0:
-            found[p] = found.get(p, 0) + 1
-            m //= p
+    sieve = _small_primes()
+    for step, top in _trial_walks(n):
+        stop = min(TRIAL_DIVISION_BOUND, top, math.isqrt(m) + 1)
+        walk = range(1 + step, stop, step)
+        for p in itertools.compress(walk, sieve[1 + step : stop : step]):
+            if p * p > m:
+                break
+            while m % p == 0:
+                found[p] = found.get(p, 0) + 1
+                m //= p
     stack = [m] if m > 1 else []
     cofactor = 1
     remaining = budget

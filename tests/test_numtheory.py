@@ -4,6 +4,8 @@ Element orders are checked on the three groups the library asks about:
 units of F_(2^n), x mod an irreducible tau, and units of the circulant
 ring."""
 
+import functools
+import itertools
 import math
 import random
 
@@ -34,6 +36,7 @@ from circulant_elgamal.numtheory import (
     is_primitive_mod,
     mod_pow,
 )
+from circulant_elgamal.security import load_reference_security
 
 BIG_PRIME = 7993364465170792998716337691033251350895453313
 
@@ -81,8 +84,15 @@ def test_is_prime_matches_sympy():
         assert is_prime(n) == sympy.isprime(n)
 
 
+@functools.lru_cache(maxsize=None)
+def _primes_below_bound():
+    return tuple(sympy.primerange(2, 10 ** 6))
+
+
 def test_small_primes_match_sympy():
-    assert _small_primes() == tuple(sympy.primerange(2, 10 ** 6))
+    sieve = _small_primes()
+    flagged = tuple(itertools.compress(range(len(sieve)), sieve))
+    assert len(sieve) == 10 ** 6 and flagged == _primes_below_bound()
 
 
 def test_factor_known_values():
@@ -137,6 +147,75 @@ def test_factor_reassembly_property():
                 assert is_prime(p)
                 prod *= p ** e
             assert prod == n
+
+
+@functools.lru_cache(maxsize=None)
+def _prime_blocks():
+    """The primes below 10^6 in ascending runs of 512, with their products."""
+    primes = _primes_below_bound()
+    blocks = [primes[i : i + 512] for i in range(0, len(primes), 512)]
+    return [(block, math.prod(block)) for block in blocks]
+
+
+def _full_scan(n):
+    """factor()'s trial division before it walked only the primes that can
+    divide 2^N - 1: every prime below 10^6 in ascending order, stopping
+    once p^2 exceeds what is left. Returns (primes found, what is left).
+
+    A run of primes that ends at or below the square root of what is left
+    and shares no factor with it is passed over whole, as the loop would
+    neither divide nor stop inside it; that keeps the oracle fast."""
+    found, m = {}, n
+    for block, product in _prime_blocks():
+        if block[-1] ** 2 <= m and math.gcd(m, product) == 1:
+            continue
+        for p in block:
+            if p * p > m:
+                return found, m
+            while m % p == 0:
+                found[p] = found.get(p, 0) + 1
+                m //= p
+    return found, m
+
+
+# one f-evaluation: rho never splits what trial division leaves, so the
+# result shows exactly what trial division found
+NO_RHO = 1
+
+
+def _factor_by_full_scan(n):
+    found, m = _full_scan(n)
+    if m > 1 and (m < 10 ** 12 or sympy.isprime(m)):
+        # what the scan leaves has no prime factor below 10^6, so below
+        # 10^12 it is prime
+        found[m] = found.get(m, 0) + 1
+        m = 1
+    return Factorization(n, found, m)
+
+
+def _mersenne_exponents():
+    table2 = {row.n * (row.d - 1) for row in load_reference_security()}
+    return sorted(set(range(1, 301)) | table2 | {470, 1068})
+
+
+def test_factor_matches_full_scan_on_mersenne_numbers():
+    exponents = _mersenne_exponents()
+    assert len(exponents) > 300 + 40
+    for big_n in exponents:
+        n = (1 << big_n) - 1
+        assert factor(n, NO_RHO) == _factor_by_full_scan(n), big_n
+
+
+def test_factor_matches_full_scan_on_other_numbers():
+    rng = random.Random(14)
+    numbers = [rng.getrandbits(rng.randrange(5, 121)) for _ in range(50)]
+    near = (999959, 999961, 999979, 999983)  # the largest primes below 10^6
+    above = (1000003, 1000033)
+    numbers += [p * p for p in near] + [p * p * q for p in near for q in above]
+    numbers = [n for n in numbers if n & (n + 1)]  # not 2^N - 1
+    assert len(numbers) > 55
+    for n in numbers:
+        assert factor(n, NO_RHO) == _factor_by_full_scan(n), n
 
 
 def test_factor_rejects_nonpositive():
