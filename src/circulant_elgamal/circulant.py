@@ -19,7 +19,6 @@ kept as a test oracle.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .gf2field import (
@@ -49,7 +48,6 @@ class PhiReducible(ValueError):
     pass
 
 
-@dataclass
 class OpCounter:
     """Cost telemetry for exponentiation.
 
@@ -61,9 +59,10 @@ class OpCounter:
     schedule it runs.
     """
 
-    general_mults: int = 0
-    field_mults: int = 0
-    squarings: int = 0
+    def __init__(self):
+        self.general_mults = 0
+        self.field_mults = 0
+        self.squarings = 0
 
     def count_mul(self, d: int) -> None:
         self.general_mults += 1
@@ -79,19 +78,33 @@ class OpCounter:
         self.field_mults += d * d * mults
 
 
-@dataclass(frozen=True)
 class Circulant:
-    """First row of a d x d circulant matrix; equality is row-wise."""
+    """First row of a d x d circulant matrix.
 
-    coeffs: tuple[FieldElement, ...]
-    spec: FieldSpec
+    Equal and hashed by (coeffs, spec); never equal to another class.
+    """
 
-    def __post_init__(self):
-        if not self.coeffs:
+    __slots__ = ("coeffs", "spec")
+
+    def __init__(self, coeffs: tuple[FieldElement, ...], spec: FieldSpec):
+        if not coeffs:
             raise ValueError("a circulant needs at least one coefficient")
-        for c in self.coeffs:
-            if c.spec != self.spec:
+        for c in coeffs:
+            if c.spec != spec:
                 raise SpecMismatch("coefficient from a different field")
+        self.coeffs = coeffs
+        self.spec = spec
+
+    def __eq__(self, other):
+        if other.__class__ is not Circulant:
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.spec == other.spec
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs, self.spec))
+
+    def __repr__(self) -> str:
+        return f"Circulant(coeffs={self.coeffs!r}, spec={self.spec!r})"
 
     @property
     def d(self) -> int:

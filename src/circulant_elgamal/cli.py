@@ -27,11 +27,9 @@ import sys
 import time
 from pathlib import Path
 
-from . import elgamal, fileio, security
-from . import keygen as kg
-from .circulant import Circulant, OpCounter, power
-from .dlp import NotFound, solve_circulant_dlp
-from .gf2field import field_make
+# Each command imports the modules it runs, so a process that runs one
+# command neither compiles nor builds the rest of the package.
+from . import fileio
 from .numtheory import DEFAULT_BUDGET, IncompleteFactorization
 
 
@@ -89,6 +87,7 @@ def _resolve_seed(explicit: int | None) -> int | None:
 # subcommands
 
 def cmd_params_gen(args) -> int:
+    from . import keygen as kg
     ps = kg.generate(args.n, args.d, _resolve_seed(args.seed), args.factor_budget)
     kg.save_params(ps, args.out)
     _emit("n", ps.n)
@@ -103,6 +102,7 @@ def cmd_params_gen(args) -> int:
 
 
 def cmd_params_check(args) -> int:
+    from . import keygen as kg
     ps = kg.load_params(args.file)
     report = kg.five_conditions(ps.A)
     for key, ok in report.lines():
@@ -112,6 +112,8 @@ def cmd_params_check(args) -> int:
 
 
 def cmd_keygen(args) -> int:
+    from . import elgamal
+    from . import keygen as kg
     ps = kg.load_params(args.params)
     priv, pub = elgamal.keygen(ps, _resolve_seed(args.seed))
     elgamal.save_private(priv, args.out_priv)
@@ -124,6 +126,8 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_encrypt(args) -> int:
+    from . import elgamal
+    from .circulant import Circulant
     pub = elgamal.load_public(args.pub)
     spec, d = pub.A.spec, pub.A.d
     rng = elgamal._rng(_resolve_seed(args.seed))
@@ -147,6 +151,7 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
+    from . import elgamal
     priv = elgamal.load_private(args.priv)
     spec, d, cts, length = elgamal.load_ciphertexts(args.ct)
     if spec != priv.params.spec or d != priv.params.d:
@@ -167,6 +172,9 @@ def cmd_decrypt(args) -> int:
 
 
 def cmd_attack_dlp(args) -> int:
+    from . import elgamal
+    from . import keygen as kg
+    from .dlp import NotFound, solve_circulant_dlp
     ps = kg.load_params(args.params)
     pub = elgamal.load_public(args.pub)
     if pub.A != ps.A:
@@ -183,6 +191,7 @@ def cmd_attack_dlp(args) -> int:
 
 
 def cmd_security_estimate(args) -> int:
+    from . import security
     r = security.estimate(args.n, args.d)
     _emit("n", r.n)
     _emit("d", r.d)
@@ -193,6 +202,7 @@ def cmd_security_estimate(args) -> int:
 
 
 def cmd_security_tables(args) -> int:
+    from . import security
     if args.n_lo > args.n_hi or args.d_lo > args.d_hi:
         raise _UsageError("empty range: require --n-lo <= --n-hi and --d-lo <= --d-hi")
     ns = range(args.n_lo, args.n_hi + 1)
@@ -210,6 +220,7 @@ def cmd_security_tables(args) -> int:
 
 
 def cmd_security_verify_paper(args) -> int:
+    from . import security
     checks = security.verify_reference_primes()
     all_ok = True
     for i, c in enumerate(checks, 1):
@@ -227,6 +238,8 @@ def cmd_security_verify_paper(args) -> int:
 
 
 def cmd_bench_pow(args) -> int:
+    from .circulant import Circulant, OpCounter, power
+    from .gf2field import field_make
     spec = field_make(args.n)
     rng = random.Random(_resolve_seed(args.seed))
     total_general = total_field = total_sq = 0
@@ -373,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     except fileio.FileFormatError as exc:
         _diag(str(exc))
         return 2
-    except (NotFound, IncompleteFactorization) as exc:
+    except IncompleteFactorization as exc:
         _diag(str(exc))
         return 3
     except (ValueError, ArithmeticError, RuntimeError) as exc:

@@ -15,19 +15,23 @@ def read_kv(path: str | os.PathLike) -> list[tuple[str, str]]:
     Blank lines are ignored; anything else must contain '='. Duplicate
     keys are preserved in order (ciphertext files repeat Ar/w per block).
     """
-    pairs = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FileFormatError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not key:
-                raise FileFormatError(f"{path}:{lineno}: empty key")
-            pairs.append((key, value))
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError:
+            raise FileFormatError(f"{path}: not UTF-8 text") from None
+    pairs = []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FileFormatError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not key:
+            raise FileFormatError(f"{path}:{lineno}: empty key")
+        pairs.append((key, value))
     return pairs
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -275,16 +274,27 @@ def field_make(n: int) -> FieldSpec:
         cand += 2
 
 
-@dataclass(frozen=True)
 class FieldElement:
-    """A residue in GF(2^n); bit i of ``bits`` is the coefficient of t^i."""
+    """A residue in GF(2^n); bit i of ``bits`` is the coefficient of t^i.
 
-    bits: int
-    spec: FieldSpec
+    Equal and hashed by (bits, spec); never equal to another class.
+    """
 
-    def __post_init__(self):
-        if not 0 <= self.bits <= self.spec.order:
-            raise ValueError(f"value {self.bits:#x} out of range for GF(2^{self.spec.n})")
+    __slots__ = ("bits", "spec")
+
+    def __init__(self, bits: int, spec: FieldSpec):
+        if not 0 <= bits <= spec.order:
+            raise ValueError(f"value {bits:#x} out of range for GF(2^{spec.n})")
+        self.bits = bits
+        self.spec = spec
+
+    def __eq__(self, other):
+        if other.__class__ is not FieldElement:
+            return NotImplemented
+        return self.bits == other.bits and self.spec == other.spec
+
+    def __hash__(self) -> int:
+        return hash((self.bits, self.spec))
 
     def _same(self, other: "FieldElement") -> None:
         if self.spec != other.spec:
@@ -335,15 +345,26 @@ class FieldElement:
 # ---------------------------------------------------------------------------
 # polynomials over GF(2^n)
 
-@dataclass(frozen=True)
 class Poly:
     """Polynomial over a FieldSpec; coeffs[i] (an int) multiplies x^i.
 
     Normalized: no trailing zero coefficients, the zero polynomial is ().
+    Equal and hashed by (coeffs, spec); never equal to another class.
     """
 
-    coeffs: tuple[int, ...]
-    spec: FieldSpec
+    __slots__ = ("coeffs", "spec")
+
+    def __init__(self, coeffs: tuple[int, ...], spec: FieldSpec):
+        self.coeffs = coeffs
+        self.spec = spec
+
+    def __eq__(self, other):
+        if other.__class__ is not Poly:
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.spec == other.spec
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs, self.spec))
 
     @classmethod
     def make(cls, spec: FieldSpec, coeffs: Iterable[int]) -> "Poly":

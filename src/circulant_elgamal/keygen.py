@@ -15,7 +15,6 @@ det(psi)^(q-1) = 1.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import fileio
@@ -43,8 +42,7 @@ class RetriesExhausted(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     det_one: bool
     row_sum_one: bool
     d_prime: bool
@@ -76,8 +74,7 @@ class OrderInfo(NamedTuple):
     exact: bool
 
 
-@dataclass(frozen=True)
-class ParamSet:
+class ParamSet(NamedTuple):
     spec: FieldSpec
     d: int
     A: Circulant

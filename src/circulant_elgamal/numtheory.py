@@ -18,9 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 DEFAULT_BUDGET = 1 << 26  # rho f-evaluations per factor() call
 TRIAL_DIVISION_BOUND = 10 ** 6
@@ -101,8 +100,7 @@ def is_prime(n: int, rng: random.Random | None = None) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Partial or complete factorization of ``n``.
 
     factors maps proven primes to multiplicities; cofactor is the
@@ -110,7 +108,7 @@ class Factorization:
     """
 
     n: int
-    factors: dict[int, int] = field(default_factory=dict)
+    factors: dict[int, int]
     cofactor: int = 1
 
     @property

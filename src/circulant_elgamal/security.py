@@ -11,7 +11,6 @@ example primes shipped under data/.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from importlib.resources import files
 from typing import Iterable, NamedTuple
 
@@ -45,8 +44,7 @@ def scan_primitive_pairs(
     ]
 
 
-@dataclass(frozen=True)
-class SecurityReport:
+class SecurityReport(NamedTuple):
     n: int
     d: int
     primitive: bool
@@ -202,8 +200,7 @@ def verify_reference_security_bits() -> list[tuple[ReferenceRow, bool]]:
 # ---------------------------------------------------------------------------
 # the six worked-example primes
 
-@dataclass(frozen=True)
-class ReferencePrime:
+class ReferencePrime(NamedTuple):
     n: int
     d: int
     p: int
@@ -241,8 +238,7 @@ REFERENCE_PRIMES = (
 )
 
 
-@dataclass(frozen=True)
-class PrimeCheck:
+class PrimeCheck(NamedTuple):
     ref: ReferencePrime
     is_prime_ok: bool
     divides_ok: bool

@@ -31,6 +31,7 @@ from circulant_elgamal.gf2field import (
     ExtensionSpec,
     FieldElement,
     Poly,
+    SpecMismatch,
     field_make,
     poly_mod_mul,
 )
@@ -125,6 +126,26 @@ def test_square_rejects_even_d():
     spec = field_make(1)
     with pytest.raises(EvenD):
         square(C(spec, 1, 1, 0, 1))
+
+
+def test_circulant_compares_and_hashes_by_row_and_spec():
+    spec, other = field_make(3), field_make(4)
+    a, b = C(spec, 1, 2), C(spec, 1, 2)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != C(spec, 1, 3) and a != C(spec, 1, 2, 0) and a != C(other, 1, 2)
+    assert a != (a.coeffs, spec) and a.__eq__(a.coeffs) is NotImplemented
+    assert repr(a) == (
+        "Circulant(coeffs=(FieldElement(0x1, GF(2^3)), FieldElement(0x2, GF(2^3))),"
+        " spec=FieldSpec(n=3, modulus=0xb))"
+    )
+    with pytest.raises(ValueError):
+        Circulant((), spec)
+    with pytest.raises(SpecMismatch):
+        Circulant((FieldElement(1, spec), FieldElement(1, other)), spec)
+    with pytest.raises(SpecMismatch):
+        Circulant((FieldElement(1, other),), spec)
+    with pytest.raises(ValueError):
+        C(spec, 1, 8)
 
 
 def test_op_counter_posts():

@@ -466,6 +466,20 @@ def test_mutated_files_exit_0_or_2(hostile_setup, kind, data):
     assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("kind", ("params", "pub", "ct"))
+def test_non_utf8_file_exits_2_naming_it(hostile_setup, kind):
+    root, files, priv, plain = hostile_setup
+    path = root / f"latin1.{kind}"
+    path.write_bytes(b"\xff" + Path(files[kind]).read_bytes())
+    out = str(root / "out")
+    argv = {
+        "params": ["params", "check", str(path)],
+        "pub": ["encrypt", "--pub", str(path), "--infile", plain, "--out", out],
+        "ct": ["decrypt", "--priv", priv, "--in", str(path), "--out", out],
+    }[kind]
+    assert run_cli(argv) == (2, "", f"{path}: not UTF-8 text\n")
+
+
 # ---------------------------------------------------------------------------
 # exit codes, seeding, determinism
 

@@ -135,8 +135,26 @@ def test_field_element_wrappers():
 
 def test_field_element_rejects_out_of_range_bits():
     spec = field_make(3)
+    for bits in (8, -1):
+        with pytest.raises(ValueError):
+            FieldElement(bits, spec)
+
+
+def test_values_compare_and_hash_by_value_and_spec():
+    spec, other = field_make(8), field_make(3)
+    a, b = FieldElement(5, spec), FieldElement(5, spec)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != FieldElement(6, spec) and a != FieldElement(5, other)
+    assert a != (5, spec) and (5, spec) != a
+    assert a.__eq__(5) is NotImplemented
+    assert repr(a) == "FieldElement(0x5, GF(2^8))"
+    p, q = Poly.make(spec, (1, 0, 2, 0)), Poly((1, 0, 2), spec)
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    assert p != Poly((1, 0, 3), spec) and p != Poly((1, 0, 2), other)
+    assert p != ((1, 0, 2), spec) and p.__eq__(p.coeffs) is NotImplemented
+    assert repr(p) == "Poly(0x1*x^0 + 0x2*x^2, GF(2^8))"
     with pytest.raises(ValueError):
-        FieldElement(8, spec)
+        Poly.make(other, (8,))
 
 
 def test_fieldspec_rejects_reducible_modulus():

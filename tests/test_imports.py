@@ -1,0 +1,162 @@
+"""What a command imports: each CLI command loads only the modules it
+runs, the package exports its names lazily, and no module builds a
+dataclass.
+
+A command runs in a fresh interpreter, as a user runs it, and reports
+the package modules it loaded. The lazy exports are checked against the
+modules that bind them, and the bench's tracer, installed in process,
+must still see the calls a command makes through its local imports.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import circulant_elgamal
+
+from test_cli import run_cli
+from test_tracing import load_tracing
+
+# Runs `cli.main(argv)` (or only imports cli, without arguments) and
+# prints, last, the exit code, the package modules loaded and whether
+# the run loaded dataclasses.
+PROBE = """
+import json, sys
+preloaded = "dataclasses" in sys.modules
+from circulant_elgamal import cli
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+prefix = "circulant_elgamal."
+loaded = sorted(m[len(prefix):] for m in sys.modules if m.startswith(prefix))
+print(json.dumps([code, loaded, not preloaded and "dataclasses" in sys.modules]))
+"""
+
+ON_DEMAND = {"elgamal", "dlp", "security"}
+
+
+def probe(*argv):
+    src = str(Path(circulant_elgamal.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def desk(tmp_path_factory):
+    """Files of one (3,11) pipeline, made in process."""
+    root = tmp_path_factory.mktemp("desk")
+    f = {k: str(root / k) for k in ("params", "priv", "pub", "plain", "ct")}
+    Path(f["plain"]).write_bytes(b"circulant")
+    for argv in (
+        ["params", "gen", "--n", "3", "--d", "11", "--seed", "7", "--out", f["params"]],
+        ["keygen", "--params", f["params"], "--out-priv", f["priv"],
+         "--out-pub", f["pub"], "--seed", "8"],
+        ["encrypt", "--pub", f["pub"], "--infile", f["plain"], "--out", f["ct"],
+         "--seed", "9"],
+    ):
+        assert run_cli(argv)[0] == 0
+    return root, f
+
+
+COMMANDS = {
+    "params gen": (
+        lambda r, f: ["params", "gen", "--n", "3", "--d", "11", "--seed", "7",
+                      "--out", str(r / "g.params")],
+        set(),
+    ),
+    "params check": (lambda r, f: ["params", "check", f["params"]], set()),
+    "keygen": (
+        lambda r, f: ["keygen", "--params", f["params"], "--out-priv", str(r / "k"),
+                      "--out-pub", str(r / "k.pub"), "--seed", "8"],
+        {"elgamal"},
+    ),
+    "encrypt": (
+        lambda r, f: ["encrypt", "--pub", f["pub"], "--infile", f["plain"],
+                      "--out", str(r / "e.ct"), "--seed", "9"],
+        {"elgamal"},
+    ),
+    "decrypt": (
+        lambda r, f: ["decrypt", "--priv", f["priv"], "--in", f["ct"],
+                      "--out", str(r / "d.bin")],
+        {"elgamal"},
+    ),
+    "attack dlp": (
+        lambda r, f: ["attack", "dlp", "--params", f["params"], "--pub", f["pub"]],
+        {"elgamal", "dlp"},
+    ),
+    "security estimate": (
+        lambda r, f: ["security", "estimate", "--n", "47", "--d", "11"],
+        {"security"},
+    ),
+    "bench pow": (
+        lambda r, f: ["bench", "pow", "--n", "3", "--d", "11", "--bits", "8",
+                      "--trials", "2", "--seed", "1"],
+        set(),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_loads_only_what_it_runs(desk, command):
+    argv, wanted = COMMANDS[command]
+    code, loaded, dataclasses = probe(*argv(*desk))
+    assert code == 0
+    assert ON_DEMAND & set(loaded) == wanted
+    assert not dataclasses
+
+
+def test_cli_import_loads_no_arithmetic():
+    code, loaded, dataclasses = probe()
+    assert loaded == ["cli", "fileio", "numtheory"]
+    assert not dataclasses
+
+
+def test_lazy_exports_resolve_to_their_home_modules():
+    home = circulant_elgamal._HOME
+    assert sorted(home) == sorted(circulant_elgamal.__all__)
+    for name in circulant_elgamal.__all__:
+        obj = getattr(circulant_elgamal, name)
+        assert obj is getattr(
+            importlib.import_module(f"circulant_elgamal.{home[name]}"), name
+        )
+        assert obj is getattr(sys.modules[obj.__module__], name)
+    namespace = {}
+    exec("from circulant_elgamal import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(circulant_elgamal.__all__)
+    assert set(circulant_elgamal.__all__) <= set(dir(circulant_elgamal))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        circulant_elgamal.no_such_name
+
+
+def test_tracer_sees_calls_under_local_imports(desk):
+    _, f = desk
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        code, stdout, _ = run_cli(
+            ["attack", "dlp", "--params", f["params"], "--pub", f["pub"]]
+        )
+        traced = circulant_elgamal.solve_circulant_dlp
+    finally:
+        tracer.uninstall()
+    assert code == 0 and "verified=true" in stdout
+    names = {sid: (parent, name) for sid, parent, _, name, *_ in tracer.spans}
+    (top,) = [sid for sid, (_, name) in names.items() if name == "cli.main.attack_dlp"]
+    (solve,) = [p for p, name in names.values() if name == "dlp.solve_circulant_dlp"]
+    assert solve == top
+    # the package export follows the tracer in and out
+    solver = importlib.import_module("circulant_elgamal.dlp").solve_circulant_dlp
+    assert traced.__wrapped__ is solver
+    assert circulant_elgamal.solve_circulant_dlp is solver

@@ -309,6 +309,7 @@ def test_generate_determinism():
     b = generate(3, 11, seed=7)
     assert a.A == b.A and a.tau == b.tau and a.det_order == b.det_order
     assert a.order_info == b.order_info
+    assert a == b and a != generate(3, 11, seed=8)
 
 
 def test_generate_respects_order_floor():

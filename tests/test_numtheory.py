@@ -225,6 +225,8 @@ def test_factor_rejects_nonpositive():
 
 def test_factorization_helpers():
     f = Factorization(24, {2: 3, 3: 1}, 1)
+    assert f == Factorization(24, {3: 1, 2: 3}) == factor(24)
+    assert f != Factorization(24, {2: 3}, 3)
     assert f.complete and f.check()
     assert f.primes() == [2, 3]
     assert not Factorization(24, {2: 3}, 3).complete
