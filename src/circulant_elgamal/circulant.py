@@ -241,12 +241,6 @@ def matvec(
     return tuple(FieldElement(c, spec) for c in ring.unpack(r))
 
 
-def expand(a: Circulant) -> list[list[FieldElement]]:
-    """Full d x d matrix; row k is the first row right-rotated k times."""
-    d = a.d
-    return [[a.coeffs[(j - k) % d] for j in range(d)] for k in range(d)]
-
-
 def row_sum(a: Circulant) -> FieldElement:
     """Representer evaluated at 1: an eigenvalue of the matrix."""
     acc = 0

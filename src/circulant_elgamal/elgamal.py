@@ -1,4 +1,4 @@
-"""ElGamal encryption and Diffie-Hellman over the circulant group.
+"""ElGamal encryption over the circulant group.
 
 Keys are (m, (A, A^m)); a message block is a vector of d field
 elements v, encrypted as (A^r, A^{mr} v) for fresh random r. Also here:
@@ -84,11 +84,6 @@ def decrypt(priv: PrivateKey, ct: Ciphertext) -> tuple[FieldElement, ...]:
     """Rebuild A^{mr} from A^r, invert it, apply to w."""
     mask = power(ct.Ar, priv.m)
     return matvec(inverse(mask), ct.w)
-
-
-def dh_shared(a: Circulant, my_exp: int, other_pub: Circulant) -> Circulant:
-    """other_pub^my_exp; both parties of an exchange land on A^{ab}."""
-    return power(other_pub, my_exp)
 
 
 def oracle_reduction(

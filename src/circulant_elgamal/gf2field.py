@@ -23,6 +23,7 @@ Q-matrix's x^(q^j) raised to the base-q digits of N/p.
 from __future__ import annotations
 
 import random
+import sys
 from collections import OrderedDict
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -508,8 +509,9 @@ class _Ring:
     and a dense modulus alike.
     """
 
-    # how many bases' `power` tables a ring keeps; the least recently used go
-    KEPT_BASES = 4
+    # `power` keeps the subset products of the KEPT_BASES most recently used
+    # bases, charged a list slot and a full row each, in KEPT_BYTES
+    KEPT_BASES, KEPT_BYTES = 4, 2 << 20
 
     def __init__(self, spec: FieldSpec, d: int):
         n = spec.n
@@ -523,7 +525,8 @@ class _Ring:
         mu = _pdivmod(1 << 2 * n - 2, spec.modulus)[0]
         self.mu_shifts = tuple(n - 2 - i for i in range(n - 2) if mu >> i & 1)
         self.g_terms = tuple(i for i in range(n) if spec.modulus >> i & 1)
-        self.kept = OrderedDict()  # (a, t, g) -> `power`'s (entries, wins)
+        self.kept = OrderedDict()  # row -> [calls, {t: subset products}, bytes]
+        self.kept_bytes, self.slot_bytes = 0, 8 + sys.getsizeof(self.row)
 
     def pack(self, coeffs: Sequence[int]) -> int:
         r, w = 0, self.width
@@ -651,59 +654,55 @@ class _Ring:
         most one table product per block. With t = ceil(bits / n) and
         g = 1 this is plain square and multiply.
 
-        A fixed base, such as a public key's A and A^m, pays for its
-        tables once: the ring keeps the entries and windows of its last
-        `KEPT_BASES` bases, keyed by (a, t, g), and a later power of the
-        same row under the same plan reuses and extends them. A row's
-        tables hold at most 2^g - 1 entries and, per block, one `window`
-        (two 16-entry tables) for each entry in use.
+        A base that comes back finds its subset products kept, by row and
+        t (see `KEPT_BASES`), so a power under any g reuses and extends
+        them; windows are made per call. Once its calls have paid for
+        `_plan`'s wide table, the base is promoted and runs that plan.
         """
-        t, g = _plan(self.n, self.d, m.bit_length())
+        cold, wide, after = _plan(self.n, self.d, m.bit_length())
+        calls, tables, size = rec = self.kept.pop(a, None) or [0, {}, 0]
+        t, g = wide if calls >= after else cold
+        entries = tables.setdefault(t, [None])  # entries[S], S a subset of bases
+        entries += [None] * ((1 << g) - len(entries))
+        rec[0], rec[2] = calls + 1, self.slot_bytes * sum(map(len, tables.values()))
+        self.kept_bytes += rec[2] - size
+        self.kept[a] = rec  # now the most recently used
+        while len(self.kept) > self.KEPT_BASES or self.kept_bytes > self.KEPT_BYTES:
+            self.kept_bytes -= self.kept.popitem(last=False)[1][2]
+
         span = self.n * t
         digits = [m >> s & (1 << span) - 1 for s in range(0, m.bit_length(), span)]
         k, top = len(digits), max(digits).bit_length()
-        # entries[S]: product of the bases sigma^(tj)(a) with bit j set in S
-        kept, key = self.kept, (a, t, g)
-        entries, wins = kept.pop(key, None) or ({}, {})
-        if not entries:
-            for j in range(g):
-                entries[1 << j] = base = self.frobenius(a, t * j)
-                wins[0, 1 << j] = self.window(base)
-        kept[key] = entries, wins  # now the most recently used
-        if len(kept) > self.KEPT_BASES:
-            kept.popitem(last=False)
+        frob, wins = self.frobenius, {}
+
+        def entry(S: int) -> int:
+            """Product of the bases sigma^(tj)(a) with bit j set in S."""
+            e = entries[S]
+            if e is None:
+                j = S.bit_length() - 1  # the top base times the rest
+                rest = S ^ 1 << j
+                e = self.mul(window(0, 1 << j), entry(rest)) if rest else frob(a, t * j)
+                entries[S] = e
+            return e
 
         def window(G: int, S: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             """Window of entry S of block G's table, the sigma^(tgG) image."""
             win = wins.get((G, S))
             if win is None:
-                low = 0  # the set bits of S below j: one more base a step
-                for j in range(S.bit_length()):
-                    if S >> j & 1:
-                        up = low | 1 << j
-                        if low and up not in entries:
-                            entries[up] = self.mul(wins[0, 1 << j], entries[low])
-                        low = up
-                win = wins[G, S] = self.window(self.frobenius(entries[S], t * g * G))
+                win = wins[G, S] = self.window(frob(entry(S), t * g * G))
             return win
 
-        # spread bit b of every digit to bit b 2^e, 2^e >= k (bit i to 2i,
-        # e times), so that x >> b 2^e holds the k digits' bits at b
-        e = (k - 1).bit_length()
-        x = 0
-        for i, y in enumerate(digits):
-            for _ in range(e):
-                y = int(format(y, "b"), 4)
-            x |= y << i
+        # one column per bit position, with digit i's bit at bit i
+        rows = [format(y, f"0{top}b") for y in reversed(digits)]
         square, mul, steps = self.square, self.mul, {}
-        mask, blocks = (1 << k) - 1, list(enumerate(range(0, k, g)))
+        blocks = list(enumerate(range(0, k, g)))
         r = None
-        for shift in range((top - 1) << e, -1, -1 << e):
-            bits = x >> shift & mask
-            ws = steps.get(bits)
+        for col in map("".join, zip(*rows)):
+            ws = steps.get(col)
             if ws is None:
                 # one table entry for each block with a bit set here
-                ws = steps[bits] = [
+                bits = int(col, 2)
+                ws = steps[col] = [
                     window(G, bits >> i & (1 << g) - 1)
                     for G, i in blocks
                     if bits >> i & (1 << g) - 1
@@ -714,30 +713,39 @@ class _Ring:
                 r = square(r)
             for win in ws:
                 r = mul(win, r)
+        del entry, window  # a reference cycle: free the windows now, not at gc
         return r
 
 
 @lru_cache(maxsize=1024)
-def _plan(n: int, d: int, bits: int) -> tuple[int, int]:
-    """(t, g) for `_Ring.power` with a `bits`-bit exponent: the cheapest
-    by a model of the kernel's costs.
+def _plan(n: int, d: int, bits: int) -> tuple[tuple[int, int], tuple[int, int], float]:
+    """Plans (t, g) for `_Ring.power` with a `bits`-bit exponent by a model
+    of the kernel's costs: the cold pick, the wide pick, and the calls after
+    which a base that comes back is promoted to the wide pick.
 
-    The costs of a square, a product, a slot permutation, a window and
-    the bookkeeping fit the hex-digit kernel's timings (n = 3 .. 128, d =
-    3 .. 37, row length L); only their ratios matter. Re-timed on the byte
-    step, no paper cell's pick was 5% slower than the best both cold and warm.
+    A plan runs squares, table products, windows and slot permutations,
+    and builds 2^g - 1 - g subset products. The cold pick (g <= 8) has the
+    cheapest run plus build; the wide pick the cheapest run, with 2^g
+    entries in `_Ring.KEPT_BYTES / KEPT_BASES`. A returning base's cold
+    entries are kept, so it pays the cold run until its calls times the
+    run saved reach the wide build (ski rental). The costs fit the
+    hex-digit kernel's timings (n = 3 .. 128, d = 3 .. 37, row length L);
+    only their ratios matter.
     """
     L = d * (2 * n - 1)
     red = 0.8 + L / 2500
     sq = 0.7 + red + L / 350
     mul = 1.1 + red + L / 55 + L * L / 170000
     perm, win, step = 0.5 + 0.25 * d, 1.2 + L / 6000, 0.2
-    best = None
+    slots = _Ring.KEPT_BYTES // _Ring.KEPT_BASES // (8 + sys.getsizeof((1 << L) - 1))
+    widest = max(slots.bit_length() - 1, 1)
+    cold = wide = None
     for t in range(1, -(-bits // n) + 1):
         span = min(n * t, bits)
         k = -(-bits // span)
-        for g in range(1, min(k, 8) + 1):
-            cost = sq * (span - 1) + mul * ((1 << g) - 1 - g) + (perm + win) * g
+        for g in range(1, min(k, max(8, widest)) + 1):
+            build = mul * ((1 << g) - 1 - g) + (perm + win) * g
+            run = sq * (span - 1)
             for i in range(0, k, g):
                 # a block of h digits multiplies at all but 2^-h of the
                 # positions; each of its entries in use costs a window and,
@@ -745,10 +753,13 @@ def _plan(n: int, d: int, bits: int) -> tuple[int, int]:
                 h = min(g, k - i)
                 p = 0.5 ** h
                 used = ((1 << h) - 1) * (1 - (1 - p) ** span)
-                cost += (step + mul * (1 - p)) * span + (win + perm * (i > 0)) * used
-            if best is None or cost < best[0]:
-                best = (cost, t, g)
-    return best[1], best[2]
+                run += (step + mul * (1 - p)) * span + (win + perm * (i > 0)) * used
+            if g <= 8 and (cold is None or build + run < cold[0]):
+                cold = (build + run, run, (t, g))
+            if g <= widest and (wide is None or run < wide[0]):
+                wide = (run, build, (t, g))
+    saving = cold[1] - wide[0]
+    return cold[2], wide[2], wide[1] / saving if saving > 0 else float("inf")
 
 
 @lru_cache(maxsize=64)

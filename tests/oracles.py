@@ -1,0 +1,9 @@
+"""Oracles that several test modules share, kept out of the library."""
+
+from circulant_elgamal.circulant import Circulant
+
+
+def expand(a: Circulant):
+    """Full d x d matrix; row k is the first row right-rotated k times."""
+    d = a.d
+    return [[a.coeffs[(j - k) % d] for j in range(d)] for k in range(d)]

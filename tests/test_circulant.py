@@ -19,7 +19,6 @@ from circulant_elgamal.circulant import (
     PhiReducible,
     char_poly_quotient,
     det,
-    expand,
     inverse,
     matvec,
     mul,
@@ -35,6 +34,8 @@ from circulant_elgamal.gf2field import (
     field_make,
     poly_mod_mul,
 )
+
+from oracles import expand
 
 
 def C(spec, *bits):

@@ -9,8 +9,9 @@ for every irreducible modulus of small degree. Long exponents
 are checked against binary square and multiply over the kernel's own
 `square` and `mul`, which the convolution checks, and q-power
 exponents against the slot permutation of the squaring theorem. The
-tables `power` keeps across calls are checked the same way, on
-interleaved calls with bases that are evicted and come back. Fields
+subset products `power` keeps across calls are checked the same way, on
+interleaved calls with bases that are evicted and come back, and with
+bases driven past promotion to the wide table under the byte bound. Fields
 come in two kinds: the default modulus of `field_make` (sparse g) and
 the largest irreducible modulus of each degree (g of degree n - 1 and
 nearly full weight), as a loaded parameter file may carry.
@@ -19,6 +20,7 @@ nearly full weight), as a loaded parameter file may carry.
 import functools
 import hashlib
 import random
+import sys
 
 import pytest
 import sympy
@@ -33,7 +35,6 @@ from circulant_elgamal.circulant import (
     OpCounter,
     _Ring,
     det,
-    expand,
     inverse,
     matvec,
     mul,
@@ -45,9 +46,12 @@ from circulant_elgamal.gf2field import (
     FieldSpec,
     Poly,
     _pdivmod,
+    _plan,
     field_make,
     poly_ext_gcd,
 )
+
+from oracles import expand
 
 NS = (1, 2, 11, 16, 17, 47, 128)
 ODD_DS = (1, 3, 11, 37)
@@ -369,6 +373,19 @@ def scripted_calls():
     return calls + [(1, bases[0], exp(9)), (1, bases[0], exp(26))]
 
 
+def kept_bytes_hold(ring):
+    """The ring's byte count is its records' slots, and within the bound."""
+    slots = sum(len(e) for _, tables, _ in ring.kept.values() for e in tables.values())
+    assert ring.kept_bytes == sum(rec[2] for rec in ring.kept.values())
+    assert ring.kept_bytes == slots * ring.slot_bytes <= ring.KEPT_BYTES
+    assert len(ring.kept) <= ring.KEPT_BASES
+
+
+def promoted(ring, a, bits):
+    """Whether the last power of base a, at `bits` bits, ran `_plan`'s wide pick."""
+    return a in ring.kept and ring.kept[a][0] - 1 >= _plan(ring.n, ring.d, bits)[2]
+
+
 @PROPS
 @given(kept_table_calls())
 @example(scripted_calls())
@@ -379,20 +396,65 @@ def test_power_kept_tables_match_plain_power(calls):
         ring = rings[r]
         a &= row
         assert ring.power(a, m) == plain_power(ring, a, m)
-        assert len(ring.kept) <= ring.KEPT_BASES
+        kept_bytes_hold(ring)
+
+
+@pytest.mark.parametrize("n,d", KEPT_CELLS)
+def test_power_promoted_bases_match_plain_power(n, d):
+    # two hot bases and four that come now and then, so the hot ones are
+    # promoted under several exponent lengths, and at times evicted and
+    # back; every exponent length up to q^(d + 1)
+    ring = _Ring(field_make(n), d)
+    rng = random.Random(n * d)
+    pool = [ring.pack([rng.getrandbits(n) for _ in range(d)]) for _ in range(6)]
+    runs = returns = 0
+    seen = set()
+    for _ in range(700):
+        a = pool[rng.randrange(2)] if rng.random() < 0.85 else rng.choice(pool[2:])
+        returns += a in seen and a not in ring.kept
+        seen.add(a)
+        bits = rng.randint(1, n * (d + 1))
+        m = rng.getrandbits(bits) | 1 << bits - 1
+        assert ring.power(a, m) == plain_power(ring, a, m)
+        kept_bytes_hold(ring)
+        runs += promoted(ring, a, bits)
+    assert runs > 200 and returns > 10
+
+
+def test_power_byte_bound_evicts():
+    # a bound that holds one wide table: three bases are fewer than
+    # KEPT_BASES, so only the bytes evict, and every result stays right
+    ring = _Ring(field_make(3), 11)
+    ring.KEPT_BYTES = ring.slot_bytes * 1200
+    rng = random.Random(5)
+    bases = [ring.pack([rng.getrandbits(3) for _ in range(11)]) for _ in range(3)]
+    returns = 0
+    for i in range(300):
+        a = bases[i % 3]
+        returns += i >= 3 and a not in ring.kept
+        m = rng.getrandbits(30) | 1 << 29
+        assert ring.power(a, m) == plain_power(ring, a, m)
+        kept_bytes_hold(ring)
+    assert returns > 0
 
 
 def test_power_keeps_the_recently_used_bases():
-    # an encrypt-decrypt loop: two fixed bases, then a fresh one each round
+    # an encrypt-decrypt loop: two fixed bases, then a fresh one each
+    # round; the fixed bases are promoted and stay so
     ring = _Ring(field_make(3), 11)
     rng = random.Random(12)
     fixed = [ring.pack([rng.getrandbits(3) for _ in range(11)]) for _ in range(2)]
-    for _ in range(8):
+    (t, g), after = _plan(3, 11, 30)[1:]
+    for i in range(100):
         fresh = ring.pack([rng.getrandbits(3) for _ in range(11)])
         for a in fixed + [fresh]:
             m = rng.getrandbits(30) | 1 << 29
             assert ring.power(a, m) == plain_power(ring, a, m)
-        assert {key[0] for key in ring.kept} >= set(fixed)
+        assert set(ring.kept) >= set(fixed)
+        # round i's call was a fixed base's (i + 1)-th: wide from i >= after
+        wide = [len(ring.kept[a][1].get(t, ())) == 1 << g for a in fixed]
+        assert all(wide) if i >= after else not any(wide)
+        assert all(promoted(ring, a, 30) == (i >= after) for a in fixed)
 
 
 def q_order(n, d):
@@ -460,6 +522,16 @@ def test_power_pinned_at_north_star_cells():
     assert h.hexdigest() == (
         "4d212b0b4523cc0d496e0209a53eb2c020dd4ee9622231684f392e46934a6dbb"
     )
+
+
+@pytest.mark.parametrize("n,d", NORTH_STAR)
+def test_plan_promotes_once_the_wide_table_pays(n, d):
+    # a wider table than the cold pick's, within a base's share of the
+    # bytes, and worth its build only after several calls, not the second
+    cold, (t, g), after = _plan(n, d, n * (d - 1))
+    slot = 8 + sys.getsizeof((1 << d * (2 * n - 1)) - 1)
+    assert (1 << g) * slot <= _Ring.KEPT_BYTES // _Ring.KEPT_BASES
+    assert g > cold[1] and 5 < after < 250
 
 
 # ---------------------------------------------------------------------------

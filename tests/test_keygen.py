@@ -18,7 +18,6 @@ from circulant_elgamal.circulant import (
     Circulant,
     char_poly_quotient,
     det,
-    expand,
     power,
     row_sum,
 )
@@ -40,6 +39,8 @@ from circulant_elgamal.keygen import (
     order_of,
     save_params,
 )
+
+from oracles import expand
 
 
 def C(spec, *bits):
