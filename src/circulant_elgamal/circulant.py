@@ -6,14 +6,14 @@ The map to the representer polynomial c_0 + c_1 x + ... + c_{d-1}
 x^{d-1} is a ring isomorphism onto F_q[x]/(x^d - 1), which is what the
 multiplication and inversion routines below actually compute.
 
-Products, squares, powers, inverses and matrix-vector products run on
-the packed-row kernel `gf2field._Ring` at size d: the row packed into
-one int, one carry-less product per ring product, squares by spreading
-bits, Frobenius-digit powers and Itoh-Tsujii inversion. This module
-holds the `Circulant` type and its operations on that kernel, the
-operation counter of the paper's cost model, the determinant as a
-resultant, and the characteristic-polynomial quotient over F_q[x]/Phi,
-kept as a test oracle.
+The row is packed into one int, the form the kernel `gf2field._Ring`
+at size d computes on, so products, squares, powers, inverses and
+matrix-vector products hand it to the kernel as it is: one carry-less
+product per ring product, squares by spreading bits, Frobenius-digit
+powers and Itoh-Tsujii inversion. This module holds the `Circulant`
+type and its operations on that kernel, the operation counter of the
+paper's cost model, the determinant as a resultant, and the
+characteristic-polynomial quotient over F_q[x]/Phi, kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .gf2field import (
     NotInvertible,
     Poly,
     SpecMismatch,
-    _Ring,
     _ring,
     frobenius,
     linear_factor_product,
@@ -79,12 +78,13 @@ class OpCounter:
 
 
 class Circulant:
-    """First row of a d x d circulant matrix.
+    """A d x d circulant matrix; ``row`` is its first row packed by `_ring(spec, d)`.
 
-    Equal and hashed by (coeffs, spec); never equal to another class.
+    Equal and hashed by (row, d, spec), as rows of different d can pack to
+    the same int; never equal to another class.
     """
 
-    __slots__ = ("coeffs", "spec")
+    __slots__ = ("spec", "d", "row")
 
     def __init__(self, coeffs: tuple[FieldElement, ...], spec: FieldSpec):
         if not coeffs:
@@ -92,30 +92,38 @@ class Circulant:
         for c in coeffs:
             if c.spec != spec:
                 raise SpecMismatch("coefficient from a different field")
-        self.coeffs = coeffs
-        self.spec = spec
+        self.spec, self.d = spec, len(coeffs)
+        self.row = _ring(spec, self.d).pack([c.bits for c in coeffs])
+
+    @classmethod
+    def _of(cls, spec: FieldSpec, d: int, row: int) -> "Circulant":
+        """Unchecked: ``row`` is a reduced packed row of `_ring(spec, d)`."""
+        a = object.__new__(cls)
+        a.spec, a.d, a.row = spec, d, row
+        return a
 
     def __eq__(self, other):
         if other.__class__ is not Circulant:
             return NotImplemented
-        return self.coeffs == other.coeffs and self.spec == other.spec
+        return self.row == other.row and self.d == other.d and self.spec == other.spec
 
     def __hash__(self) -> int:
-        return hash((self.coeffs, self.spec))
+        return hash((self.row, self.d, self.spec))
 
     def __repr__(self) -> str:
         return f"Circulant(coeffs={self.coeffs!r}, spec={self.spec!r})"
 
     @property
-    def d(self) -> int:
-        return len(self.coeffs)
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        """The row as field elements, built afresh on each read."""
+        return tuple(FieldElement(b, self.spec) for b in self.bits())
 
     @classmethod
     def from_bits(cls, spec: FieldSpec, bits: Iterable[int]) -> "Circulant":
         return cls(tuple(FieldElement(b, spec) for b in bits), spec)
 
     def bits(self) -> list[int]:
-        return [c.bits for c in self.coeffs]
+        return _ring(self.spec, self.d).unpack(self.row)
 
     @classmethod
     def identity(cls, spec: FieldSpec, d: int) -> "Circulant":
@@ -133,12 +141,10 @@ class Circulant:
         return cls.from_bits(spec, [spec.rand(rng) for _ in range(d)])
 
     def is_identity(self) -> bool:
-        return self.coeffs[0].bits == 1 and all(
-            c.bits == 0 for c in self.coeffs[1:]
-        )
+        return self.row == 1
 
     def to_hex(self) -> str:
-        return ",".join(c.to_hex() for c in self.coeffs)
+        return ",".join(format(b, "#x") for b in self.bits())
 
     @classmethod
     def from_hex(cls, spec: FieldSpec, text: str) -> "Circulant":
@@ -171,11 +177,9 @@ def mul(a: Circulant, b: Circulant, counter: OpCounter | None = None) -> Circula
     cost for a convolution.
     """
     _check_pair(a, b)
-    ring = _ring(a.spec, a.d)
-    r = ring.product(ring.pack(a.bits()), ring.pack(b.bits()))
     if counter is not None:
         counter.count_mul(a.d)
-    return Circulant.from_bits(a.spec, ring.unpack(r))
+    return Circulant._of(a.spec, a.d, _ring(a.spec, a.d).product(a.row, b.row))
 
 
 def square(a: Circulant, counter: OpCounter | None = None) -> Circulant:
@@ -185,40 +189,35 @@ def square(a: Circulant, counter: OpCounter | None = None) -> Circulant:
     squaring and no general multiplications.
     """
     _check_odd(a.d)
-    ring = _ring(a.spec, a.d)
-    r = ring.square(ring.pack(a.bits()))
     if counter is not None:
         counter.count_square()
-    return Circulant.from_bits(a.spec, ring.unpack(r))
+    return Circulant._of(a.spec, a.d, _ring(a.spec, a.d).square(a.row))
 
 
 def power(a: Circulant, m: int, counter: OpCounter | None = None) -> Circulant:
     """a^m; a^0 is the identity.
 
-    Runs the Frobenius-digit schedule of `_Ring.power`, packing the row
-    once and unpacking it once. The counter gets the paper's cost model
-    of left-to-right square and multiply, whatever schedule runs:
-    bit_length(m) - 1 squarings and popcount(m) - 1 general
-    multiplications.
+    Runs the Frobenius-digit schedule of `_Ring.power` on the packed
+    row, which also keys the tables the ring keeps for a base that comes
+    back. The counter gets the paper's cost model of left-to-right
+    square and multiply, whatever schedule runs: bit_length(m) - 1
+    squarings and popcount(m) - 1 general multiplications.
     """
     if m < 0:
         raise ValueError("exponent must be nonnegative")
     if m == 0:
-        return Circulant.identity(a.spec, a.d)
+        return Circulant._of(a.spec, a.d, 1)
     if m > 1:
         _check_odd(a.d)
-    ring = _ring(a.spec, a.d)
-    r = ring.power(ring.pack(a.bits()), m)
     if counter is not None:
         counter.count_power(m, a.d)
-    return Circulant.from_bits(a.spec, ring.unpack(r))
+    return Circulant._of(a.spec, a.d, _ring(a.spec, a.d).power(a.row, m))
 
 
 def inverse(a: Circulant) -> Circulant:
     """a^-1 on the packed kernel (`_Ring.inverse`); NotInvertible when
     the matrix is singular."""
-    ring = _ring(a.spec, a.d)
-    return Circulant.from_bits(a.spec, ring.unpack(ring.inverse(ring.pack(a.bits()))))
+    return Circulant._of(a.spec, a.d, _ring(a.spec, a.d).inverse(a.row))
 
 
 def matvec(
@@ -226,8 +225,9 @@ def matvec(
 ) -> tuple[FieldElement, ...]:
     """Product of the expanded matrix with a column vector.
 
-    Entry k is sum over i of a_i v_{k+i}: the cyclic convolution of the
-    reversed row a_0, a_{d-1}, ..., a_1 with v.
+    Entry k is sum over i of a_i v_{k+i}, which is entry -k of the
+    cyclic convolution of a with the reversed vector v_0, v_{d-1}, ...,
+    v_1.
     """
     d, spec = a.d, a.spec
     if len(v) != d:
@@ -235,17 +235,16 @@ def matvec(
     for x in v:
         if x.spec != spec:
             raise DimensionMismatch("vector entry from a different field")
-    av = a.bits()
-    ring = _ring(spec, d)
-    r = ring.product(ring.pack(av[:1] + av[:0:-1]), ring.pack([x.bits for x in v]))
-    return tuple(FieldElement(c, spec) for c in ring.unpack(r))
+    vb, ring = [x.bits for x in v], _ring(spec, d)
+    r = ring.unpack(ring.product(a.row, ring.pack(vb[:1] + vb[:0:-1])))
+    return tuple(FieldElement(c, spec) for c in r[:1] + r[:0:-1])
 
 
 def row_sum(a: Circulant) -> FieldElement:
     """Representer evaluated at 1: an eigenvalue of the matrix."""
     acc = 0
-    for c in a.coeffs:
-        acc ^= c.bits
+    for c in a.bits():
+        acc ^= c
     return FieldElement(acc, a.spec)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .circulant import Circulant, _check_odd, _ring, _Ring, power
+from .circulant import Circulant, _check_odd, _ring, power
 from .numtheory import (
     DEFAULT_BUDGET,
     Factorization,
@@ -33,13 +33,6 @@ class NotFound(LookupError):
     pass
 
 
-def _packed(base: Circulant, target: Circulant) -> tuple[_Ring, int, int]:
-    """The kernel ring of base, with base and target packed into it."""
-    _check_odd(base.d)
-    ring = _ring(base.spec, base.d)
-    return ring, ring.pack(base.bits()), ring.pack(target.bits())
-
-
 def bsgs(base: Circulant, target: Circulant, order: int) -> int:
     """Least x in [0, order) with base^x = target.
 
@@ -50,7 +43,8 @@ def bsgs(base: Circulant, target: Circulant, order: int) -> int:
         raise ValueError("order must be positive")
     if order > BSGS_MAX_ORDER:
         raise ValueError(f"order {order} exceeds the 2^48 desk bound")
-    ring, a, b = _packed(base, target)
+    _check_odd(base.d)
+    ring, a, b = _ring(base.spec, base.d), base.row, target.row
     m = isqrt(order - 1) + 1
     step = ring.window(a)
     table: dict[int, int] = {}
@@ -80,23 +74,21 @@ def pohlig_hellman(base: Circulant, target: Circulant, order: Factorization) -> 
         raise IncompleteFactorization(
             f"group order has unfactored cofactor {order.cofactor}"
         )
-    ring, a, b = _packed(base, target)
-    n = order.n
-
-    def row(r: int) -> Circulant:
-        return Circulant.from_bits(base.spec, ring.unpack(r))
-
+    _check_odd(base.d)
+    spec, d, a, b = base.spec, base.d, base.row, target.row
+    ring, n = _ring(spec, d), order.n
     residues, moduli = [0], [1]  # x = 0 when ord(base) = 1
     for p, e in sorted(order.factors.items()):
         if p > BSGS_MAX_ORDER:
             raise ValueError(f"prime {p} exceeds the 2^48 desk bound")
-        gamma = row(ring.power(a, n // p))  # order p
+        gamma = Circulant._of(spec, d, ring.power(a, n // p))  # order p
         x_pe = 0
         pk = 1
         for _ in range(e):
             # base^(n - x_pe) = base^(-x_pe), as base^n = 1
             shifted = ring.product(b, ring.power(a, n - x_pe))
-            digit = bsgs(gamma, row(ring.power(shifted, n // (pk * p))), p)
+            leaf = Circulant._of(spec, d, ring.power(shifted, n // (pk * p)))
+            digit = bsgs(gamma, leaf, p)
             x_pe += digit * pk
             pk *= p
         residues.append(x_pe)

@@ -16,6 +16,7 @@ from .circulant import (
     Circulant,
     DimensionMismatch,
     NotInvertible,
+    SpecMismatch,
     inverse,
     matvec,
     power,
@@ -96,8 +97,8 @@ def oracle_reduction(
 
     Feeds the oracle exactly d ciphertexts (h, e_i) where h = A^b and
     e_i is the i-th unit vector; each answer is a column of A^{-ab}.
-    The assembled matrix must be circulant and invertible, otherwise
-    the oracle lied.
+    The assembled matrix must be circulant, over A's field and
+    invertible, otherwise the oracle lied.
     """
     d, spec = a.d, a.spec
     columns = []
@@ -115,9 +116,10 @@ def oracle_reduction(
         for k in range(d):
             if columns[i][k] != first_row[(i - k) % d]:
                 raise OracleInconsistent("assembled matrix is not circulant")
-    assembled = Circulant(first_row, spec)
     try:
-        return inverse(assembled)
+        return inverse(Circulant(first_row, spec))
+    except SpecMismatch:
+        raise OracleInconsistent("oracle answered in another field") from None
     except NotInvertible:
         raise OracleInconsistent("assembled matrix is singular") from None
 

@@ -123,8 +123,7 @@ def _quotient_condition(a: Circulant) -> bool:
     if not primitive_cell(spec.n, d):  # so d >= 3 below
         return False
     ring = _ring(spec, d)
-    r = ring.pack(a.bits())
-    return len({ring.frobenius(r, j) for j in range(d - 1)}) == d - 1
+    return len({ring.frobenius(a.row, j) for j in range(d - 1)}) == d - 1
 
 
 def five_conditions(a: Circulant) -> ConditionReport:

@@ -147,6 +147,16 @@ def test_circulant_compares_and_hashes_by_row_and_spec():
         Circulant((FieldElement(1, other),), spec)
     with pytest.raises(ValueError):
         C(spec, 1, 8)
+    # the kernel's results are values like the ones the constructor checks
+    s3, rng = field_make(3), random.Random(40)
+    u = Circulant.random(s3, 7, rng)
+    while det(u).is_zero():
+        u = Circulant.random(s3, 7, rng)
+    one = Circulant.identity(s3, 7)
+    for made, built in ((power(u, 0), one), (mul(u, one), u), (inverse(inverse(u)), u)):
+        assert made == built and hash(made) == hash(built) and len({made, built}) == 1
+    assert power(u, 0) != C(s3, 1, 0, 0) and power(u, 0) != Circulant.identity(other, 7)
+    assert C(s3, 0, 0, 0) != C(s3, 0, 0, 0, 0, 0)
 
 
 def test_op_counter_posts():

@@ -107,7 +107,7 @@ def test_params_check_failing_matrix(tmp_path):
 
 def test_params_file_tampering_detected(tmp_path, params_file):
     bad = tmp_path / "tampered.params"
-    bad.write_text(open(params_file).read().replace("version = 1", "version = 9"))
+    bad.write_text(Path(params_file).read_text().replace("version = 1", "version = 9"))
     code, _, stderr = run_cli(["params", "check", str(bad)])
     assert code == 2
     assert "unsupported version 9" in stderr
@@ -145,7 +145,7 @@ def test_full_pipeline_raw_block(tmp_path, params_file, params311):
     code, stdout, _ = run_cli(["decrypt", "--priv", priv, "--in", ct, "--out", out])
     assert code == 0
     assert kv(stdout)["encoding"] == "raw"
-    assert open(out).read().strip() == block
+    assert Path(out).read_text().strip() == block
 
     code, stdout, _ = run_cli(["attack", "dlp", "--params", params_file, "--pub", pub])
     assert code == 0

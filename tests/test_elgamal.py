@@ -109,10 +109,7 @@ def test_encrypt_cold_equals_warm(params311):
     for _ in range(10):
         encrypt(pub, rand_vector(spec, 11, warm_up), seed=warm_up)
     ring = _ring(spec, 11)
-    assert set(ring.kept) >= {
-        ring.pack(pub.A.bits()),
-        ring.pack(pub.Am.bits()),
-    }
+    assert set(ring.kept) >= {pub.A.row, pub.Am.row}
     warm = encrypt(pub, v, seed=random.Random(34))
     assert warm == cold
     assert decrypt(priv, warm) == v
@@ -202,6 +199,9 @@ def test_oracle_reduction_rejects_liars(params311):
         oracle_reduction(lambda ct: e1, a, a, a)  # not circulant
     with pytest.raises(OracleInconsistent):
         oracle_reduction(lambda ct: zero[:3], a, a, a)  # wrong size
+    other = field_make(2)  # the identity's columns, boxed in GF(2^2)
+    with pytest.raises(OracleInconsistent):
+        oracle_reduction(lambda ct: [FieldElement(x.bits, other) for x in ct.w], a, a, a)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from circulant_elgamal.circulant import (
     EvenD,
     NotInvertible,
     OpCounter,
-    _Ring,
     det,
     inverse,
     matvec,
@@ -45,6 +44,7 @@ from circulant_elgamal.gf2field import (
     FieldElement,
     FieldSpec,
     Poly,
+    _Ring,
     _pdivmod,
     _plan,
     field_make,

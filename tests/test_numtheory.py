@@ -289,10 +289,10 @@ def _circulant_units(n, d, count, seed):
     rng = random.Random(seed)
     done = 0
     while done < count:
-        row = Circulant.random(spec, d, rng)
-        if det(row).is_zero():
+        unit = Circulant.random(spec, d, rng)
+        if det(unit).is_zero():
             continue
-        a = ring.pack(row.bits())
+        a = unit.row
         is_one = lambda e, a=a: ring.power(a, e) == one  # noqa: E731
         yield (1 << n * (d - 1)) - 1, is_one, _brute_order(a, ring.product, one)
         done += 1
