@@ -258,6 +258,8 @@ def load_ciphertexts(
         raise fileio.FileFormatError(f"{path}: unknown encoding {encoding!r}")
     length = r.expect_int("length") if encoding == "bytes" else None
     count = r.expect_int("blocks")
+    if count < 1:
+        raise fileio.FileFormatError(f"{path}: blocks must be positive, got {count}")
     blocks = []
     for _ in range(count):
         ar = _read_row(r, "Ar", spec, d)

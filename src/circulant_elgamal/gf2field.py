@@ -7,14 +7,15 @@ Polynomials over the field are tuples of such ints, lowest degree first.
 Products over the field run on one kernel, `_Ring`: rows of
 F_q[x]/(x^d - 1) packed into one int, multiplied with one carry-less
 product and reduced mod the field polynomial by one Barrett step. At
-d = 1 it is GF(2^n) itself, which fields above n = 16 multiply and
-square on (smaller ones keep exp/log tables), and at d = deg(ab) + 1
-its fold never wraps, so it is the plain product of `Poly` a and b
-(Kronecker substitution). `Poly` long division keeps the remainder
-packed and subtracts one kernel product of the divisor a step, and the
-irreducibility test runs on Berlekamp's Q-matrix: x^(q^j) mod p by
-matrix-vector products over F_q whose columns are kernel rows. The
-circulant ring of `circulant` is the same kernel at the matrix size d.
+d = 1 it is GF(2^n) itself, which every field multiplies and squares
+on, and at d = deg(ab) + 1 its fold never wraps, so it is the plain
+product of `Poly` a and b (Kronecker substitution); a `Poly` of k
+terms squares on 2k - 1 slots the same way. `Poly` long division keeps
+the remainder packed and subtracts one kernel product of the divisor a
+step, and the irreducibility test runs on Berlekamp's Q-matrix:
+x^(q^j) mod p by matrix-vector products over F_q whose columns are
+kernel rows. The circulant ring of `circulant` is the same kernel at
+the matrix size d.
 `primitive_poly` keeps an irreducible tau when x^(N/p) != 1 mod tau
 for every prime p of N = q^deg(tau) - 1, each power a product of the
 Q-matrix's x^(q^j) raised to the base-q digits of N/p.
@@ -36,7 +37,6 @@ from .numtheory import (
 )
 
 MAX_FIELD_BITS = 128
-_TABLE_MAX = 16
 
 
 class ZeroInverse(ZeroDivisionError):
@@ -140,55 +140,24 @@ class FieldSpec:
 
     Raw arithmetic works on ints; ``element`` wraps them in FieldElement
     for operator syntax. Instances compare equal iff (n, modulus) match.
-    Products and squares use exp/log tables for n <= 16 and the packed
-    kernel at d = 1 above that.
+    Products and squares run on the packed kernel at d = 1, inverses on
+    the extended Euclid of `_pinvert`.
     """
 
-    __slots__ = ("n", "modulus", "order", "_exp", "_log", "_ring")
+    __slots__ = ("n", "modulus", "order", "_ring")
 
     def __init__(self, n: int, modulus: int):
         if not 1 <= n <= MAX_FIELD_BITS:
             raise ValueError(f"n must be in [1, {MAX_FIELD_BITS}], got {n}")
-        if _pdeg(modulus) != n or not _pirreducible(modulus):
+        # a negative modulus has the right bit length, but _pmod never ends on it
+        if modulus < 0 or _pdeg(modulus) != n or not _pirreducible(modulus):
             raise ValueError(
-                f"modulus 0b{modulus:b} is not an irreducible degree-{n} polynomial"
+                f"modulus {modulus:#b} is not an irreducible degree-{n} polynomial"
             )
         self.n = n
         self.modulus = modulus
         self.order = (1 << n) - 1
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self._ring: _Ring | None = None
-        if n <= _TABLE_MAX:
-            self._build_tables()
-        else:
-            self._ring = _Ring(self, 1)
-
-    def _build_tables(self) -> None:
-        order = self.order
-        if order == 1:
-            self._exp = [1, 1]
-            self._log = [0, 0]
-            return
-        for g in range(2, order + 1):
-            exp = [0] * (2 * order)
-            log = [0] * (order + 1)
-            cur = 1
-            ok = True
-            for i in range(order):
-                exp[i] = cur
-                log[cur] = i
-                cur = _pmod(_pmul(cur, g), self.modulus)
-                if cur == 1 and i + 1 < order:
-                    ok = False
-                    break
-            if ok and cur == 1:
-                for i in range(order):
-                    exp[order + i] = exp[i]
-                self._exp = exp
-                self._log = log
-                return
-        raise AssertionError("no generator found, modulus cannot be irreducible")
+        self._ring = _Ring(self, 1)
 
     # -- raw int kernels ----------------------------------------------------
 
@@ -197,24 +166,14 @@ class FieldSpec:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[self._log[a] + self._log[b]]
         return self._ring.product(a, b)
 
     def square(self, a: int) -> int:
-        if self._exp is not None:
-            if a == 0:
-                return 0
-            return self._exp[2 * self._log[a]]
         return self._ring.square(a)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroInverse("0 has no inverse")
-        if self._exp is not None:
-            return self._exp[self.order - self._log[a]]
         return _pinvert(a, self.modulus)
 
     def pow(self, a: int, e: int) -> int:
@@ -431,12 +390,11 @@ class Poly:
         return Poly.make(self.spec, (fmul(c, v) for v in self.coeffs))
 
     def square(self) -> "Poly":
-        # char 2: coefficients square, exponents double
-        sq = self.spec.square
-        out = [0] * (2 * len(self.coeffs) - 1) if self.coeffs else []
-        for i, v in enumerate(self.coeffs):
-            out[2 * i] = sq(v)
-        return Poly.make(self.spec, out)
+        if self.is_zero():
+            return self
+        # the kernel square moves slot i to slot 2i, so 2k - 1 slots never wrap
+        ring = _ring(self.spec, 2 * len(self.coeffs) - 1)
+        return Poly.make(self.spec, ring.unpack(ring.square(ring.pack(self.coeffs))))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._same(other)

@@ -47,7 +47,7 @@ from circulant_elgamal.security import (
     verify_reference_primes,
 )
 
-from oracles import expand
+from oracles import expand, field_ops
 
 
 def report(name: str, ok: bool, detail: str = "") -> bool:
@@ -297,7 +297,7 @@ def test_c09_cost_formula():
 
 
 def _singular_by_gauss(a: Circulant) -> bool:
-    spec = a.spec
+    fmul, finv = field_ops(a.spec)
     rows = [[e.bits for e in r] for r in expand(a)]
     d = a.d
     rank = 0
@@ -306,13 +306,13 @@ def _singular_by_gauss(a: Circulant) -> bool:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = spec.inv(rows[rank][col])
-        rows[rank] = [spec.mul(inv, x) for x in rows[rank]]
+        inv = finv(rows[rank][col])
+        rows[rank] = [fmul(inv, x) for x in rows[rank]]
         for r in range(d):
             if r != rank and rows[r][col]:
                 f = rows[r][col]
                 rows[r] = [
-                    x ^ spec.mul(f, y) for x, y in zip(rows[r], rows[rank])
+                    x ^ fmul(f, y) for x, y in zip(rows[r], rows[rank])
                 ]
         rank += 1
     return rank < d

@@ -35,7 +35,7 @@ from circulant_elgamal.gf2field import (
     poly_mod_mul,
 )
 
-from oracles import expand
+from oracles import expand, field_ops
 
 
 def C(spec, *bits):
@@ -292,7 +292,7 @@ def test_det():
 
 def _gaussian_det(a: Circulant) -> int:
     """det of the expanded matrix by Gaussian elimination (the oracle)."""
-    d, spec = a.d, a.spec
+    d, (fmul, finv) = a.d, field_ops(a.spec)
     rows = [[c.bits for c in r] for r in expand(a)]
     acc = 1
     for col in range(d):
@@ -301,13 +301,13 @@ def _gaussian_det(a: Circulant) -> int:
             return 0
         rows[col], rows[piv] = rows[piv], rows[col]  # char 2: no sign flip
         pivot = rows[col][col]
-        acc = spec.mul(acc, pivot)
-        inv_p = spec.inv(pivot)
+        acc = fmul(acc, pivot)
+        inv_p = finv(pivot)
         for r in range(col + 1, d):
             f = rows[r][col]
             if f:
-                fac = spec.mul(f, inv_p)
-                rows[r] = [x ^ spec.mul(fac, y) for x, y in zip(rows[r], rows[col])]
+                fac = fmul(f, inv_p)
+                rows[r] = [x ^ fmul(fac, y) for x, y in zip(rows[r], rows[col])]
     return acc
 
 

@@ -29,6 +29,15 @@ from circulant_elgamal.keygen import load_params, save_params
 from circulant_elgamal.security import TSV_HEADER
 
 
+def _source_env():
+    # the environment with this checkout's package first on PYTHONPATH, for
+    # commands run in a fresh interpreter
+    src = str(Path(circulant_elgamal.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -441,6 +450,55 @@ def test_decrypt_rejects_length_the_blocks_cannot_hold(hostile_setup, length):
     assert "cannot hold" in stderr
 
 
+@pytest.mark.parametrize("count", ("0", "-3"))
+def test_decrypt_rejects_raw_file_with_no_blocks(hostile_setup, count):
+    # the bytes encoding implies at least one block; a raw file must say so
+    root, files, priv, _ = hostile_setup
+    ct = root / "raw.ct"
+    code, _, _ = run_cli(["encrypt", "--pub", files["pub"], "--in", "0x1" + ",0x0" * 10,
+                          "--out", str(ct), "--seed", "54"])
+    assert code == 0
+    lines = ct.read_text().splitlines(keepends=True)
+    assert "blocks = 1\n" in lines
+    ct.write_text("".join(
+        f"blocks = {count}\n" if line == "blocks = 1\n" else line
+        for line in lines
+        if not line.startswith(("Ar =", "w ="))
+    ))
+    code, stdout, stderr = run_cli(
+        ["decrypt", "--priv", priv, "--in", str(ct), "--out", str(root / "x")]
+    )
+    assert code == 2 and stdout == ""
+    assert f"blocks must be positive, got {count}" in stderr
+
+
+def test_negative_field_poly_exits_2(hostile_setup):
+    # -0x7 has the bit length of a degree-2 modulus, and reducing by it
+    # never ended; each command runs in a fresh interpreter with a timeout,
+    # so a hang fails here instead of stalling the run
+    root, files, priv, plain = hostile_setup
+    out = str(root / "out")
+    argvs = {
+        "params": lambda p: ["params", "check", p],
+        "pub": lambda p: ["encrypt", "--pub", p, "--infile", plain, "--out", out],
+        "priv": lambda p: ["decrypt", "--priv", p, "--in", files["ct"], "--out", out],
+        "ct": lambda p: ["decrypt", "--priv", priv, "--in", p, "--out", out],
+    }
+    for kind, argv in argvs.items():
+        text = Path(files.get(kind, priv)).read_text()
+        assert "n = 3\n" in text and "field_poly = 0xb\n" in text
+        path = root / f"negative.{kind}"
+        path.write_text(
+            text.replace("n = 3\n", "n = 2\n").replace("0xb\n", "-0x7\n")
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "circulant_elgamal.cli", *argv(str(path))],
+            capture_output=True, text=True, timeout=60, env=_source_env(),
+        )
+        assert proc.returncode == 2 and proc.stdout == "", (kind, proc.stderr)
+        assert "-0b111 is not an irreducible degree-2 polynomial" in proc.stderr
+
+
 @pytest.mark.parametrize("kind", ("params", "pub", "ct"))
 @settings(
     max_examples=60,
@@ -578,15 +636,12 @@ def test_entry_point_target_runs():
         f"main = EntryPoint('circ-elgamal', {target!r}, 'console_scripts').load()\n"
         "sys.exit(main())\n"
     )
-    src = str(Path(circulant_elgamal.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code, "security", "estimate", "--n", "47", "--d", "11"],
         capture_output=True,
         text=True,
         timeout=120,
-        env=env,
+        env=_source_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "index_bits=470" in proc.stdout

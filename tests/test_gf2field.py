@@ -2,7 +2,7 @@
 
 Oracles: sympy polynomial arithmetic mod 2 for GF(2) questions, naive
 convolution for products, brute-force enumeration at tiny sizes. Field
-products above the exp/log tables and all `Poly` products run on the
+products and squares, and `Poly` products and squares, all run on the
 packed kernel; they are checked against bit-by-bit multiplication and
 division, and against the schoolbook double loop.
 """
@@ -29,7 +29,6 @@ from circulant_elgamal.gf2field import (
     _pirreducible,
     _pmod,
     _pmul,
-    _Ring,
     _x_is_primitive,
     field_make,
     frobenius,
@@ -42,6 +41,7 @@ from circulant_elgamal.gf2field import (
     primitive_poly,
 )
 from circulant_elgamal.numtheory import element_order, factor
+from oracles import field_ops
 
 
 def bits_to_sympy(v: int):
@@ -164,6 +164,17 @@ def test_fieldspec_rejects_reducible_modulus():
         FieldSpec(3, 0b1011 ^ 0b1000 ^ 0b10000)  # degree mismatch
 
 
+def test_fieldspec_rejects_negative_modulus():
+    # -m has m's bit length, and reducing by it never ended: a hang at
+    # (2, -7), (4, -19), (5, -33), (6, -65), (6, -87) and (6, -117)
+    with pytest.raises(ValueError, match="-0b11 is not"):
+        FieldSpec(1, -3)
+    for n in range(1, 7):
+        for m in range(1 << n, 2 << n):
+            with pytest.raises(ValueError):
+                FieldSpec(n, -m)
+
+
 # largest irreducible polynomial of each degree: t^n + g(t), deg g = n - 1
 DENSE_MODULI = {
     17: 0x3FFEF,
@@ -179,9 +190,8 @@ DENSE_MODULI = {
 @pytest.mark.parametrize("dense", (False, True))
 @pytest.mark.parametrize("n", sorted(DENSE_MODULI))
 def test_field_mul_square_match_bitwise_reduction(n, dense):
-    # above the tables, products and squares run on the kernel at d = 1
+    # products and squares run on the kernel at d = 1, sampled at large n
     spec = FieldSpec(n, DENSE_MODULI[n]) if dense else field_make(n)
-    assert spec.n > 16
     m, rng = spec.modulus, random.Random(n)
     vals = [0, 1, spec.order, 1 << n - 1] + [spec.rand(rng) for _ in range(36)]
     for a in vals:
@@ -192,17 +202,22 @@ def test_field_mul_square_match_bitwise_reduction(n, dense):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_field_tables_match_kernel(n):
-    # the exp/log tables and the kernel at d = 1 agree on every pair, for
-    # the default modulus and the largest irreducible one
+    # the kernel at d = 1 and Euclid's inverse against the oracle's tables
+    # from bitwise multiply and reduce, on every pair, for the default
+    # modulus and the largest irreducible one
     dense = (2 << n) - 1
     while not _pirreducible(dense):
         dense -= 2
     for spec in (field_make(n), FieldSpec(n, dense)):
-        ring = _Ring(spec, 1)
+        fmul, finv = field_ops(spec)
         for a in range(1 << n):
-            assert spec.square(a) == ring.square(a)
+            assert spec.square(a) == fmul(a, a)
             for b in range(1 << n):
-                assert spec.mul(a, b) == ring.product(a, b)
+                assert spec.mul(a, b) == fmul(a, b)
+            if a:
+                assert spec.inv(a) == finv(a) and spec.mul(a, spec.inv(a)) == 1
+        with pytest.raises(ZeroInverse):
+            spec.inv(0)
 
 
 def poly_mul_naive(a: Poly, b: Poly) -> Poly:
@@ -244,6 +259,7 @@ def poly_pair(draw):
 def test_poly_mul_matches_schoolbook(pair):
     a, b = pair
     assert a * b == poly_mul_naive(a, b) == b * a
+    assert a.square() == poly_mul_naive(a, a)
 
 
 def poly_divmod_naive(a: Poly, b: Poly) -> tuple[Poly, Poly]:

@@ -40,7 +40,7 @@ from circulant_elgamal.keygen import (
     save_params,
 )
 
-from oracles import expand
+from oracles import expand, field_ops
 
 
 def C(spec, *bits):
@@ -58,7 +58,7 @@ def _char_poly_dense(rows: list[list[int]], spec: FieldSpec) -> Poly:
     degree first.
     """
     n = len(rows)
-    fmul = spec.mul
+    fmul = field_ops(spec)[0]
     c = [1]
     for r in range(1, n + 1):
         rv = rows[r - 1][: r - 1]
