@@ -22,7 +22,6 @@ import random
 from typing import Iterable, Sequence
 
 from .gf2field import (
-    ExtensionSpec,
     FieldElement,
     FieldSpec,
     NotInvertible,
@@ -282,9 +281,9 @@ def char_poly_quotient(a: Circulant) -> tuple[Poly, bool]:
             f"2^{spec.n} is not primitive mod {d}, so Phi factors and the "
             "conjugate construction does not apply"
         )
-    ext = ExtensionSpec(spec, Poly.make(spec, (1,) * d))
-    conj = [Poly.make(spec, a.bits()) % ext.modulus]
+    phi = Poly.make(spec, (1,) * d)
+    conj = [Poly.make(spec, a.bits()) % phi]
     for _ in range(d - 2):
-        conj.append(frobenius(conj[-1], ext))
+        conj.append(frobenius(conj[-1], phi))
     distinct = len({c.coeffs for c in conj}) == d - 1
-    return linear_factor_product(conj, ext), distinct
+    return linear_factor_product(conj, phi), distinct

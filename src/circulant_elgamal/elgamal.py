@@ -22,7 +22,7 @@ from .circulant import (
     power,
 )
 from .gf2field import FieldElement, FieldSpec
-from .keygen import ParamSet
+from .keygen import ParamSet, _field_header, _read_field_header, _read_row
 
 
 class OracleInconsistent(ArithmeticError):
@@ -160,38 +160,6 @@ def decode_blocks(
 
 # ---------------------------------------------------------------------------
 # key and ciphertext files
-
-def _field_header(spec: FieldSpec, d: int) -> list[tuple[str, str]]:
-    return [
-        ("version", "1"),
-        ("n", str(spec.n)),
-        ("d", str(d)),
-        ("field_poly", format(spec.modulus, "#x")),
-    ]
-
-
-def _read_field_header(r: fileio.KvReader) -> tuple[FieldSpec, int]:
-    fileio.check_version(r)
-    n = r.expect_int("n")
-    d = r.expect_int("d")
-    if d < 1:
-        raise fileio.FileFormatError(f"{r.path}: d must be positive, got {d}")
-    modulus = r.expect_int("field_poly")
-    try:
-        spec = FieldSpec(n, modulus)
-    except ValueError as exc:
-        raise fileio.FileFormatError(f"{r.path}: {exc}") from None
-    return spec, d
-
-
-def _read_row(r: fileio.KvReader, key: str, spec: FieldSpec, d: int) -> Circulant:
-    c = Circulant.from_hex(spec, r.expect(key))
-    if c.d != d:
-        raise fileio.FileFormatError(
-            f"{r.path}: {key} has {c.d} entries, expected {d}"
-        )
-    return c
-
 
 def save_private(priv: PrivateKey, path) -> None:
     ps = priv.params

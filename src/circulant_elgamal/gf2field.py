@@ -10,15 +10,16 @@ product and reduced mod the field polynomial by one Barrett step. At
 d = 1 it is GF(2^n) itself, which every field multiplies and squares
 on, and at d = deg(ab) + 1 its fold never wraps, so it is the plain
 product of `Poly` a and b (Kronecker substitution); a `Poly` of k
-terms squares on 2k - 1 slots the same way. `Poly` long division keeps
-the remainder packed and subtracts one kernel product of the divisor a
-step, and the irreducibility test runs on Berlekamp's Q-matrix:
-x^(q^j) mod p by matrix-vector products over F_q whose columns are
-kernel rows. The circulant ring of `circulant` is the same kernel at
-the matrix size d.
+terms squares on 2k - 1 slots the same way. One long-division loop,
+`_divider`, keeps the remainder packed and subtracts one kernel product
+of the divisor a step; `Poly` division and every reduction mod tau run
+on it. Set-up computes in F_q[x]/tau on packed rows only: the
+irreducibility test runs on Berlekamp's Q-matrix, x^(q^j) mod p by
+matrix-vector products over F_q whose columns are kernel rows, and
 `primitive_poly` keeps an irreducible tau when x^(N/p) != 1 mod tau
 for every prime p of N = q^deg(tau) - 1, each power a product of the
-Q-matrix's x^(q^j) raised to the base-q digits of N/p.
+Q-matrix's x^(q^j) raised to the base-q digits of N/p. The circulant
+ring of `circulant` is the same kernel at the matrix size d.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import random
 import sys
 from collections import OrderedDict
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .numtheory import (
     DEFAULT_BUDGET,
@@ -403,20 +404,8 @@ class Poly:
         spec, a, db = self.spec, self.coeffs, other.degree
         if len(a) - 1 < db:
             return Poly((), spec), self
-        ring, sub = _ring(spec, len(a)), _ring(spec, db + 1)
-        win, rem = sub.window(sub.pack(other.coeffs)), ring.pack(a)
-        w, mask = ring.width, (1 << spec.n) - 1
-        lead = other.leading()
-        inv_lead = spec.inv(lead) if lead != 1 else None
-        q = [0] * (len(a) - db)
-        for k in range(len(a) - 1, db - 1, -1):
-            c = rem >> k * w & mask
-            if c == 0:
-                continue
-            f = c if inv_lead is None else spec.mul(c, inv_lead)
-            q[k - db] = f
-            # f b fills the db + 1 slots of sub, so its fold never wraps
-            rem ^= sub.mul(win, f) << (k - db) * w
+        ring = _ring(spec, len(a))
+        q, rem = _divider(other)(ring.pack(a))
         return Poly.make(spec, q), Poly.make(spec, ring.unpack(rem)[:db])
 
     def __mod__(self, other: "Poly") -> "Poly":
@@ -725,6 +714,34 @@ def _ring(spec: FieldSpec, d: int) -> _Ring:
     return _Ring(spec, d)
 
 
+def _divider(b: Poly) -> Callable[[int], tuple[list[int], int]]:
+    """Long division by b != 0 on rows packed as `_Ring.pack` packs them.
+
+    The returned function maps a row of any length to its quotient's
+    coefficients and its packed remainder. b's window and lead inverse
+    are made once, and each step subtracts one kernel product of b.
+    """
+    spec, db = b.spec, b.degree
+    sub = _ring(spec, db + 1)
+    win, w, mask = sub.window(sub.pack(b.coeffs)), sub.width, (1 << spec.n) - 1
+    lead = b.leading()
+    inv_lead = spec.inv(lead) if lead != 1 else None
+
+    def divide(rem: int) -> tuple[list[int], int]:
+        top = (rem.bit_length() - 1) // w
+        q = [0] * max(top - db + 1, 0)
+        for k in range(top, db - 1, -1):
+            c = rem >> k * w & mask
+            if c:
+                f = c if inv_lead is None else spec.mul(c, inv_lead)
+                q[k - db] = f
+                # f b fills the db + 1 slots of sub, so its fold never wraps
+                rem ^= sub.mul(win, f) << (k - db) * w
+        return q, rem
+
+    return divide
+
+
 def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """Monic g = gcd(a, b) and Bezout pair (u, v) with u*a + v*b = g."""
     a._same(b)
@@ -750,78 +767,52 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic() if not a.is_zero() else a
 
 
-class ExtensionSpec(NamedTuple):
-    """Quotient F_q[x]/(modulus); a field when the modulus is irreducible.
-
-    Construction does not force irreducibility; field-only operations
-    check on their own.
-    """
-
-    base: FieldSpec
-    modulus: Poly
-
-    @property
-    def degree(self) -> int:
-        return self.modulus.degree
-
-    def reduce(self, a: Poly) -> Poly:
-        return a % self.modulus
-
-    @property
-    def one(self) -> Poly:
-        return Poly.const(self.base, 1)
+def poly_mod_mul(a: Poly, b: Poly, tau: Poly) -> Poly:
+    return (a * b) % tau
 
 
-def poly_mod_mul(a: Poly, b: Poly, ext: ExtensionSpec) -> Poly:
-    if a.spec != ext.base or b.spec != ext.base:
-        raise SpecMismatch("polynomial/extension field mismatch")
-    return (a * b) % ext.modulus
-
-
-def poly_mod_square(a: Poly, ext: ExtensionSpec) -> Poly:
-    return a.square() % ext.modulus
-
-
-def poly_mod_pow(a: Poly, e: int, ext: ExtensionSpec) -> Poly:
+def poly_mod_pow(a: Poly, e: int, tau: Poly) -> Poly:
     if e < 0:
         raise ValueError("exponent must be nonnegative")
-    r = Poly.const(ext.base, 1)
-    a = a % ext.modulus
+    r = Poly.const(tau.spec, 1)
+    a = a % tau
     while e:
         if e & 1:
-            r = poly_mod_mul(r, a, ext)
-        a = poly_mod_square(a, ext)
+            r = poly_mod_mul(r, a, tau)
+        a = a.square() % tau
         e >>= 1
     return r
 
 
-def frobenius(a: Poly, ext: ExtensionSpec) -> Poly:
-    """a^q in the quotient, q = 2^n: n successive squarings."""
-    r = a % ext.modulus
-    for _ in range(ext.base.n):
-        r = poly_mod_square(r, ext)
+def frobenius(a: Poly, tau: Poly) -> Poly:
+    """a^q mod tau, q = 2^n: n successive squarings."""
+    r = a % tau
+    for _ in range(tau.spec.n):
+        r = r.square() % tau
     return r
 
 
-def _frobenius_orbit(p: Poly) -> list[Poly]:
-    """x^(q^j) mod p for j = 0 .. k, k = deg(p) >= 1, p monic, q = 2^n.
+def _frobenius_orbit(p: Poly) -> list[int]:
+    """x^(q^j) mod p for j = 0 .. k, k = deg(p) >= 1, p monic, q = 2^n,
+    as rows packed by `_ring(spec, k)`.
 
-    In F_q[x]/p, y -> y^q is F_q-linear, (sum y_i x^i)^q = sum y_i
-    (x^q)^i, so `frobenius` gives x^q, k - 2 products give the columns
-    (x^q)^i of Berlekamp's Q-matrix, and each next x^(q^j) is one
-    matrix-vector product over F_q on the packed kernel.
+    Products and squares run on the kernel at 2k - 1 slots, where the
+    fold never wraps, and `_divider(p)` reduces them: x^q is n squarings
+    of x, and k - 2 products give the columns (x^q)^i of Berlekamp's
+    Q-matrix. In F_q[x]/p, (sum y_i x^i)^q = sum y_i (x^q)^i, so each next
+    x^(q^j) is one matrix-vector product over F_q on the packed kernel.
     """
     spec, k = p.spec, p.degree
-    ext = ExtensionSpec(spec, p)
-    x = Poly.x(spec) % p  # p(0) when k = 1
-    xq = frobenius(x, ext)
-    cols = [ext.one, xq]
+    ring, big, div = _ring(spec, k), _ring(spec, 2 * k - 1), _divider(p)
+    x = xq = div(ring.pack((0, 1)))[1]  # p(0) when k = 1
+    for _ in range(spec.n):
+        xq = div(big.square(xq))[1]
+    cols, win = [1, xq], big.window(xq)
     for _ in range(k - 2):
-        cols.append(poly_mod_mul(cols[-1], xq, ext))
-    ring = _ring(spec, k)
-    wins = [ring.window(ring.pack(c.coeffs)) for c in cols[:k]]
+        cols.append(div(big.mul(win, cols[-1]))[1])
+    wins = [ring.window(c) for c in cols[:k]]
     w, mask, mul = ring.width, (1 << spec.n) - 1, ring.mul
-    ys = [ring.pack(x.coeffs), ring.pack(xq.coeffs)]
+    ys = [x, xq]
     for _ in range(1, k):
         # mul reduces each column's product on its own: reduction is linear
         y, nxt = ys[-1], 0
@@ -830,7 +821,7 @@ def _frobenius_orbit(p: Poly) -> list[Poly]:
             if c:
                 nxt ^= mul(win, c)
         ys.append(nxt)
-    return [Poly.make(spec, ring.unpack(y)) for y in ys]
+    return ys
 
 
 def poly_is_irreducible(p: Poly) -> bool:
@@ -838,7 +829,7 @@ def poly_is_irreducible(p: Poly) -> bool:
 
     p is irreducible when x^(q^k) = x mod p and gcd(x^(q^(k/r)) - x, p)
     = 1 for every prime r dividing k; `_frobenius_orbit` gives the
-    x^(q^j).
+    x^(q^j), and only the gcds see them as `Poly`.
     """
     k = p.degree
     if k <= 0:
@@ -849,9 +840,10 @@ def poly_is_irreducible(p: Poly) -> bool:
         return False  # divisible by x
     p = p.monic()
     ys = _frobenius_orbit(p)
-    x = ys[0]
+    x, unpack = ys[0], _ring(p.spec, k).unpack
     return ys[k] == x and all(
-        poly_gcd(ys[k // r] + x, p).degree <= 0 for r in _prime_divisors(k)
+        poly_gcd(Poly.make(p.spec, unpack(ys[k // r] ^ x)), p).degree <= 0
+        for r in _prime_divisors(k)
     )
 
 
@@ -868,22 +860,24 @@ def _x_is_primitive(tau: Poly, fact: Factorization) -> bool:
     y_j^(e_j) for the base-q digits e_j of e (von zur Gathen-Shoup
     1992): one pass over the n bit positions of the digits, a squaring
     per position and at most one product per block of `_DIGIT_BLOCK`
-    digits, from subset-product tables that all primes share. The
-    primes go in ascending order, and the first that rejects stops it.
+    digits, from subset-product tables that all primes share. Every
+    value is a packed row, multiplied and squared on the kernel at 2k - 1
+    slots and reduced by `_divider(tau)`. The primes go in ascending
+    order, and the first that rejects stops it.
     """
     spec, k, g = tau.spec, tau.degree, _DIGIT_BLOCK
-    ext, n = ExtensionSpec(spec, tau), spec.n
+    n, big, div = spec.n, _ring(spec, 2 * k - 1), _divider(tau)
     ys = _frobenius_orbit(tau)[:k]
     blocks = [ys[i : i + g] for i in range(0, k, g)]
     table = {}  # (G, S): the product of blocks[G][j] over the bits j of S
 
-    def entry(G: int, S: int) -> Poly:
+    def entry(G: int, S: int) -> int:
         r = table.get((G, S))
         if r is None:
             top = S.bit_length() - 1
             r = blocks[G][top]
             if S != 1 << top:
-                r = poly_mod_mul(entry(G, S ^ 1 << top), r, ext)
+                r = div(big.product(entry(G, S ^ 1 << top), r))[1]
             table[G, S] = r
         return r
 
@@ -894,12 +888,12 @@ def _x_is_primitive(tau: Poly, fact: Factorization) -> bool:
         r = None
         for b in reversed(range(n)):
             if r is not None:
-                r = poly_mod_square(r, ext)
+                r = div(big.square(r))[1]
             for G, chunk in enumerate(chunks):
                 S = sum((digit >> b & 1) << j for j, digit in enumerate(chunk))
                 if S:
-                    r = entry(G, S) if r is None else poly_mod_mul(r, entry(G, S), ext)
-        if r == ext.one:
+                    r = entry(G, S) if r is None else div(big.product(r, entry(G, S)))[1]
+        if r == 1:
             return False
     return True
 
@@ -945,16 +939,16 @@ def primitive_poly(
     )
 
 
-def linear_factor_product(roots: list[Poly], ext: ExtensionSpec) -> Poly:
-    """Expand prod (X - r) for roots in the quotient; coefficients must
+def linear_factor_product(roots: list[Poly], tau: Poly) -> Poly:
+    """Expand prod (X - r) for roots in F_q[x]/tau; coefficients must
     collapse into the base field."""
-    spec = ext.base
+    spec = tau.spec
     prod: list[Poly] = [Poly.const(spec, 1)]
     for r in roots:
         nxt = [Poly((), spec) for _ in range(len(prod) + 1)]
         for i, c in enumerate(prod):
             nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] + poly_mod_mul(c, r, ext)  # char 2: -r = r
+            nxt[i] = nxt[i] + poly_mod_mul(c, r, tau)  # char 2: -r = r
         prod = nxt
     out = []
     for c in prod:

@@ -211,36 +211,50 @@ def generate(
 
 
 # ---------------------------------------------------------------------------
-# parameter files
+# file headers (params, key and ciphertext files) and parameter files
+
+def _field_header(spec: FieldSpec, d: int) -> list[tuple[str, str]]:
+    return [
+        ("version", "1"),
+        ("n", str(spec.n)),
+        ("d", str(d)),
+        ("field_poly", format(spec.modulus, "#x")),
+    ]
+
+
+def _read_field_header(r: fileio.KvReader) -> tuple[FieldSpec, int]:
+    """The header of a params, key or ciphertext file, checked."""
+    fileio.check_version(r)
+    n = r.expect_int("n")
+    d = r.expect_int("d")
+    if d < 1:
+        raise fileio.FileFormatError(f"{r.path}: d must be positive, got {d}")
+    modulus = r.expect_int("field_poly")
+    try:
+        spec = FieldSpec(n, modulus)
+    except ValueError as exc:
+        raise fileio.FileFormatError(f"{r.path}: {exc}") from None
+    return spec, d
+
+
+def _read_row(r: fileio.KvReader, key: str, spec: FieldSpec, d: int) -> Circulant:
+    c = Circulant.from_hex(spec, r.expect(key))
+    if c.d != d:
+        raise fileio.FileFormatError(
+            f"{r.path}: {key} has {c.d} entries, expected d = {d}"
+        )
+    return c
+
 
 def save_params(params: ParamSet, path) -> None:
     fileio.write_kv(
-        path,
-        [
-            ("version", "1"),
-            ("n", str(params.spec.n)),
-            ("d", str(params.d)),
-            ("field_poly", format(params.spec.modulus, "#x")),
-            ("A", params.A.to_hex()),
-        ],
+        path, _field_header(params.spec, params.d) + [("A", params.A.to_hex())]
     )
 
 
 def load_params(path) -> ParamSet:
     r = fileio.KvReader(path)
-    fileio.check_version(r)
-    n = r.expect_int("n")
-    d = r.expect_int("d")
-    modulus = r.expect_int("field_poly")
-    a_text = r.expect("A")
+    spec, d = _read_field_header(r)
+    a = _read_row(r, "A", spec, d)
     r.done()
-    try:
-        spec = FieldSpec(n, modulus)
-    except ValueError as exc:
-        raise fileio.FileFormatError(f"{path}: {exc}") from None
-    a = Circulant.from_hex(spec, a_text)
-    if a.d != d:
-        raise fileio.FileFormatError(
-            f"{path}: A has {a.d} entries, expected d = {d}"
-        )
     return ParamSet(spec, d, a)

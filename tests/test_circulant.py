@@ -27,7 +27,6 @@ from circulant_elgamal.circulant import (
     square,
 )
 from circulant_elgamal.gf2field import (
-    ExtensionSpec,
     FieldElement,
     Poly,
     SpecMismatch,
@@ -361,7 +360,7 @@ def test_char_poly_quotient_constructed_minimal_polynomial():
     # pick a beta in F_2[x]/Phi_5 whose minimal polynomial is x^4+x+1;
     # the quotient must then be exactly that polynomial
     s1 = field_make(1)
-    ext = ExtensionSpec(s1, Poly.make(s1, [1] * 5))
+    phi = Poly.make(s1, [1] * 5)
     target = Poly.make(s1, [1, 1, 0, 0, 1])
     beta = None
     for bits in range(2, 16):
@@ -370,7 +369,7 @@ def test_char_poly_quotient_constructed_minimal_polynomial():
         p = Poly.make(s1, [(bits >> i) & 1 for i in range(4)])
         value = Poly.make(s1, [0])
         for c in reversed(target.coeffs):
-            value = poly_mod_mul(value, p, ext) + Poly.const(s1, c)
+            value = poly_mod_mul(value, p, phi) + Poly.const(s1, c)
         if value.is_zero():
             beta = p
             break

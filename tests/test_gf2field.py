@@ -20,15 +20,16 @@ from sympy.abc import t
 from circulant_elgamal import gf2field
 from circulant_elgamal.gf2field import (
     BudgetExceeded,
-    ExtensionSpec,
     FieldElement,
     FieldSpec,
     Poly,
     SpecMismatch,
     ZeroInverse,
+    _frobenius_orbit,
     _pirreducible,
     _pmod,
     _pmul,
+    _ring,
     _x_is_primitive,
     field_make,
     frobenius,
@@ -263,18 +264,20 @@ def test_poly_mul_matches_schoolbook(pair):
 
 
 def poly_divmod_naive(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Schoolbook long division, one field product per divisor coefficient."""
+    """Schoolbook long division, one field product per divisor coefficient,
+    on `field_ops`, not on the kernel that `divmod` runs on."""
     spec, db = a.spec, b.degree
-    inv_lead = spec.inv(b.leading())
+    mul, inv = field_ops(spec)
+    inv_lead = inv(b.leading())
     rem = list(a.coeffs)
     if len(rem) - 1 < db:
         return Poly((), spec), a
     q = [0] * (len(rem) - db)
     for k in range(len(rem) - 1, db - 1, -1):
-        f = spec.mul(rem[k], inv_lead)
+        f = mul(rem[k], inv_lead)
         q[k - db] = f
         for j in range(db + 1):
-            rem[k - db + j] ^= spec.mul(f, b.coeffs[j])
+            rem[k - db + j] ^= mul(f, b.coeffs[j])
     return Poly.make(spec, q), Poly.make(spec, rem)
 
 
@@ -385,22 +388,42 @@ def test_poly_is_irreducible_matches_sympy():
 
 def irreducible_reference(p):
     """The distinct-degree test with a fresh squaring chain per check."""
-    k, n = p.degree, p.spec.n
-    ext = ExtensionSpec(p.spec, p.monic())
-    x = Poly.x(p.spec) % ext.modulus
+    k, n, tau = p.degree, p.spec.n, p.monic()
+    x = Poly.x(p.spec) % tau
 
     def x_q_power(j):
         r = x
         for _ in range(j * n):
-            r = poly_mod_mul(r, r, ext)
+            r = poly_mod_mul(r, r, tau)
         return r
 
     if p.coeffs[0] == 0 or x_q_power(k) != x:
         return k == 1
     return all(
-        poly_gcd(x_q_power(k // r) + x, ext.modulus).degree == 0
+        poly_gcd(x_q_power(k // r) + x, tau).degree == 0
         for r in sympy.primefactors(k)
     )
+
+
+@pytest.mark.parametrize(
+    "spec", [field_make(n) for n in (1, 2, 3, 11, 47)] + [FieldSpec(11, 0xFFB)], ids=repr
+)
+def test_frobenius_orbit_matches_squaring_and_long_division(spec):
+    # every packed row x^(q^j) mod p against n j squarings of x, each one
+    # Poly.square and schoolbook division on field_ops; random monic p,
+    # mostly reducible, some with p(0) = 0
+    rng = random.Random(spec.modulus)
+    for k in (1, 2, 3, 5, 10):
+        p = Poly.make(spec, [spec.rand(rng) for _ in range(k)] + [1])
+        unpack = _ring(spec, k).unpack
+        got = [Poly.make(spec, unpack(y)) for y in _frobenius_orbit(p)]
+        want = [poly_divmod_naive(Poly.x(spec), p)[1]]
+        for _ in range(k):
+            y = want[-1]
+            for _ in range(spec.n):
+                y = poly_divmod_naive(y.square(), p)[1]
+            want.append(y)
+        assert got == want, (k, p)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 8, 17, 47))
@@ -454,8 +477,7 @@ def test_poly_is_irreducible_gcd_rejections(n):
             factors += got
         else:
             p = functools.reduce(operator.mul, factors)
-            ext = ExtensionSpec(spec, p)
-            assert poly_mod_pow(x, (1 << n) ** p.degree, ext) == x
+            assert poly_mod_pow(x, (1 << n) ** p.degree, p) == x
             assert not poly_is_irreducible(p), degrees
             tried += 1
     assert tried == (3 if n == 1 else 8)  # GF(2) has one quadratic, two cubics
@@ -472,39 +494,38 @@ def test_binary_irreducibility_exhaustive():
 def test_extension_arithmetic():
     s1 = field_make(1)
     phi3 = Poly.make(s1, [1, 1, 1])
-    ext = ExtensionSpec(s1, phi3)
     x = Poly.x(s1)
-    assert poly_mod_mul(x, x, ext) == Poly.make(s1, [1, 1])  # x^2 = x + 1
+    assert poly_mod_mul(x, x, phi3) == Poly.make(s1, [1, 1])  # x^2 = x + 1
     p = Poly.make(s1, [1, 1])
-    assert poly_mod_mul(ext.one, p, ext) == p
-    assert poly_mod_mul(Poly.make(s1, [0]), p, ext).is_zero()
-    assert frobenius(x, ext) == Poly.make(s1, [1, 1])
+    assert poly_mod_mul(Poly.const(s1, 1), p, phi3) == p
+    assert poly_mod_mul(Poly.make(s1, [0]), p, phi3).is_zero()
+    assert frobenius(x, phi3) == Poly.make(s1, [1, 1])
     with pytest.raises(ValueError):
-        poly_mod_pow(x, -1, ext)
-    got = frobenius(Poly.const(s1, 1), ext)
+        poly_mod_pow(x, -1, phi3)
+    got = frobenius(Poly.const(s1, 1), phi3)
     assert got == Poly.const(s1, 1)
 
 
 def test_frobenius_full_orbit_and_homomorphism():
     s3 = field_make(3)
     phi = Poly.make(s3, [1] * 11)
-    ext = ExtensionSpec(s3, phi)
     rng = random.Random(17)
     for _ in range(20):
         a = Poly.make(s3, [rng.getrandbits(3) for _ in range(10)])
         b = Poly.make(s3, [rng.getrandbits(3) for _ in range(10)])
-        fa = frobenius(a, ext)
-        fb = frobenius(b, ext)
-        assert frobenius(a + b, ext) == fa + fb
-        assert frobenius(poly_mod_mul(a, b, ext), ext) == poly_mod_mul(fa, fb, ext)
+        fa = frobenius(a, phi)
+        fb = frobenius(b, phi)
+        assert frobenius(a + b, phi) == fa + fb
+        assert frobenius(poly_mod_mul(a, b, phi), phi) == poly_mod_mul(fa, fb, phi)
         cur = a
         for _ in range(10):  # d - 1 = 10 applications close the orbit
-            cur = frobenius(cur, ext)
+            cur = frobenius(cur, phi)
         assert cur == a
 
 
-def _poly_order(a, ext, fact):
-    return element_order(fact, lambda e: poly_mod_pow(a, e, ext) == ext.one).n
+def _poly_order(a, tau, fact):
+    one = Poly.const(tau.spec, 1)
+    return element_order(fact, lambda e: poly_mod_pow(a, e, tau) == one).n
 
 
 def _field_order(spec, a, fact):
@@ -514,9 +535,9 @@ def _field_order(spec, a, fact):
 def test_poly_order_known():
     s1 = field_make(1)
     x = Poly.x(s1)
-    prim = ExtensionSpec(s1, Poly.make(s1, [1, 1, 0, 0, 1]))  # x^4+x+1
+    prim = Poly.make(s1, [1, 1, 0, 0, 1])  # x^4+x+1
     assert _poly_order(x, prim, factor(15)) == 15
-    nonprim = ExtensionSpec(s1, Poly.make(s1, [1, 1, 1, 1, 1]))
+    nonprim = Poly.make(s1, [1, 1, 1, 1, 1])
     assert _poly_order(x, nonprim, factor(15)) == 5
 
 
@@ -542,9 +563,8 @@ def test_primitive_poly_verified_path():
         assert got.primitivity_verified
         assert got.poly.degree == degree and got.poly.is_monic()
         assert poly_is_irreducible(got.poly)
-        ext = ExtensionSpec(s1, got.poly)
         group = (1 << degree) - 1
-        assert _poly_order(Poly.x(s1), ext, factor(group)) == group
+        assert _poly_order(Poly.x(s1), got.poly, factor(group)) == group
     # degree 2 over GF(2) has exactly one irreducible candidate
     got = primitive_poly(2, s1, random.Random(0))
     assert got.poly == Poly.make(s1, [1, 1, 1])
@@ -589,15 +609,15 @@ def test_x_is_primitive_matches_order_oracle(n, degrees):
                 taus.append(tau)
                 if len(taus) == 6:
                     break
-        ext = ExtensionSpec(spec, primitive_poly(k, spec, rng).poly)
-        assert _poly_order(x, ext, fact) == N
+        prim = primitive_poly(k, spec, rng).poly
+        assert _poly_order(x, prim, fact) == N
         for p in fact.primes():
-            tau = min_poly_over_base(poly_mod_pow(x, p, ext), ext)
+            tau = min_poly_over_base(poly_mod_pow(x, p, prim), prim)
             if tau.degree == k:
                 taus.append(tau)
                 single += 1
         for tau in taus:
-            order = _poly_order(x, ExtensionSpec(spec, tau), fact)
+            order = _poly_order(x, tau, fact)
             assert _x_is_primitive(tau, fact) == (order == N), (k, tau)
             verdicts.add(order == N)
     assert verdicts == {True, False} and single >= len(degrees)
@@ -636,58 +656,57 @@ def test_primitive_poly_tests_each_draw_once(monkeypatch, n, degree, seed):
     assert len(tested) > len(verdicts) > 1
 
 
-def min_poly_over_base(a: Poly, ext: ExtensionSpec) -> Poly:
-    """Minimal polynomial over F_q of an element of the quotient field.
+def min_poly_over_base(a: Poly, tau: Poly) -> Poly:
+    """Minimal polynomial over F_q of an element of the field F_q[x]/tau.
 
     Built from the library's `frobenius` and `linear_factor_product`,
-    which the test below checks through it.
+    which the test below checks through it. The orbit of a has at most
+    deg(tau) conjugates, so a broken `frobenius` fails here, not hangs.
     """
-    conj = [a % ext.modulus]
-    nxt = frobenius(conj[0], ext)
-    while nxt != conj[0]:
+    conj = [a % tau]
+    for _ in range(tau.degree):
+        nxt = frobenius(conj[-1], tau)
+        if nxt == conj[0]:
+            return linear_factor_product(conj, tau)
         conj.append(nxt)
-        nxt = frobenius(nxt, ext)
-    return linear_factor_product(conj, ext)
+    raise AssertionError(f"the orbit of {a} is not closed after deg(tau) steps")
 
 
 def test_min_poly_over_base():
     s1 = field_make(1)
     f = Poly.make(s1, [1, 1, 0, 0, 1])
-    ext = ExtensionSpec(s1, f)
-    assert min_poly_over_base(Poly.x(s1), ext) == f
+    assert min_poly_over_base(Poly.x(s1), f) == f
     one = Poly.const(s1, 1)
-    assert min_poly_over_base(one, ext) == Poly.make(s1, [1, 1])
+    assert min_poly_over_base(one, f) == Poly.make(s1, [1, 1])
 
 
 def test_linear_factor_product_conjugate_closure():
     s3 = field_make(3)
     phi = Poly.make(s3, [1] * 11)
-    ext = ExtensionSpec(s3, phi)
     rng = random.Random(21)
     beta = Poly.make(s3, [rng.getrandbits(3) for _ in range(10)])
     roots = [beta]
     for _ in range(9):
-        roots.append(frobenius(roots[-1], ext))
-    g = linear_factor_product(roots, ext)
+        roots.append(frobenius(roots[-1], phi))
+    g = linear_factor_product(roots, phi)
     assert g.degree == 10 and g.is_monic()
     # evaluating g at beta must vanish: compose in the extension
     acc = Poly.make(s3, [0])
-    power_of_beta = ext.one
+    power_of_beta = Poly.const(s3, 1)
     for c in g.coeffs:
         acc = acc + power_of_beta.scale(c)
-        power_of_beta = poly_mod_mul(power_of_beta, beta, ext)
-    assert ext.reduce(acc).is_zero()
+        power_of_beta = poly_mod_mul(power_of_beta, beta, phi)
+    assert (acc % phi).is_zero()
 
 
 def test_linear_factor_product_rejects_open_sets():
     s3 = field_make(3)
     phi = Poly.make(s3, [1] * 11)
-    ext = ExtensionSpec(s3, phi)
     beta = Poly.make(s3, [3, 1])
     with pytest.raises(ArithmeticError):
         # two arbitrary roots almost surely do not form a Frobenius
         # orbit, so the product cannot collapse to base coefficients
-        linear_factor_product([beta, beta + ext.one], ext)
+        linear_factor_product([beta, beta + Poly.const(s3, 1)], phi)
 
 
 def test_budget_exceeded_is_runtime_error():

@@ -14,7 +14,6 @@ import sympy
 
 from circulant_elgamal.circulant import Circulant, det
 from circulant_elgamal.gf2field import (
-    ExtensionSpec,
     Poly,
     _ring,
     field_make,
@@ -238,9 +237,12 @@ def test_factorization_helpers():
 # circulant rings
 
 
-def _brute_order(g, mul, one):
+def _brute_order(g, mul, one, bound):
+    """Least t >= 1 with g^t = one, for g in a group whose order divides
+    ``bound``; a broken product fails past it instead of looping."""
     t, cur = 1, g
     while cur != one:
+        assert t < bound, f"no order up to {bound}"
         cur, t = mul(cur, g), t + 1
     return t
 
@@ -258,7 +260,7 @@ def _field_units(n):
     big_n = (1 << n) - 1
     for a in range(1, big_n + 1):
         is_one = lambda e, a=a: spec.pow(a, e) == 1  # noqa: E731
-        yield big_n, is_one, _brute_order(a, spec.mul, 1)
+        yield big_n, is_one, _brute_order(a, spec.mul, 1, big_n)
 
 
 def _x_mod_irreducibles(max_degree):
@@ -270,14 +272,14 @@ def _x_mod_irreducibles(max_degree):
             tau = Poly.make(s1, [(low >> i) & 1 for i in range(k)] + [1])
             if not poly_is_irreducible(tau):
                 continue
-            ext = ExtensionSpec(s1, tau)
+            one, big_n = Poly.const(s1, 1), (1 << k) - 1
             g = x % tau
-            brute = _brute_order(g, lambda u, v: poly_mod_mul(u, v, ext), ext.one)
+            brute = _brute_order(g, lambda u, v: poly_mod_mul(u, v, tau), one, big_n)
 
-            def is_one(e, ext=ext):
-                return poly_mod_pow(x, e, ext) == ext.one
+            def is_one(e, tau=tau, one=one):
+                return poly_mod_pow(x, e, tau) == one
 
-            yield (1 << k) - 1, is_one, brute
+            yield big_n, is_one, brute
 
 
 def _circulant_units(n, d, count, seed):
@@ -294,7 +296,8 @@ def _circulant_units(n, d, count, seed):
             continue
         a = unit.row
         is_one = lambda e, a=a: ring.power(a, e) == one  # noqa: E731
-        yield (1 << n * (d - 1)) - 1, is_one, _brute_order(a, ring.product, one)
+        big_n = (1 << n * (d - 1)) - 1
+        yield big_n, is_one, _brute_order(a, ring.product, one, big_n)
         done += 1
 
 
