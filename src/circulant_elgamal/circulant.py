@@ -251,16 +251,17 @@ def det(a: Circulant) -> FieldElement:
     """Determinant of the expanded matrix: Res(x^d - 1, a(x)), the product
     of a(zeta) over the roots of x^d - 1, for every d. Euclid, with no
     signs in characteristic 2: Res(f, h) = lc(h)^(deg f - deg r) Res(h, r)
-    for r = f mod h, and Res(f, c) = c^(deg f) for a constant c."""
+    for r = f mod h, and Res(f, c) = c^(deg f) for a constant c, on
+    packed rows: h starts as a's row as it is."""
     spec = a.spec
-    f = Poly.make(spec, [1] + [0] * (a.d - 1) + [1])
-    h = Poly.make(spec, a.bits())
+    f = Poly(1 << _ring(spec, a.d).row_bits | 1, spec)  # x^d + 1 in slots d and 0
+    h = Poly(a.row, spec)
     acc = 1
     while h.degree > 0:
         r = f % h
         acc = spec.mul(acc, spec.pow(h.leading(), f.degree - r.degree))
         f, h = h, r
-    c = h.coeffs[0] if h.coeffs else 0  # 0 once a remainder vanished
+    c = h.row  # a constant's row is its value, 0 once a remainder vanished
     return FieldElement(spec.mul(acc, spec.pow(c, f.degree)), spec)
 
 
@@ -281,9 +282,9 @@ def char_poly_quotient(a: Circulant) -> tuple[Poly, bool]:
             f"2^{spec.n} is not primitive mod {d}, so Phi factors and the "
             "conjugate construction does not apply"
         )
-    phi = Poly.make(spec, (1,) * d)
-    conj = [Poly.make(spec, a.bits()) % phi]
+    phi = Poly(_ring(spec, d).ones, spec)  # 1 + x + ... + x^(d - 1)
+    conj = [Poly(a.row, spec) % phi]
     for _ in range(d - 2):
         conj.append(frobenius(conj[-1], phi))
-    distinct = len({c.coeffs for c in conj}) == d - 1
+    distinct = len({c.row for c in conj}) == d - 1
     return linear_factor_product(conj, phi), distinct

@@ -242,27 +242,22 @@ def cmd_bench_pow(args) -> int:
     from .gf2field import field_make
     spec = field_make(args.n)
     rng = random.Random(_resolve_seed(args.seed))
-    total_general = total_field = total_sq = 0
-    total_s = 0.0
+    counter, total_s = OpCounter(), 0.0
     for _ in range(args.trials):
         a = Circulant.random(spec, args.d, rng)
         # top bit forced so every exponent is exactly `bits` long
         m = 1 << (args.bits - 1) | rng.getrandbits(args.bits - 1)
-        counter = OpCounter()
         t0 = time.perf_counter()
         power(a, m, counter)
         total_s += time.perf_counter() - t0
-        total_general += counter.general_mults
-        total_field += counter.field_mults
-        total_sq += counter.squarings
     t = args.trials
     _emit("n", args.n)
     _emit("d", args.d)
     _emit("bits", args.bits)
     _emit("trials", t)
-    _emit("mean_general_mults", f"{total_general / t:.4f}")
-    _emit("mean_field_mults", f"{total_field / t:.4f}")
-    _emit("mean_squarings", f"{total_sq / t:.4f}")
+    _emit("mean_general_mults", f"{counter.general_mults / t:.4f}")
+    _emit("mean_field_mults", f"{counter.field_mults / t:.4f}")
+    _emit("mean_squarings", f"{counter.squarings / t:.4f}")
     _emit("predicted_field_mults", f"{args.d * args.d / 2 * args.bits:.1f}")
     _emit("mean_power_ms", f"{total_s / t * 1e3:.4f}")
     return 0

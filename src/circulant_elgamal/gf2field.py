@@ -2,7 +2,8 @@
 
 Base-field elements are plain ints: bit i is the coefficient of t^i, so
 the n-bit value fully describes the residue mod the field polynomial.
-Polynomials over the field are tuples of such ints, lowest degree first.
+A polynomial over the field is its packed row: one int holding its
+coefficients, lowest degree first, in the slots of the kernel below.
 
 Products over the field run on one kernel, `_Ring`: rows of
 F_q[x]/(x^d - 1) packed into one int, multiplied with one carry-less
@@ -307,58 +308,67 @@ class FieldElement:
 # polynomials over GF(2^n)
 
 class Poly:
-    """Polynomial over a FieldSpec; coeffs[i] (an int) multiplies x^i.
+    """Polynomial over a FieldSpec, held as its packed row.
 
-    Normalized: no trailing zero coefficients, the zero polynomial is ().
-    Equal and hashed by (coeffs, spec); never equal to another class.
+    Coefficient i (an int) multiplies x^i and sits in slot i of ``row``,
+    w = 2n - 1 bits wide (`_Ring.width`): the layout of a circulant row,
+    so every product, square and division hands the row to the kernel as
+    it is. Each slot holds a coefficient below 2^n, so the top set bit
+    gives the degree, and the zero polynomial is row 0. Equal and hashed
+    by (row, spec); never equal to another class.
     """
 
-    __slots__ = ("coeffs", "spec")
+    __slots__ = ("row", "spec")
 
-    def __init__(self, coeffs: tuple[int, ...], spec: FieldSpec):
-        self.coeffs = coeffs
+    def __init__(self, row: int, spec: FieldSpec):
+        self.row = row
         self.spec = spec
 
     def __eq__(self, other):
         if other.__class__ is not Poly:
             return NotImplemented
-        return self.coeffs == other.coeffs and self.spec == other.spec
+        return self.row == other.row and self.spec == other.spec
 
     def __hash__(self) -> int:
-        return hash((self.coeffs, self.spec))
+        return hash((self.row, self.spec))
 
     @classmethod
     def make(cls, spec: FieldSpec, coeffs: Iterable[int]) -> "Poly":
         c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
         for v in c:
             if not 0 <= v <= spec.order:
                 raise ValueError(f"coefficient {v:#x} out of range")
-        return cls(tuple(c), spec)
+        return cls(spec._ring.pack(c), spec)  # pack reads only the slot width
 
     @classmethod
     def x(cls, spec: FieldSpec) -> "Poly":
-        return cls((0, 1), spec)
+        return cls(1 << spec._ring.width, spec)
 
     @classmethod
     def const(cls, spec: FieldSpec, v: int) -> "Poly":
         return cls.make(spec, (v,))
 
     @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The coefficients, lowest degree first, unpacked on each read."""
+        w, mask = self.spec._ring.width, self.spec.order
+        return tuple(self.row >> k * w & mask for k in range(self.degree + 1))
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        # -1 for the zero polynomial
+        return (self.row.bit_length() - 1) // self.spec._ring.width
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.row
 
     def leading(self) -> int:
-        if not self.coeffs:
+        if not self.row:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.row >> self.degree * self.spec._ring.width
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.row) and self.leading() == 1
 
     def _same(self, other: "Poly") -> None:
         if self.spec != other.spec:
@@ -366,47 +376,36 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._same(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] ^= v
-        return Poly.make(self.spec, out)
+        return Poly(self.row ^ other.row, self.spec)
 
     __sub__ = __add__
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._same(other)
         if self.is_zero() or other.is_zero():
-            return Poly((), self.spec)
-        a, b = self.coeffs, other.coeffs
+            return Poly(0, self.spec)
         # d = deg(ab) + 1, so the x^d - 1 fold never wraps
-        ring = _ring(self.spec, len(a) + len(b) - 1)
-        r = ring.product(ring.pack(a), ring.pack(b))
-        return Poly.make(self.spec, ring.unpack(r))
+        ring = _ring(self.spec, self.degree + other.degree + 1)
+        return Poly(ring.product(self.row, other.row), self.spec)
 
     def scale(self, c: int) -> "Poly":
-        fmul = self.spec.mul
-        return Poly.make(self.spec, (fmul(c, v) for v in self.coeffs))
+        if self.is_zero():
+            return self
+        return Poly(_ring(self.spec, self.degree + 1).product(self.row, c), self.spec)
 
     def square(self) -> "Poly":
         if self.is_zero():
             return self
         # the kernel square moves slot i to slot 2i, so 2k - 1 slots never wrap
-        ring = _ring(self.spec, 2 * len(self.coeffs) - 1)
-        return Poly.make(self.spec, ring.unpack(ring.square(ring.pack(self.coeffs))))
+        ring = _ring(self.spec, 2 * self.degree + 1)
+        return Poly(ring.square(self.row), self.spec)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._same(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        spec, a, db = self.spec, self.coeffs, other.degree
-        if len(a) - 1 < db:
-            return Poly((), spec), self
-        ring = _ring(spec, len(a))
-        q, rem = _divider(other)(ring.pack(a))
-        return Poly.make(spec, q), Poly.make(spec, ring.unpack(rem)[:db])
+        q, r = _divider(other)(self.row)
+        return Poly(q, self.spec), Poly(r, self.spec)
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
@@ -714,27 +713,27 @@ def _ring(spec: FieldSpec, d: int) -> _Ring:
     return _Ring(spec, d)
 
 
-def _divider(b: Poly) -> Callable[[int], tuple[list[int], int]]:
-    """Long division by b != 0 on rows packed as `_Ring.pack` packs them.
+def _divider(b: Poly) -> Callable[[int], tuple[int, int]]:
+    """Long division by b != 0 on packed rows, the layout of `Poly.row`.
 
-    The returned function maps a row of any length to its quotient's
-    coefficients and its packed remainder. b's window and lead inverse
-    are made once, and each step subtracts one kernel product of b.
+    The returned function maps a row of any length to its packed quotient
+    and packed remainder. b's window and lead inverse are made once, and
+    each step subtracts one kernel product of b.
     """
     spec, db = b.spec, b.degree
     sub = _ring(spec, db + 1)
-    win, w, mask = sub.window(sub.pack(b.coeffs)), sub.width, (1 << spec.n) - 1
+    win, w, mask = sub.window(b.row), sub.width, (1 << spec.n) - 1
     lead = b.leading()
     inv_lead = spec.inv(lead) if lead != 1 else None
 
-    def divide(rem: int) -> tuple[list[int], int]:
-        top = (rem.bit_length() - 1) // w
-        q = [0] * max(top - db + 1, 0)
-        for k in range(top, db - 1, -1):
+    def divide(rem: int) -> tuple[int, int]:
+        q = 0
+        for k in range((rem.bit_length() - 1) // w, db - 1, -1):
+            q <<= w
             c = rem >> k * w & mask
             if c:
                 f = c if inv_lead is None else spec.mul(c, inv_lead)
-                q[k - db] = f
+                q |= f
                 # f b fills the db + 1 slots of sub, so its fold never wraps
                 rem ^= sub.mul(win, f) << (k - db) * w
         return q, rem
@@ -747,8 +746,8 @@ def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     a._same(b)
     spec = a.spec
     r0, r1 = a, b
-    s0, s1 = Poly.const(spec, 1), Poly((), spec)
-    t0, t1 = Poly((), spec), Poly.const(spec, 1)
+    s0, s1 = Poly.const(spec, 1), Poly(0, spec)
+    t0, t1 = Poly(0, spec), Poly.const(spec, 1)
     while not r1.is_zero():
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
@@ -804,7 +803,7 @@ def _frobenius_orbit(p: Poly) -> list[int]:
     """
     spec, k = p.spec, p.degree
     ring, big, div = _ring(spec, k), _ring(spec, 2 * k - 1), _divider(p)
-    x = xq = div(ring.pack((0, 1)))[1]  # p(0) when k = 1
+    x = xq = div(Poly.x(spec).row)[1]  # p(0) when k = 1
     for _ in range(spec.n):
         xq = div(big.square(xq))[1]
     cols, win = [1, xq], big.window(xq)
@@ -829,20 +828,20 @@ def poly_is_irreducible(p: Poly) -> bool:
 
     p is irreducible when x^(q^k) = x mod p and gcd(x^(q^(k/r)) - x, p)
     = 1 for every prime r dividing k; `_frobenius_orbit` gives the
-    x^(q^j), and only the gcds see them as `Poly`.
+    x^(q^j), and the gcds take them as `Poly` rows as they are.
     """
     k = p.degree
     if k <= 0:
         return False
     if k == 1:
         return True
-    if p.coeffs[0] == 0:
+    if p.row & p.spec.order == 0:
         return False  # divisible by x
     p = p.monic()
     ys = _frobenius_orbit(p)
-    x, unpack = ys[0], _ring(p.spec, k).unpack
+    x = ys[0]
     return ys[k] == x and all(
-        poly_gcd(Poly.make(p.spec, unpack(ys[k // r] ^ x)), p).degree <= 0
+        poly_gcd(Poly(ys[k // r] ^ x, p.spec), p).degree <= 0
         for r in _prime_divisors(k)
     )
 
@@ -945,14 +944,11 @@ def linear_factor_product(roots: list[Poly], tau: Poly) -> Poly:
     spec = tau.spec
     prod: list[Poly] = [Poly.const(spec, 1)]
     for r in roots:
-        nxt = [Poly((), spec) for _ in range(len(prod) + 1)]
+        nxt = [Poly(0, spec) for _ in range(len(prod) + 1)]
         for i, c in enumerate(prod):
             nxt[i + 1] = nxt[i + 1] + c
             nxt[i] = nxt[i] + poly_mod_mul(c, r, tau)  # char 2: -r = r
         prod = nxt
-    out = []
-    for c in prod:
-        if c.degree > 0:
-            raise ArithmeticError("product did not collapse into the base field")
-        out.append(c.coeffs[0] if c.coeffs else 0)
-    return Poly.make(spec, out)
+    if any(c.degree > 0 for c in prod):
+        raise ArithmeticError("product did not collapse into the base field")
+    return Poly.make(spec, [c.row for c in prod])  # a constant's row is its value

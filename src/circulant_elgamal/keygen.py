@@ -20,16 +20,7 @@ from typing import NamedTuple
 from . import fileio
 from .circulant import Circulant, _ring, det, power, row_sum
 from .gf2field import FieldSpec, Poly, field_make, primitive_poly
-from .numtheory import (
-    DEFAULT_BUDGET,
-    DNotPrime,
-    NotAUnit,
-    element_order,
-    factor,
-    is_prime,
-    is_primitive_mod,
-    primitive_cell,
-)
+from .numtheory import DEFAULT_BUDGET, element_order, factor, is_prime, primitive_cell
 
 MAX_ATTEMPTS = 32
 
@@ -51,22 +42,10 @@ class ConditionReport(NamedTuple):
 
     @property
     def all(self) -> bool:
-        return (
-            self.det_one
-            and self.row_sum_one
-            and self.d_prime
-            and self.quotient_irreducible
-            and self.q_primitive
-        )
+        return all(self)
 
     def lines(self) -> list[tuple[str, bool]]:
-        return [
-            ("det_one", self.det_one),
-            ("row_sum_one", self.row_sum_one),
-            ("d_prime", self.d_prime),
-            ("quotient_irreducible", self.quotient_irreducible),
-            ("q_primitive", self.q_primitive),
-        ]
+        return list(zip(self._fields, self))
 
 
 class OrderInfo(NamedTuple):
@@ -173,13 +152,8 @@ def generate(
     group order is exactly computable, required to reach q^{d-3};
     failures draw a fresh tau, up to MAX_ATTEMPTS times.
     """
-    try:
-        if not is_primitive_mod(1 << n, d):
-            raise NotPrimitive(f"2^{n} is not primitive mod {d}")
-    except (DNotPrime, NotAUnit) as exc:
-        raise NotPrimitive(f"bad d={d}: {exc}") from None
-    if d % 2 == 0 or d < 3:
-        raise NotPrimitive(f"d must be an odd prime >= 3, got {d}")
+    if not primitive_cell(n, d):
+        raise NotPrimitive(f"d = {d} is not a prime with 2^{n} primitive mod d")
     spec = field_make(n)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     q = 1 << n

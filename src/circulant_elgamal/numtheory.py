@@ -30,10 +30,6 @@ _MR_DETERMINISTIC_BOUND = 1 << 64
 _MR_ROUNDS = 64
 
 
-class InvalidModulus(ValueError):
-    pass
-
-
 class IncompleteFactorization(ValueError):
     pass
 
@@ -50,15 +46,6 @@ class NotCoprime(ValueError):
     pass
 
 
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus for exp >= 0, modulus >= 1."""
-    if modulus < 1:
-        raise InvalidModulus(f"modulus must be >= 1, got {modulus}")
-    if exp < 0:
-        raise ValueError("exponent must be nonnegative")
-    return pow(base, exp, modulus)
-
-
 def _mr_round(n: int, a: int, d: int, s: int) -> bool:
     # one Miller-Rabin round; True means "probably prime for this witness"
     x = pow(a, d, n)
@@ -71,12 +58,12 @@ def _mr_round(n: int, a: int, d: int, s: int) -> bool:
     return False
 
 
-def is_prime(n: int, rng: random.Random | None = None) -> bool:
+def is_prime(n: int) -> bool:
     """Miller-Rabin primality test.
 
     Deterministic witness set below 2^64; above that, 64 rounds with
-    witnesses drawn from ``rng`` (a seeded default keeps results
-    reproducible when no source is supplied).
+    witnesses drawn from a generator seeded by n, so results are
+    reproducible.
     """
     if n < 2:
         return False
@@ -91,8 +78,7 @@ def is_prime(n: int, rng: random.Random | None = None) -> bool:
         s += 1
     if n < _MR_DETERMINISTIC_BOUND:
         return all(_mr_round(n, a, d, s) for a in _MR_WITNESSES)
-    if rng is None:
-        rng = random.Random(n & 0xFFFFFFFFFFFFFFFF)
+    rng = random.Random(n & 0xFFFFFFFFFFFFFFFF)
     for _ in range(_MR_ROUNDS):
         a = rng.randrange(2, n - 1)
         if not _mr_round(n, a, d, s):

@@ -14,7 +14,7 @@ import math
 from importlib.resources import files
 from typing import Iterable, NamedTuple
 
-from .numtheory import DEFAULT_BUDGET, factor, is_prime, mod_pow, primitive_cell
+from .numtheory import DEFAULT_BUDGET, factor, is_prime, primitive_cell
 
 
 def index_calculus_bits(n: int, d: int) -> int:
@@ -38,10 +38,8 @@ def scan_primitive_pairs(
     n_range: Iterable[int], d_range: Iterable[int]
 ) -> list[tuple[int, list[int]]]:
     """For each n, the prime d values with 2^n primitive mod d."""
-    d_candidates = [d for d in d_range if is_prime(d)]
-    return [
-        (n, [d for d in d_candidates if primitive_cell(n, d)]) for n in n_range
-    ]
+    ds = list(d_range)
+    return [(n, [d for d in ds if primitive_cell(n, d)]) for n in n_range]
 
 
 class SecurityReport(NamedTuple):
@@ -78,20 +76,12 @@ def security_table(
     prime found so far is reported as a lower bound with exact=False.
     """
     out = []
-    d_candidates = [d for d in d_range if is_prime(d)]
-    for n in sorted(set(n_range)):
-        for d in d_candidates:
-            if not primitive_cell(n, d):
-                continue
+    for n, ds in scan_primitive_pairs(sorted(set(n_range)), d_range):
+        for d in ds:
             fact = factor((1 << (n * (d - 1))) - 1, budget)
             largest = max(fact.factors) if fact.factors else None
             out.append(
-                SecurityReport(
-                    n=n,
-                    d=d,
-                    primitive=True,
-                    index_calculus_bits=index_calculus_bits(n, d),
-                    regime_exponential=regime_check(n, d),
+                estimate(n, d)._replace(
                     largest_prime=largest,
                     largest_prime_exact=fact.complete,
                     generic_bits=generic_bits(largest) if largest else None,
@@ -173,19 +163,14 @@ def reference_pairs_diff() -> PairsDiff:
     sample of its full range). Disagreements either way are reported
     as discrepancies; they are data for the caller, not failures.
     """
-    listed = load_reference_pairs()
     by_n: dict[int, set[int]] = {}
-    for n, d in listed:
+    for n, d in load_reference_pairs():
         by_n.setdefault(n, set()).add(d)
     bad_listed, missing = [], []
-    for n, ds in sorted(by_n.items()):
-        computed = {
-            d
-            for d in REFERENCE_D_RANGE
-            if is_prime(d) and primitive_cell(n, d)
-        }
-        bad_listed.extend((n, d) for d in sorted(ds - computed))
-        missing.extend((n, d) for d in sorted(computed - ds))
+    for n, primitive_ds in scan_primitive_pairs(sorted(by_n), REFERENCE_D_RANGE):
+        listed_ds = by_n[n]
+        bad_listed.extend((n, d) for d in sorted(listed_ds.difference(primitive_ds)))
+        missing.extend((n, d) for d in primitive_ds if d not in listed_ds)
     return PairsDiff(bad_listed, missing)
 
 
@@ -275,7 +260,7 @@ def verify_reference_primes() -> list[PrimeCheck]:
             PrimeCheck(
                 ref=ref,
                 is_prime_ok=is_prime(ref.p),
-                divides_ok=mod_pow(2, bits, ref.p) == 1,
+                divides_ok=pow(2, bits, ref.p) == 1,
                 primitive_ok=primitive_cell(ref.n, ref.d),
                 log2=log2,
                 log2_ok=log2_ok,

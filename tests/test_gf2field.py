@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from sympy.abc import t
 
 from circulant_elgamal import gf2field
+from circulant_elgamal.circulant import Circulant
 from circulant_elgamal.gf2field import (
     BudgetExceeded,
     FieldElement,
@@ -149,9 +150,9 @@ def test_values_compare_and_hash_by_value_and_spec():
     assert a != (5, spec) and (5, spec) != a
     assert a.__eq__(5) is NotImplemented
     assert repr(a) == "FieldElement(0x5, GF(2^8))"
-    p, q = Poly.make(spec, (1, 0, 2, 0)), Poly((1, 0, 2), spec)
+    p, q = Poly.make(spec, (1, 0, 2, 0)), Poly.make(spec, (1, 0, 2))
     assert p == q and hash(p) == hash(q) and len({p, q}) == 1
-    assert p != Poly((1, 0, 3), spec) and p != Poly((1, 0, 2), other)
+    assert p != Poly.make(spec, (1, 0, 3)) and p != Poly.make(other, (1, 0, 2))
     assert p != ((1, 0, 2), spec) and p.__eq__(p.coeffs) is NotImplemented
     assert repr(p) == "Poly(0x1*x^0 + 0x2*x^2, GF(2^8))"
     with pytest.raises(ValueError):
@@ -271,7 +272,7 @@ def poly_divmod_naive(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     inv_lead = inv(b.leading())
     rem = list(a.coeffs)
     if len(rem) - 1 < db:
-        return Poly((), spec), a
+        return Poly(0, spec), a
     q = [0] * (len(rem) - db)
     for k in range(len(rem) - 1, db - 1, -1):
         f = mul(rem[k], inv_lead)
@@ -286,10 +287,10 @@ F16, F47 = field_make(16), field_make(47)
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(poly_pair())
-@example((Poly((), F47), Poly.make(F47, [5, 0, 7])))  # zero dividend
+@example((Poly(0, F47), Poly.make(F47, [5, 0, 7])))  # zero dividend
 @example((Poly.make(F47, [1, 2]), Poly.make(F47, [3, 4, 9])))  # shorter dividend
 @example((Poly.make(F16, range(1, 30)), Poly.make(F16, [7, 0, 0, 0xBEEF])))  # non-monic
-@example((Poly.make(F47, [1, 1, 0, 1]), Poly((), F47)))  # division by zero
+@example((Poly.make(F47, [1, 1, 0, 1]), Poly(0, F47)))  # division by zero
 def test_poly_divmod_matches_long_division(pair):
     a, b = pair
     if b.is_zero():
@@ -299,6 +300,19 @@ def test_poly_divmod_matches_long_division(pair):
         q, r = divmod(a, b)
         assert (q, r) == poly_divmod_naive(a, b)
         assert q * b + r == a and r.degree < b.degree
+
+
+@pytest.mark.parametrize("n,d", [(1, 5), (3, 11), (8, 7), (47, 11)])
+def test_poly_row_is_circulant_row(n, d):
+    # a Poly holds its packed row in the layout of a circulant row
+    spec, rng = field_make(n), random.Random(n * 100 + d)
+    for _ in range(20):
+        c = Circulant.random(spec, d, rng)
+        p = Poly.make(spec, c.bits())
+        assert p.row == c.row
+        assert list(p.coeffs) == c.bits()[: p.degree + 1]
+    zero = Poly(0, spec)
+    assert zero.degree == -1 and zero.coeffs == () and zero.is_zero()
 
 
 def test_poly_basics():

@@ -24,7 +24,6 @@ from circulant_elgamal.gf2field import (
 from circulant_elgamal.numtheory import (
     DNotPrime,
     Factorization,
-    InvalidModulus,
     NotAUnit,
     NotCoprime,
     _small_primes,
@@ -33,34 +32,10 @@ from circulant_elgamal.numtheory import (
     integer_crt,
     is_prime,
     is_primitive_mod,
-    mod_pow,
 )
 from circulant_elgamal.security import load_reference_security
 
 BIG_PRIME = 7993364465170792998716337691033251350895453313
-
-
-def test_mod_pow_known_values():
-    assert mod_pow(2, 10, 1000) == 24
-    for x in (0, 1, 5, 123):
-        assert mod_pow(x, 0, 7) == 1
-    assert mod_pow(2, 1068, BIG_PRIME) == 1
-
-
-def test_mod_pow_rejects_bad_arguments():
-    with pytest.raises(InvalidModulus):
-        mod_pow(2, 3, 0)
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 7)
-
-
-def test_mod_pow_matches_builtin():
-    rng = random.Random(1)
-    for _ in range(300):
-        b = rng.randrange(0, 1 << 40)
-        e = rng.randrange(0, 1 << 20)
-        m = rng.randrange(1, 1 << 30)
-        assert mod_pow(b, e, m) == pow(b, e, m)
 
 
 def test_is_prime_known_values():

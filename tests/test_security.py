@@ -85,6 +85,16 @@ def test_security_table_small_cells():
         assert r.generic_bits == generic_bits(r.largest_prime)
 
 
+def test_security_table_orders_and_dedups_n():
+    # an unsorted n_range with a repeat gives each n once, ascending, and
+    # a row for every primitive cell and no other
+    rows = security_table([5, 3, 5], range(2, 20))
+    assert [(r.n, r.d) for r in rows] == [
+        (3, 3), (3, 5), (3, 11), (5, 3), (5, 5), (5, 13), (5, 19)
+    ]
+    assert all(r.primitive for r in rows)
+
+
 def test_security_table_incomplete_budget():
     (r,) = security_table(range(89, 90), range(13, 14), budget=1 << 8)
     assert r.primitive and r.index_calculus_bits == 1068
