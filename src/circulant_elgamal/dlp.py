@@ -17,12 +17,11 @@ from __future__ import annotations
 from math import isqrt
 
 from .circulant import Circulant, _check_odd, _ring, power
+from .keygen import _group_order
 from .numtheory import (
     DEFAULT_BUDGET,
     Factorization,
     IncompleteFactorization,
-    element_order,
-    factor,
     integer_crt,
 )
 
@@ -111,18 +110,14 @@ def reduce_to_field(
     1 (a lies outside that group) or b^ord(a) is not 1 (b is no power of
     a).
     """
-    big_n = (1 << a.spec.n * (a.d - 1)) - 1
-    fact = factor(big_n, budget)
+    try:
+        fact, order = _group_order(a, budget)
+    except ArithmeticError as exc:
+        raise NotFound(str(exc)) from None
     if not fact.complete:
         raise IncompleteFactorization(
             f"q^(d-1) - 1 has unfactored cofactor {fact.cofactor}"
         )
-    if not power(a, big_n).is_identity():
-        raise NotFound(
-            "order does not divide q^(d-1) - 1; the matrix is outside the "
-            "group these parameters assume"
-        )
-    order = element_order(fact, lambda e: power(a, e).is_identity())
     if not power(b, order.n).is_identity():
         raise NotFound("the target's order does not divide ord(a)")
     return order

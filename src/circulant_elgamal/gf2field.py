@@ -791,7 +791,8 @@ def frobenius(a: Poly, tau: Poly) -> Poly:
     return r
 
 
-def _frobenius_orbit(p: Poly) -> list[int]:
+@lru_cache(maxsize=1)
+def _frobenius_orbit(p: Poly) -> tuple[int, ...]:
     """x^(q^j) mod p for j = 0 .. k, k = deg(p) >= 1, p monic, q = 2^n,
     as rows packed by `_ring(spec, k)`.
 
@@ -800,6 +801,7 @@ def _frobenius_orbit(p: Poly) -> list[int]:
     of x, and k - 2 products give the columns (x^q)^i of Berlekamp's
     Q-matrix. In F_q[x]/p, (sum y_i x^i)^q = sum y_i (x^q)^i, so each next
     x^(q^j) is one matrix-vector product over F_q on the packed kernel.
+    The last orbit is kept: a draw's primitivity test reads it again.
     """
     spec, k = p.spec, p.degree
     ring, big, div = _ring(spec, k), _ring(spec, 2 * k - 1), _divider(p)
@@ -820,7 +822,7 @@ def _frobenius_orbit(p: Poly) -> list[int]:
             if c:
                 nxt ^= mul(win, c)
         ys.append(nxt)
-    return ys
+    return tuple(ys)
 
 
 def poly_is_irreducible(p: Poly) -> bool:
@@ -846,10 +848,6 @@ def poly_is_irreducible(p: Poly) -> bool:
     )
 
 
-# Frobenius digits per subset-product table of `_x_is_primitive`
-_DIGIT_BLOCK = 4
-
-
 def _x_is_primitive(tau: Poly, fact: Factorization) -> bool:
     """Does x generate (F_q[x]/tau)*, tau monic irreducible of degree k
     and ``fact`` the complete factorization of N = q^k - 1?
@@ -858,40 +856,21 @@ def _x_is_primitive(tau: Poly, fact: Factorization) -> bool:
     ch. 3). With y_j = x^(q^j) (`_frobenius_orbit`), x^e = prod_j
     y_j^(e_j) for the base-q digits e_j of e (von zur Gathen-Shoup
     1992): one pass over the n bit positions of the digits, a squaring
-    per position and at most one product per block of `_DIGIT_BLOCK`
-    digits, from subset-product tables that all primes share. Every
-    value is a packed row, multiplied and squared on the kernel at 2k - 1
-    slots and reduced by `_divider(tau)`. The primes go in ascending
-    order, and the first that rejects stops it.
+    per position and one product by y_j for each digit e_j with that bit
+    set. Every value is a packed row, multiplied and squared on the
+    kernel at 2k - 1 slots and reduced by `_divider(tau)`. The primes go
+    in ascending order, and the first that rejects stops it.
     """
-    spec, k, g = tau.spec, tau.degree, _DIGIT_BLOCK
+    spec, k = tau.spec, tau.degree
     n, big, div = spec.n, _ring(spec, 2 * k - 1), _divider(tau)
-    ys = _frobenius_orbit(tau)[:k]
-    blocks = [ys[i : i + g] for i in range(0, k, g)]
-    table = {}  # (G, S): the product of blocks[G][j] over the bits j of S
-
-    def entry(G: int, S: int) -> int:
-        r = table.get((G, S))
-        if r is None:
-            top = S.bit_length() - 1
-            r = blocks[G][top]
-            if S != 1 << top:
-                r = div(big.product(entry(G, S ^ 1 << top), r))[1]
-            table[G, S] = r
-        return r
-
+    wins = [big.window(y) for y in _frobenius_orbit(tau)[:k]]
     for p in fact.primes():
-        e = fact.n // p
-        digits = [e >> n * j & (1 << n) - 1 for j in range(k)]
-        chunks = [digits[i : i + g] for i in range(0, k, g)]
-        r = None
+        e, r = fact.n // p, 1
         for b in reversed(range(n)):
-            if r is not None:
-                r = div(big.square(r))[1]
-            for G, chunk in enumerate(chunks):
-                S = sum((digit >> b & 1) << j for j, digit in enumerate(chunk))
-                if S:
-                    r = entry(G, S) if r is None else div(big.product(r, entry(G, S)))[1]
+            r = div(big.square(r))[1]
+            for j, win in enumerate(wins):
+                if e >> n * j + b & 1:  # bit b of the base-q digit e_j
+                    r = div(big.mul(win, r))[1]
         if r == 1:
             return False
     return True

@@ -20,7 +20,14 @@ from typing import NamedTuple
 from . import fileio
 from .circulant import Circulant, _ring, det, power, row_sum
 from .gf2field import FieldSpec, Poly, field_make, primitive_poly
-from .numtheory import DEFAULT_BUDGET, element_order, factor, is_prime, primitive_cell
+from .numtheory import (
+    DEFAULT_BUDGET,
+    Factorization,
+    element_order,
+    factor,
+    is_prime,
+    primitive_cell,
+)
 
 MAX_ATTEMPTS = 32
 
@@ -116,6 +123,21 @@ def five_conditions(a: Circulant) -> ConditionReport:
     )
 
 
+def _group_order(a: Circulant, budget: int) -> tuple[Factorization, Factorization]:
+    """The factorization of N = q^(d-1) - 1, and ord(a) factored from it
+    (`element_order`): exact when the first is complete, else a certified
+    divisor. ArithmeticError when a^N != 1.
+    """
+    big_n = (1 << (a.spec.n * (a.d - 1))) - 1
+    fact = factor(big_n, budget)
+    if not power(a, big_n).is_identity():
+        raise ArithmeticError(
+            "order does not divide q^(d-1) - 1; the matrix is outside the "
+            "group these parameters assume"
+        )
+    return fact, element_order(fact, lambda e: power(a, e).is_identity())
+
+
 def order_of(a: Circulant, budget: int = DEFAULT_BUDGET) -> OrderInfo:
     """Multiplicative order of an invertible circulant.
 
@@ -125,14 +147,7 @@ def order_of(a: Circulant, budget: int = DEFAULT_BUDGET) -> OrderInfo:
     exact contribution to the order could be certified, a divisor of
     the true order, flagged exact=False (`element_order`).
     """
-    big_n = (1 << (a.spec.n * (a.d - 1))) - 1
-    fact = factor(big_n, budget)
-    if not power(a, big_n).is_identity():
-        raise ArithmeticError(
-            "order does not divide q^(d-1) - 1; the matrix is outside the "
-            "group these parameters assume"
-        )
-    order = element_order(fact, lambda e: power(a, e).is_identity())
+    fact, order = _group_order(a, budget)
     return OrderInfo(order.n, fact.complete)
 
 
@@ -162,7 +177,7 @@ def generate(
     for _ in range(MAX_ATTEMPTS):
         tau = primitive_poly(d - 1, spec, rng, budget).poly
         if qm1.complete:
-            tau0 = tau.coeffs[0]
+            tau0 = tau.row & spec.order
             det_order = element_order(qm1, lambda e: spec.pow(tau0, e) == 1).n
         else:
             # q - 1 is always a multiple of the true order; using it
@@ -171,7 +186,7 @@ def generate(
         # tau is monic of degree d - 1, so tau mod Phi = tau + Phi, and
         # psi = (tau + Phi) + tau(1) Phi is 1 mod (x - 1) (Phi(1) = d = 1)
         s = tau.evaluate(1)
-        psi = Circulant.from_bits(spec, [c ^ 1 ^ s for c in tau.coeffs[:-1]] + [s])
+        psi = Circulant._of(spec, d, tau.row ^ _ring(spec, d).ones * (1 ^ s))
         a = power(psi, det_order)
         if not five_conditions(a).all:
             continue

@@ -642,7 +642,8 @@ def test_x_is_primitive_matches_order_oracle(n, degrees):
 def test_primitive_poly_tests_each_draw_once(monkeypatch, n, degree, seed):
     # the tracer's draw_yield divides results by the irreducibility tests
     # under primitive_poly, so each draw must be tested exactly once, and
-    # the first candidate that passes both tests is the result
+    # the first candidate that passes both tests is the result; each draw
+    # builds one Frobenius orbit, which its primitivity test reads again
     spec = field_make(n)
     tested, verdicts = [], []
     irreducible, primitive = gf2field.poly_is_irreducible, gf2field._x_is_primitive
@@ -657,7 +658,9 @@ def test_primitive_poly_tests_each_draw_once(monkeypatch, n, degree, seed):
 
     monkeypatch.setattr(gf2field, "poly_is_irreducible", count_irreducible)
     monkeypatch.setattr(gf2field, "_x_is_primitive", count_primitive)
+    _frobenius_orbit.cache_clear()
     got = primitive_poly(degree, spec, random.Random(seed))
+    orbits = _frobenius_orbit.cache_info()
     replay = random.Random(seed)
     for cand in tested:
         c = [spec.rand(replay) for _ in range(degree)] + [1]
@@ -668,6 +671,7 @@ def test_primitive_poly_tests_each_draw_once(monkeypatch, n, degree, seed):
     assert verdicts == [False] * (len(verdicts) - 1) + [True]
     assert len(verdicts) == sum(map(irreducible, tested))
     assert len(tested) > len(verdicts) > 1
+    assert (orbits.misses, orbits.hits) == (len(tested), len(verdicts))
 
 
 def min_poly_over_base(a: Poly, tau: Poly) -> Poly:

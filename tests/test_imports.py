@@ -1,6 +1,6 @@
 """What a command imports: each CLI command loads only the modules it
-runs, the package exports its names lazily, and no module builds a
-dataclass.
+runs, the package exports its names lazily, no module builds a
+dataclass, and the library loads nothing outside the standard library.
 
 A command runs in a fresh interpreter, as a user runs it, and reports
 the package modules it loaded. The lazy exports are checked against the
@@ -38,12 +38,28 @@ print(json.dumps([code, loaded, not preloaded and "dataclasses" in sys.modules])
 ON_DEMAND = {"elgamal", "dlp", "security"}
 
 
-def probe(*argv):
+# Imports every module of the package and prints, last, the top-level
+# names of the modules that were not loaded before it; the snapshot comes
+# first, because `site` may preload third-party modules.
+STDLIB_PROBE = """
+import os, sys
+before = set(sys.modules)
+import importlib, json
+import circulant_elgamal
+for name in os.listdir(os.path.dirname(circulant_elgamal.__file__)):
+    stem, ext = os.path.splitext(name)
+    if ext == ".py" and stem != "__init__":
+        importlib.import_module(f"circulant_elgamal.{stem}")
+print(json.dumps(sorted({m.partition(".")[0] for m in set(sys.modules) - before})))
+"""
+
+
+def probe(*argv, script=PROBE):
     src = str(Path(circulant_elgamal.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv],
+        [sys.executable, "-c", script, *argv],
         capture_output=True,
         text=True,
         timeout=120,
@@ -121,6 +137,12 @@ def test_cli_import_loads_no_arithmetic():
     code, loaded, dataclasses = probe()
     assert loaded == ["cli", "fileio", "numtheory"]
     assert not dataclasses
+
+
+def test_library_imports_only_the_standard_library():
+    loaded = probe(script=STDLIB_PROBE)
+    assert "circulant_elgamal" in loaded
+    assert set(loaded) - {"circulant_elgamal"} <= sys.stdlib_module_names
 
 
 def test_lazy_exports_resolve_to_their_home_modules():
