@@ -44,48 +44,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Circulant",
-    "Ciphertext",
-    "ConditionReport",
-    "Factorization",
-    "FieldElement",
-    "FieldSpec",
-    "NotFound",
-    "NotInvertible",
-    "NotPrimitive",
-    "OpCounter",
-    "OrderInfo",
-    "ParamSet",
-    "Poly",
-    "PrivateKey",
-    "PublicKey",
-    "SecurityReport",
-    "bsgs",
-    "decrypt",
-    "encrypt",
-    "estimate",
-    "factor",
-    "field_make",
-    "five_conditions",
-    "generate",
-    "generic_bits",
-    "index_calculus_bits",
-    "inverse",
-    "is_prime",
-    "is_primitive_mod",
-    "load_params",
-    "matvec",
-    "mul",
-    "oracle_reduction",
-    "order_of",
-    "pohlig_hellman",
-    "power",
-    "regime_check",
-    "save_params",
-    "scan_primitive_pairs",
-    "security_table",
-    "solve_circulant_dlp",
-    "square",
-    "verify_reference_primes",
-]
+__all__ = sorted(_HOME)

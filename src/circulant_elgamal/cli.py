@@ -29,7 +29,6 @@ from pathlib import Path
 
 # Each command imports the modules it runs, so a process that runs one
 # command neither compiles nor builds the rest of the package.
-from . import fileio
 from .numtheory import DEFAULT_BUDGET, IncompleteFactorization
 
 
@@ -378,9 +377,6 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         _diag(str(exc))
         return 1
-    except fileio.FileFormatError as exc:
-        _diag(str(exc))
-        return 2
     except IncompleteFactorization as exc:
         _diag(str(exc))
         return 3

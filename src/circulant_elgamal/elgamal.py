@@ -22,7 +22,7 @@ from .circulant import (
     power,
 )
 from .gf2field import FieldElement, FieldSpec
-from .keygen import ParamSet, _field_header, _read_field_header, _read_row
+from .keygen import ParamSet, _field_header, _read_entries, _read_field_header
 
 
 class OracleInconsistent(ArithmeticError):
@@ -127,19 +127,22 @@ def oracle_reduction(
 # ---------------------------------------------------------------------------
 # byte-stream encoding: n-bit units, little-endian, zero padded
 
+def _block_count(length: int, n: int, d: int) -> int:
+    """Blocks of d n-bit units that hold `length` bytes; at least one."""
+    return max(1, (8 * length + n * d - 1) // (n * d))
+
+
 def encode_bytes(
     data: bytes, spec: FieldSpec, d: int
 ) -> list[tuple[FieldElement, ...]]:
     """Chunk a byte string into blocks of d field elements."""
     n = spec.n
     total = int.from_bytes(data, "little")
-    n_elems = (8 * len(data) + n - 1) // n
     mask = (1 << n) - 1
     elems = [
-        FieldElement((total >> (n * i)) & mask, spec) for i in range(n_elems)
+        FieldElement((total >> (n * i)) & mask, spec)
+        for i in range(d * _block_count(len(data), n, d))
     ]
-    while len(elems) % d != 0 or not elems:
-        elems.append(spec.zero)
     return [tuple(elems[i : i + d]) for i in range(0, len(elems), d)]
 
 
@@ -174,7 +177,7 @@ def load_private(path) -> PrivateKey:
     r = fileio.KvReader(path)
     spec, d = _read_field_header(r)
     m = r.expect_int("m")
-    a = _read_row(r, "A", spec, d)
+    a = Circulant(_read_entries(r, "A", spec, d), spec)
     r.done()
     return PrivateKey(m, ParamSet(spec, d, a))
 
@@ -191,8 +194,8 @@ def save_public(pub: PublicKey, path) -> None:
 def load_public(path) -> PublicKey:
     r = fileio.KvReader(path)
     spec, d = _read_field_header(r)
-    a = _read_row(r, "A", spec, d)
-    am = _read_row(r, "Am", spec, d)
+    a = Circulant(_read_entries(r, "A", spec, d), spec)
+    am = Circulant(_read_entries(r, "Am", spec, d), spec)
     r.done()
     return PublicKey(a, am)
 
@@ -230,20 +233,13 @@ def load_ciphertexts(
         raise fileio.FileFormatError(f"{path}: blocks must be positive, got {count}")
     blocks = []
     for _ in range(count):
-        ar = _read_row(r, "Ar", spec, d)
-        w = tuple(
-            FieldElement.from_hex(spec, part)
-            for part in r.expect("w").split(",")
-        )
-        if len(w) != d:
-            raise fileio.FileFormatError(f"{path}: w has {len(w)} entries")
-        blocks.append(Ciphertext(ar, w))
+        ar = Circulant(_read_entries(r, "Ar", spec, d), spec)
+        blocks.append(Ciphertext(ar, _read_entries(r, "w", spec, d)))
     r.done()
     if length is not None:
         # the count encode_bytes gives, so decode_blocks never builds a
         # mask wider than the blocks
-        units = (8 * length + spec.n - 1) // spec.n
-        if length < 0 or count != max(1, (units + d - 1) // d):
+        if length < 0 or count != _block_count(length, spec.n, d):
             raise fileio.FileFormatError(
                 f"{path}: {count} blocks cannot hold {length} bytes"
             )

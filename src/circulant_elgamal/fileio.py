@@ -72,8 +72,3 @@ class KvReader:
             k, _ = self.pairs[self.pos]
             raise FileFormatError(f"{self.path}: unknown key {k!r}")
 
-
-def check_version(reader: KvReader, expected: int = 1) -> None:
-    v = reader.expect_int("version")
-    if v != expected:
-        raise FileFormatError(f"{reader.path}: unsupported version {v}")

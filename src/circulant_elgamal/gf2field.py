@@ -410,9 +410,6 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
     def monic(self) -> "Poly":
         if self.is_zero() or self.is_monic():
             return self
@@ -424,9 +421,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = spec.mul(acc, a) ^ c
         return acc
-
-    def to_hex(self) -> str:
-        return ",".join(format(c, "#x") for c in self.coeffs)
 
     def __repr__(self) -> str:
         if self.is_zero():

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import fileio
 from .circulant import Circulant, _ring, det, power, row_sum
-from .gf2field import FieldSpec, Poly, field_make, primitive_poly
+from .gf2field import FieldElement, FieldSpec, Poly, field_make, primitive_poly
 from .numtheory import (
     DEFAULT_BUDGET,
     Factorization,
@@ -200,7 +200,7 @@ def generate(
 
 
 # ---------------------------------------------------------------------------
-# file headers (params, key and ciphertext files) and parameter files
+# headers and entry lines of params, key and ciphertext files; parameter files
 
 def _field_header(spec: FieldSpec, d: int) -> list[tuple[str, str]]:
     return [
@@ -213,7 +213,9 @@ def _field_header(spec: FieldSpec, d: int) -> list[tuple[str, str]]:
 
 def _read_field_header(r: fileio.KvReader) -> tuple[FieldSpec, int]:
     """The header of a params, key or ciphertext file, checked."""
-    fileio.check_version(r)
+    version = r.expect_int("version")
+    if version != 1:
+        raise fileio.FileFormatError(f"{r.path}: unsupported version {version}")
     n = r.expect_int("n")
     d = r.expect_int("d")
     if d < 1:
@@ -226,13 +228,16 @@ def _read_field_header(r: fileio.KvReader) -> tuple[FieldSpec, int]:
     return spec, d
 
 
-def _read_row(r: fileio.KvReader, key: str, spec: FieldSpec, d: int) -> Circulant:
-    c = Circulant.from_hex(spec, r.expect(key))
-    if c.d != d:
+def _read_entries(
+    r: fileio.KvReader, key: str, spec: FieldSpec, d: int
+) -> tuple[FieldElement, ...]:
+    """A line of d comma-separated hex field elements: a row or a vector."""
+    entries = tuple(FieldElement.from_hex(spec, p) for p in r.expect(key).split(","))
+    if len(entries) != d:
         raise fileio.FileFormatError(
-            f"{r.path}: {key} has {c.d} entries, expected d = {d}"
+            f"{r.path}: {key} has {len(entries)} entries, expected d = {d}"
         )
-    return c
+    return entries
 
 
 def save_params(params: ParamSet, path) -> None:
@@ -244,6 +249,6 @@ def save_params(params: ParamSet, path) -> None:
 def load_params(path) -> ParamSet:
     r = fileio.KvReader(path)
     spec, d = _read_field_header(r)
-    a = _read_row(r, "A", spec, d)
+    a = Circulant(_read_entries(r, "A", spec, d), spec)
     r.done()
     return ParamSet(spec, d, a)

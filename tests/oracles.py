@@ -6,6 +6,11 @@ from circulant_elgamal.circulant import Circulant
 from circulant_elgamal.gf2field import FieldSpec, _pinvert, _pmod, _pmul
 
 
+def C(spec, *bits):
+    """The circulant whose first row is `bits`."""
+    return Circulant.from_bits(spec, bits)
+
+
 def expand(a: Circulant):
     """Full d x d matrix; row k is the first row right-rotated k times."""
     d, c = a.d, a.coeffs
@@ -28,3 +33,24 @@ def field_ops(spec: FieldSpec):
         table.append(row)
     inverse = [0] + [row.index(1) for row in table[1:]]
     return (lambda a, b: table[a][b]), inverse.__getitem__
+
+
+def gaussian_det(a: Circulant) -> int:
+    """det of the expanded matrix by Gaussian elimination."""
+    d, (fmul, finv) = a.d, field_ops(a.spec)
+    rows = [[c.bits for c in r] for r in expand(a)]
+    acc = 1
+    for col in range(d):
+        piv = next((r for r in range(col, d) if rows[r][col]), None)
+        if piv is None:
+            return 0
+        rows[col], rows[piv] = rows[piv], rows[col]  # char 2: no sign flip
+        pivot = rows[col][col]
+        acc = fmul(acc, pivot)
+        inv_p = finv(pivot)
+        for r in range(col + 1, d):
+            f = rows[r][col]
+            if f:
+                fac = fmul(f, inv_p)
+                rows[r] = [x ^ fmul(fac, y) for x, y in zip(rows[r], rows[col])]
+    return acc

@@ -34,11 +34,7 @@ from circulant_elgamal.gf2field import (
     poly_mod_mul,
 )
 
-from oracles import expand, field_ops
-
-
-def C(spec, *bits):
-    return Circulant.from_bits(spec, bits)
+from oracles import C, expand, gaussian_det
 
 
 def test_mul_known_values():
@@ -233,7 +229,7 @@ def test_inverse_agrees_with_gaussian_singularity():
             invertible = True
         except NotInvertible:
             invertible = False
-        assert invertible == (_gaussian_det(a) != 0)
+        assert invertible == (gaussian_det(a) != 0)
 
 
 def test_matvec_known_values():
@@ -289,27 +285,6 @@ def test_det():
         assert det(mul(a, b)) == det(a) * det(b)
 
 
-def _gaussian_det(a: Circulant) -> int:
-    """det of the expanded matrix by Gaussian elimination (the oracle)."""
-    d, (fmul, finv) = a.d, field_ops(a.spec)
-    rows = [[c.bits for c in r] for r in expand(a)]
-    acc = 1
-    for col in range(d):
-        piv = next((r for r in range(col, d) if rows[r][col]), None)
-        if piv is None:
-            return 0
-        rows[col], rows[piv] = rows[piv], rows[col]  # char 2: no sign flip
-        pivot = rows[col][col]
-        acc = fmul(acc, pivot)
-        inv_p = finv(pivot)
-        for r in range(col + 1, d):
-            f = rows[r][col]
-            if f:
-                fac = fmul(f, inv_p)
-                rows[r] = [x ^ fmul(fac, y) for x, y in zip(rows[r], rows[col])]
-    return acc
-
-
 @pytest.mark.parametrize("n", [1, 3, 11, 17, 47])
 def test_det_matches_gaussian_elimination(n):
     # the resultant against elimination on every d, even d and singular
@@ -326,7 +301,7 @@ def test_det_matches_gaussian_elimination(n):
             rows.append(row)
         for row in rows:
             a = Circulant.from_bits(spec, row)
-            assert det(a).bits == _gaussian_det(a), (d, row)
+            assert det(a).bits == gaussian_det(a), (d, row)
 
 
 def test_idempotent_split():

@@ -376,7 +376,7 @@ def test_bench_pow_pinned():
 
 
 # ---------------------------------------------------------------------------
-# hostile files: mutated params, public keys and ciphertexts exit 0 or 2
+# hostile files: mutated params, keys and ciphertexts exit 0 or 2
 
 HOSTILE_VALUES = (
     "", "0", "1", "-1", "2", "3", "11", "129", "0x", "0x0", "-0x1", "0xb",
@@ -499,7 +499,7 @@ def test_negative_field_poly_exits_2(hostile_setup):
         assert "-0b111 is not an irreducible degree-2 polynomial" in proc.stderr
 
 
-@pytest.mark.parametrize("kind", ("params", "pub", "ct"))
+@pytest.mark.parametrize("kind", ("params", "pub", "priv", "ct"))
 @settings(
     max_examples=60,
     deadline=None,
@@ -511,12 +511,13 @@ def test_negative_field_poly_exits_2(hostile_setup):
 def test_mutated_files_exit_0_or_2(hostile_setup, kind, data):
     root, files, priv, plain = hostile_setup
     path = root / f"mutated.{kind}"
-    path.write_bytes(data.draw(mutated(Path(files[kind]).read_text())))
+    path.write_bytes(data.draw(mutated(Path(files.get(kind, priv)).read_text())))
     out = str(root / "out")
     argv = {
         "params": ["params", "check", str(path)],
         "pub": ["encrypt", "--pub", str(path), "--infile", plain, "--out", out,
                 "--seed", "53"],
+        "priv": ["decrypt", "--priv", str(path), "--in", files["ct"], "--out", out],
         "ct": ["decrypt", "--priv", priv, "--in", str(path), "--out", out],
     }[kind]
     code, _, stderr = run_cli(argv)
@@ -524,15 +525,16 @@ def test_mutated_files_exit_0_or_2(hostile_setup, kind, data):
     assert "Traceback" not in stderr
 
 
-@pytest.mark.parametrize("kind", ("params", "pub", "ct"))
+@pytest.mark.parametrize("kind", ("params", "pub", "priv", "ct"))
 def test_non_utf8_file_exits_2_naming_it(hostile_setup, kind):
     root, files, priv, plain = hostile_setup
     path = root / f"latin1.{kind}"
-    path.write_bytes(b"\xff" + Path(files[kind]).read_bytes())
+    path.write_bytes(b"\xff" + Path(files.get(kind, priv)).read_bytes())
     out = str(root / "out")
     argv = {
         "params": ["params", "check", str(path)],
         "pub": ["encrypt", "--pub", str(path), "--infile", plain, "--out", out],
+        "priv": ["decrypt", "--priv", str(path), "--in", files["ct"], "--out", out],
         "ct": ["decrypt", "--priv", priv, "--in", str(path), "--out", out],
     }[kind]
     assert run_cli(argv) == (2, "", f"{path}: not UTF-8 text\n")

@@ -245,7 +245,7 @@ def test_poly_algebra_random():
             q, r = divmod(a, b)
             assert q * b + r == a
             assert r.is_zero() or r.degree < b.degree
-            assert a // b == q and a % b == r
+            assert divmod(a, b) == (q, r) and a % b == r
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """What a command imports: each CLI command loads only the modules it
 runs, the package exports its names lazily, no module builds a
-dataclass, and the library loads nothing outside the standard library.
+dataclass, the library loads nothing outside the standard library, and
+no private module-level helper goes unnamed in the package.
 
 A command runs in a fresh interpreter, as a user runs it, and reports
 the package modules it loaded. The lazy exports are checked against the
@@ -8,6 +9,7 @@ modules that bind them, and the bench's tracer, installed in process,
 must still see the calls a command makes through its local imports.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -135,7 +137,7 @@ def test_command_loads_only_what_it_runs(desk, command):
 
 def test_cli_import_loads_no_arithmetic():
     code, loaded, dataclasses = probe()
-    assert loaded == ["cli", "fileio", "numtheory"]
+    assert loaded == ["cli", "numtheory"]
     assert not dataclasses
 
 
@@ -143,6 +145,29 @@ def test_library_imports_only_the_standard_library():
     loaded = probe(script=STDLIB_PROBE)
     assert "circulant_elgamal" in loaded
     assert set(loaded) - {"circulant_elgamal"} <= sys.stdlib_module_names
+
+
+def test_every_private_helper_is_referenced():
+    # a module-level function or class named _x (one underscore) is dead
+    # when no name, attribute or import anywhere in the package refers to it
+    defined, used = {}, set()
+    for path in Path(circulant_elgamal.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[f"{path.stem}.{node.name}"] = node.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    dead = [
+        where for where, name in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in used
+    ]
+    assert defined and not dead, dead
 
 
 def test_lazy_exports_resolve_to_their_home_modules():

@@ -40,11 +40,7 @@ from circulant_elgamal.keygen import (
     save_params,
 )
 
-from oracles import expand, field_ops
-
-
-def C(spec, *bits):
-    return Circulant.from_bits(spec, bits)
+from oracles import C, expand, field_ops
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +317,9 @@ def test_generate_pinned_across_seeds():
     for n, d, seed, budget in SETUP_RUNS:
         p = generate(n, d, seed) if budget is None else generate(n, d, seed, budget)
         info = p.order_info
+        tau = ",".join(format(c, "#x") for c in p.tau.coeffs)
         h.update(
-            f"{n} {d} {seed} {p.A.to_hex()} {p.tau.to_hex()} {p.det_order} "
+            f"{n} {d} {seed} {p.A.to_hex()} {tau} {p.det_order} "
             f"{info.order} {info.exact}\n".encode()
         )
     assert h.hexdigest() == SETUP_DIGEST
