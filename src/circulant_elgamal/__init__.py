@@ -24,7 +24,8 @@ _HOME = {
         " generate load_params order_of save_params",
         "numtheory": "Factorization factor is_prime is_primitive_mod",
         "security": "SecurityReport estimate generic_bits index_calculus_bits"
-        " regime_check scan_primitive_pairs security_table verify_reference_primes",
+        " regime_check scan_primitive_pairs security_table verify_reference_primes"
+        " reference_pairs_diff verify_reference_security_bits",
     }.items()
     for name in names.split()
 }

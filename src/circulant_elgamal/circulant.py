@@ -142,14 +142,6 @@ class Circulant:
     def is_identity(self) -> bool:
         return self.row == 1
 
-    def to_hex(self) -> str:
-        return ",".join(format(b, "#x") for b in self.bits())
-
-    @classmethod
-    def from_hex(cls, spec: FieldSpec, text: str) -> "Circulant":
-        parts = [p for p in text.strip().split(",")]
-        return cls(tuple(FieldElement.from_hex(spec, p) for p in parts), spec)
-
     def __mul__(self, other: "Circulant") -> "Circulant":
         return mul(self, other)
 

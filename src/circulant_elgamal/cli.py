@@ -125,13 +125,12 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_encrypt(args) -> int:
-    from . import elgamal
-    from .circulant import Circulant
+    from . import elgamal, fileio
     pub = elgamal.load_public(args.pub)
     spec, d = pub.A.spec, pub.A.d
     rng = elgamal._rng(_resolve_seed(args.seed))
     if args.hexblock is not None:
-        v = Circulant.from_hex(spec, args.hexblock).coeffs
+        v = fileio.parse_entries(args.hexblock, spec, d, "--in")
         cts = [elgamal.encrypt(pub, v, rng)]
         elgamal.save_ciphertexts(args.out, spec, d, cts, None)
         _emit("encoding", "raw")
@@ -150,7 +149,7 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
-    from . import elgamal
+    from . import elgamal, fileio
     priv = elgamal.load_private(args.priv)
     spec, d, cts, length = elgamal.load_ciphertexts(args.ct)
     if spec != priv.params.spec or d != priv.params.d:
@@ -158,7 +157,7 @@ def cmd_decrypt(args) -> int:
         return 2
     blocks = [elgamal.decrypt(priv, ct) for ct in cts]
     if length is None:
-        text = "\n".join(",".join(e.to_hex() for e in blk) for blk in blocks)
+        text = "\n".join(fileio.hex_line(e.bits for e in blk) for blk in blocks)
         Path(args.out).write_text(text + "\n", encoding="utf-8")
         _emit("encoding", "raw")
     else:

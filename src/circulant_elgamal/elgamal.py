@@ -22,7 +22,7 @@ from .circulant import (
     power,
 )
 from .gf2field import FieldElement, FieldSpec
-from .keygen import ParamSet, _field_header, _read_entries, _read_field_header
+from .keygen import ParamSet
 
 
 class OracleInconsistent(ArithmeticError):
@@ -135,15 +135,20 @@ def _block_count(length: int, n: int, d: int) -> int:
 def encode_bytes(
     data: bytes, spec: FieldSpec, d: int
 ) -> list[tuple[FieldElement, ...]]:
-    """Chunk a byte string into blocks of d field elements."""
+    """Chunk a byte string into blocks of d field elements.
+
+    The message is written out once in base 2, where int <-> str runs in
+    linear time, and cut from its low end into blocks of n d bits.
+    """
     n = spec.n
-    total = int.from_bytes(data, "little")
-    mask = (1 << n) - 1
-    elems = [
-        FieldElement((total >> (n * i)) & mask, spec)
-        for i in range(d * _block_count(len(data), n, d))
+    width, mask = n * d, (1 << n) - 1
+    count = _block_count(len(data), n, d)
+    text = format(int.from_bytes(data, "little"), f"0{width * count}b")
+    rows = (int(text[end - width : end], 2) for end in range(len(text), 0, -width))
+    return [
+        tuple(FieldElement(row >> k & mask, spec) for k in range(0, width, n))
+        for row in rows
     ]
-    return [tuple(elems[i : i + d]) for i in range(0, len(elems), d)]
 
 
 def decode_blocks(
@@ -151,13 +156,11 @@ def decode_blocks(
 ) -> bytes:
     """Inverse of encode_bytes given the original byte length."""
     n = spec.n
-    total = 0
-    i = 0
-    for block in blocks:
-        for e in block:
-            total |= e.bits << (n * i)
-            i += 1
-    total &= (1 << (8 * length)) - 1
+    text = "".join(
+        format(sum(e.bits << (n * k) for k, e in enumerate(b)), f"0{n * len(b)}b")
+        for b in reversed(blocks) if b
+    )
+    total = int(text or "0", 2) & ((1 << (8 * length)) - 1)
     return total.to_bytes(length, "little")
 
 
@@ -167,35 +170,28 @@ def decode_blocks(
 def save_private(priv: PrivateKey, path) -> None:
     ps = priv.params
     fileio.write_kv(
-        path,
-        _field_header(ps.spec, ps.d)
-        + [("m", str(priv.m)), ("A", ps.A.to_hex())],
+        path, ps.spec, ps.d, [("m", str(priv.m)), ("A", fileio.hex_line(ps.A.bits()))]
     )
 
 
 def load_private(path) -> PrivateKey:
     r = fileio.KvReader(path)
-    spec, d = _read_field_header(r)
     m = r.expect_int("m")
-    a = Circulant(_read_entries(r, "A", spec, d), spec)
+    a = Circulant(r.entries("A"), r.spec)
     r.done()
-    return PrivateKey(m, ParamSet(spec, d, a))
+    return PrivateKey(m, ParamSet(r.spec, r.d, a))
 
 
 def save_public(pub: PublicKey, path) -> None:
     a = pub.A
-    fileio.write_kv(
-        path,
-        _field_header(a.spec, a.d)
-        + [("A", a.to_hex()), ("Am", pub.Am.to_hex())],
-    )
+    rows = [("A", fileio.hex_line(a.bits())), ("Am", fileio.hex_line(pub.Am.bits()))]
+    fileio.write_kv(path, a.spec, a.d, rows)
 
 
 def load_public(path) -> PublicKey:
     r = fileio.KvReader(path)
-    spec, d = _read_field_header(r)
-    a = Circulant(_read_entries(r, "A", spec, d), spec)
-    am = Circulant(_read_entries(r, "Am", spec, d), spec)
+    a = Circulant(r.entries("A"), r.spec)
+    am = Circulant(r.entries("Am"), r.spec)
     r.done()
     return PublicKey(a, am)
 
@@ -208,22 +204,21 @@ def save_ciphertexts(
     length: int | None,
 ) -> None:
     """length None marks a raw single-vector message (no byte padding)."""
-    pairs = _field_header(spec, d)
-    pairs.append(("encoding", "bytes" if length is not None else "raw"))
+    pairs = [("encoding", "bytes" if length is not None else "raw")]
     if length is not None:
         pairs.append(("length", str(length)))
     pairs.append(("blocks", str(len(blocks))))
     for ct in blocks:
-        pairs.append(("Ar", ct.Ar.to_hex()))
-        pairs.append(("w", ",".join(e.to_hex() for e in ct.w)))
-    fileio.write_kv(path, pairs)
+        pairs.append(("Ar", fileio.hex_line(ct.Ar.bits())))
+        pairs.append(("w", fileio.hex_line(e.bits for e in ct.w)))
+    fileio.write_kv(path, spec, d, pairs)
 
 
 def load_ciphertexts(
     path,
 ) -> tuple[FieldSpec, int, list[Ciphertext], int | None]:
     r = fileio.KvReader(path)
-    spec, d = _read_field_header(r)
+    spec, d = r.spec, r.d
     encoding = r.expect("encoding")
     if encoding not in ("raw", "bytes"):
         raise fileio.FileFormatError(f"{path}: unknown encoding {encoding!r}")
@@ -233,8 +228,8 @@ def load_ciphertexts(
         raise fileio.FileFormatError(f"{path}: blocks must be positive, got {count}")
     blocks = []
     for _ in range(count):
-        ar = Circulant(_read_entries(r, "Ar", spec, d), spec)
-        blocks.append(Ciphertext(ar, _read_entries(r, "w", spec, d)))
+        ar = Circulant(r.entries("Ar"), spec)
+        blocks.append(Ciphertext(ar, r.entries("w")))
     r.done()
     if length is not None:
         # the count encode_bytes gives, so decode_blocks never builds a

@@ -290,18 +290,8 @@ class FieldElement:
     def is_zero(self) -> bool:
         return self.bits == 0
 
-    def to_hex(self) -> str:
-        return format(self.bits, "#x")
-
-    @classmethod
-    def from_hex(cls, spec: FieldSpec, text: str) -> "FieldElement":
-        s = text.strip().lower()
-        if not s.startswith("0x"):
-            raise ValueError(f"field element must start with 0x, got {text!r}")
-        return cls(int(s, 16), spec)
-
     def __repr__(self) -> str:
-        return f"FieldElement({self.to_hex()}, GF(2^{self.spec.n}))"
+        return f"FieldElement({self.bits:#x}, GF(2^{self.spec.n}))"
 
 
 # ---------------------------------------------------------------------------

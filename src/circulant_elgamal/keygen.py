@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import fileio
 from .circulant import Circulant, _ring, det, power, row_sum
-from .gf2field import FieldElement, FieldSpec, Poly, field_make, primitive_poly
+from .gf2field import FieldSpec, Poly, field_make, primitive_poly
 from .numtheory import (
     DEFAULT_BUDGET,
     Factorization,
@@ -200,55 +200,16 @@ def generate(
 
 
 # ---------------------------------------------------------------------------
-# headers and entry lines of params, key and ciphertext files; parameter files
-
-def _field_header(spec: FieldSpec, d: int) -> list[tuple[str, str]]:
-    return [
-        ("version", "1"),
-        ("n", str(spec.n)),
-        ("d", str(d)),
-        ("field_poly", format(spec.modulus, "#x")),
-    ]
-
-
-def _read_field_header(r: fileio.KvReader) -> tuple[FieldSpec, int]:
-    """The header of a params, key or ciphertext file, checked."""
-    version = r.expect_int("version")
-    if version != 1:
-        raise fileio.FileFormatError(f"{r.path}: unsupported version {version}")
-    n = r.expect_int("n")
-    d = r.expect_int("d")
-    if d < 1:
-        raise fileio.FileFormatError(f"{r.path}: d must be positive, got {d}")
-    modulus = r.expect_int("field_poly")
-    try:
-        spec = FieldSpec(n, modulus)
-    except ValueError as exc:
-        raise fileio.FileFormatError(f"{r.path}: {exc}") from None
-    return spec, d
-
-
-def _read_entries(
-    r: fileio.KvReader, key: str, spec: FieldSpec, d: int
-) -> tuple[FieldElement, ...]:
-    """A line of d comma-separated hex field elements: a row or a vector."""
-    entries = tuple(FieldElement.from_hex(spec, p) for p in r.expect(key).split(","))
-    if len(entries) != d:
-        raise fileio.FileFormatError(
-            f"{r.path}: {key} has {len(entries)} entries, expected d = {d}"
-        )
-    return entries
-
+# parameter files
 
 def save_params(params: ParamSet, path) -> None:
     fileio.write_kv(
-        path, _field_header(params.spec, params.d) + [("A", params.A.to_hex())]
+        path, params.spec, params.d, [("A", fileio.hex_line(params.A.bits()))]
     )
 
 
 def load_params(path) -> ParamSet:
     r = fileio.KvReader(path)
-    spec, d = _read_field_header(r)
-    a = Circulant(_read_entries(r, "A", spec, d), spec)
+    a = Circulant(r.entries("A"), r.spec)
     r.done()
-    return ParamSet(spec, d, a)
+    return ParamSet(r.spec, r.d, a)

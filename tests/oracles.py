@@ -3,7 +3,7 @@
 from functools import lru_cache
 
 from circulant_elgamal.circulant import Circulant
-from circulant_elgamal.gf2field import FieldSpec, _pinvert, _pmod, _pmul
+from circulant_elgamal.gf2field import FieldElement, FieldSpec, _pinvert, _pmod, _pmul
 
 
 def C(spec, *bits):
@@ -54,3 +54,28 @@ def gaussian_det(a: Circulant) -> int:
                 fac = fmul(f, inv_p)
                 rows[r] = [x ^ fmul(fac, y) for x, y in zip(rows[r], rows[col])]
     return acc
+
+
+def encode_bytes_ref(data: bytes, spec: FieldSpec, d: int):
+    """The byte codec unit by unit from one integer: unit i is bits
+    n i .. n i + n - 1 of the message read little-endian, zero padded to
+    at least one block of d units; quadratic in the length."""
+    n = spec.n
+    total = int.from_bytes(data, "little")
+    mask = (1 << n) - 1
+    count = max(1, (8 * len(data) + n * d - 1) // (n * d))
+    elems = [FieldElement((total >> (n * i)) & mask, spec) for i in range(d * count)]
+    return [tuple(elems[i : i + d]) for i in range(0, len(elems), d)]
+
+
+def decode_blocks_ref(blocks, spec: FieldSpec, length: int) -> bytes:
+    """Inverse of encode_bytes_ref: the units OR-ed in one at a time."""
+    n = spec.n
+    total = 0
+    i = 0
+    for block in blocks:
+        for e in block:
+            total |= e.bits << (n * i)
+            i += 1
+    total &= (1 << (8 * length)) - 1
+    return total.to_bytes(length, "little")

@@ -499,6 +499,20 @@ def test_negative_field_poly_exits_2(hostile_setup):
         assert "-0b111 is not an irreducible degree-2 polynomial" in proc.stderr
 
 
+def _reading(kind, path, hostile_setup):
+    """The command that reads a `kind` file at `path`, with the other
+    files of hostile_setup."""
+    root, files, priv, plain = hostile_setup
+    out = str(root / "out")
+    return {
+        "params": ["params", "check", str(path)],
+        "pub": ["encrypt", "--pub", str(path), "--infile", plain, "--out", out,
+                "--seed", "53"],
+        "priv": ["decrypt", "--priv", str(path), "--in", files["ct"], "--out", out],
+        "ct": ["decrypt", "--priv", priv, "--in", str(path), "--out", out],
+    }[kind]
+
+
 @pytest.mark.parametrize("kind", ("params", "pub", "priv", "ct"))
 @settings(
     max_examples=60,
@@ -509,35 +523,65 @@ def test_negative_field_poly_exits_2(hostile_setup):
 )
 @given(data=st.data())
 def test_mutated_files_exit_0_or_2(hostile_setup, kind, data):
-    root, files, priv, plain = hostile_setup
+    root, files, priv, _ = hostile_setup
     path = root / f"mutated.{kind}"
     path.write_bytes(data.draw(mutated(Path(files.get(kind, priv)).read_text())))
-    out = str(root / "out")
-    argv = {
-        "params": ["params", "check", str(path)],
-        "pub": ["encrypt", "--pub", str(path), "--infile", plain, "--out", out,
-                "--seed", "53"],
-        "priv": ["decrypt", "--priv", str(path), "--in", files["ct"], "--out", out],
-        "ct": ["decrypt", "--priv", priv, "--in", str(path), "--out", out],
-    }[kind]
-    code, _, stderr = run_cli(argv)
+    code, _, stderr = run_cli(_reading(kind, path, hostile_setup))
     assert code in (0, 2), stderr
     assert "Traceback" not in stderr
 
 
 @pytest.mark.parametrize("kind", ("params", "pub", "priv", "ct"))
 def test_non_utf8_file_exits_2_naming_it(hostile_setup, kind):
-    root, files, priv, plain = hostile_setup
+    root, files, priv, _ = hostile_setup
     path = root / f"latin1.{kind}"
     path.write_bytes(b"\xff" + Path(files.get(kind, priv)).read_bytes())
-    out = str(root / "out")
-    argv = {
-        "params": ["params", "check", str(path)],
-        "pub": ["encrypt", "--pub", str(path), "--infile", plain, "--out", out],
-        "priv": ["decrypt", "--priv", str(path), "--in", files["ct"], "--out", out],
-        "ct": ["decrypt", "--priv", priv, "--in", str(path), "--out", out],
-    }[kind]
-    assert run_cli(argv) == (2, "", f"{path}: not UTF-8 text\n")
+    assert run_cli(_reading(kind, path, hostile_setup)) == (
+        2, "", f"{path}: not UTF-8 text\n"
+    )
+
+
+# each fault edits the entries of one line and gives the rest of the
+# message after "<path>: <key>"; the field is GF(2^3) and d = 11
+ENTRY_FAULTS = {
+    "not hex": (lambda e: ["0xzz1"] + e[1:],
+                ": invalid literal for int() with base 16: '0xzz1'"),
+    "out of range": (lambda e: ["0x8"] + e[1:], ": value 0x8 out of range for GF(2^3)"),
+    "no 0x": (lambda e: ["5"] + e[1:], ": field element must start with 0x, got '5'"),
+    "one short": (lambda e: e[:-1], " has 10 entries, expected d = 11"),
+}
+
+
+@pytest.mark.parametrize("fault", ENTRY_FAULTS)
+@pytest.mark.parametrize(
+    "kind, key",
+    [("params", "A"), ("priv", "A"), ("pub", "A"), ("pub", "Am"), ("ct", "Ar"),
+     ("ct", "w")],
+)
+def test_malformed_entry_exits_2_naming_file_and_key(hostile_setup, kind, key, fault):
+    root, files, priv, _ = hostile_setup
+    edit, tail = ENTRY_FAULTS[fault]
+    lines = Path(files.get(kind, priv)).read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
+    lines[i] = f"{key} = " + ",".join(edit(lines[i].partition(" = ")[2].split(",")))
+    path = root / f"entry.{kind}"
+    path.write_text("\n".join(lines) + "\n")
+    assert run_cli(_reading(kind, path, hostile_setup)) == (
+        2, "", f"{path}: {key}{tail}\n"
+    )
+
+
+@pytest.mark.parametrize("fault", ENTRY_FAULTS)
+def test_encrypt_in_malformed_block_exits_2_naming_it(tmp_path, hostile_setup, fault):
+    _, files, _, _ = hostile_setup
+    edit, tail = ENTRY_FAULTS[fault]
+    block = ",".join(edit(["0x1"] * 11))
+    out = tmp_path / "in.ct"
+    code, stdout, stderr = run_cli(
+        ["encrypt", "--pub", files["pub"], "--in", block, "--out", str(out)]
+    )
+    assert (code, stdout, stderr) == (2, "", f"--in{tail}\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

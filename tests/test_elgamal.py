@@ -36,6 +36,7 @@ from circulant_elgamal.elgamal import (
 )
 from circulant_elgamal.gf2field import FieldElement, _ring, field_make
 from circulant_elgamal.keygen import OrderInfo, ParamSet
+from oracles import decode_blocks_ref, encode_bytes_ref
 
 
 def rand_vector(spec, d, rng):
@@ -233,6 +234,38 @@ def test_decode_masks_padding_bits():
     assert decode_blocks(noisy, spec, 2) == b"ab"
 
 
+@pytest.mark.parametrize(
+    "n, d", ((3, 11), (8, 11), (1, 5), (47, 11), (11, 11), (5, 19), (128, 3), (2, 13))
+)
+def test_codec_matches_the_unit_by_unit_reference(n, d):
+    spec = field_make(n)
+    mask = (1 << n) - 1
+    rng = random.Random(n * d)
+    for length in (*range(130), 1000, 4097):
+        data = rng.randbytes(length)
+        blocks = encode_bytes(data, spec, d)
+        assert blocks == encode_bytes_ref(data, spec, d)
+        # the same units with every padding bit set
+        count = len(blocks)
+        padding = (1 << n * d * count) - (1 << 8 * length)
+        full = int.from_bytes(data, "little") | padding
+        noisy = [
+            tuple(FieldElement(full >> n * (j * d + k) & mask, spec) for k in range(d))
+            for j in range(count)
+        ]
+        assert noisy != blocks or 8 * length == n * d * count
+        assert decode_blocks(noisy, spec, length) == data
+        assert decode_blocks_ref(noisy, spec, length) == data
+
+
+def test_codec_round_trips_a_mebibyte_at_47_11():
+    spec = field_make(47)
+    data = random.Random(41).randbytes(1 << 20)
+    blocks = encode_bytes(data, spec, 11)
+    assert len(blocks) == (8 << 20) // 517 + 1
+    assert decode_blocks(blocks, spec, len(data)) == data
+
+
 def test_bytes_pipeline_hello(params311):
     priv, pub = keygen(params311, seed=8)
     data = b"hello world"
@@ -310,6 +343,16 @@ def test_ciphertext_file_rejections(tmp_path, params311):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(fileio.FileFormatError):
         load_ciphertexts(path)
+
+    path.write_text(good.replace("Ar = 0x", "Ar = 0xzz", 1))
+    with pytest.raises(fileio.FileFormatError) as info:
+        load_ciphertexts(path)
+    assert str(info.value).startswith(f"{path}: Ar: invalid literal for int()")
+
+    path.write_text(good.replace("w = 0x", "w = ", 1))
+    with pytest.raises(fileio.FileFormatError) as info:
+        load_ciphertexts(path)
+    assert str(info.value).startswith(f"{path}: w: field element must start with 0x")
 
     path.write_text(good.replace("blocks = 1", "blocks = 2"))  # truncated
     with pytest.raises(fileio.FileFormatError):

@@ -147,9 +147,9 @@ def test_library_imports_only_the_standard_library():
     assert set(loaded) - {"circulant_elgamal"} <= sys.stdlib_module_names
 
 
-def test_every_private_helper_is_referenced():
-    # a module-level function or class named _x (one underscore) is dead
-    # when no name, attribute or import anywhere in the package refers to it
+def package_names():
+    """The package's module-level functions and classes, as {"module.name":
+    name}, and every name, attribute or import that its code refers to."""
     defined, used = {}, set()
     for path in Path(circulant_elgamal.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -163,9 +163,41 @@ def test_every_private_helper_is_referenced():
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
+    return defined, used
+
+
+def test_every_private_helper_is_referenced():
+    # a module-level function or class named _x (one underscore) is dead
+    # when no name, attribute or import anywhere in the package refers to it
+    defined, used = package_names()
     dead = [
         where for where, name in defined.items()
         if name.startswith("_") and not name.startswith("__") and name not in used
+    ]
+    assert defined and not dead, dead
+
+
+def test_every_public_name_is_referenced_exported_or_traced():
+    """A public module-level function or class is dead unless the package
+    refers to it, exports it in `_HOME`, or the bench's tracer names it in
+    `TRACED`.
+
+    Names are matched by name alone, not by binding: a public name passes
+    when any name or attribute anywhere in the package is spelled the
+    same, for example a method of the same name on another class.
+    """
+    defined, used = package_names()
+    traced = {
+        f"{module}.{name}"
+        for module, names in load_tracing().TRACED.items()
+        for name in names
+    }
+    home = {f"{module}.{name}" for name, module in circulant_elgamal._HOME.items()}
+    dead = [
+        where for where, name in defined.items()
+        if not name.startswith("_")
+        and name not in used
+        and where not in home | traced
     ]
     assert defined and not dead, dead
 

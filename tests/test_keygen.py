@@ -294,7 +294,7 @@ def test_generate_regression_values(params311):
     assert params311.det_order == 7
     assert params311.order_info == OrderInfo(153391689, True)
     assert (1 << 24) - 1 == 16777215 < 153391689  # above the q^{d-3} floor
-    assert params311.A.to_hex() == (
+    assert fileio.hex_line(params311.A.bits()) == (
         "0x5,0x4,0x7,0x5,0x2,0x4,0x3,0x2,0x3,0x4,0x2"
     )
     assert params311.spec.modulus == 0xB
@@ -319,7 +319,7 @@ def test_generate_pinned_across_seeds():
         info = p.order_info
         tau = ",".join(format(c, "#x") for c in p.tau.coeffs)
         h.update(
-            f"{n} {d} {seed} {p.A.to_hex()} {tau} {p.det_order} "
+            f"{n} {d} {seed} {fileio.hex_line(p.A.bits())} {tau} {p.det_order} "
             f"{info.order} {info.exact}\n".encode()
         )
     assert h.hexdigest() == SETUP_DIGEST
@@ -445,6 +445,28 @@ def test_params_file_wrong_matrix_size(tmp_path, params15):
     path.write_text(body)
     with pytest.raises(fileio.FileFormatError, match="expected d = 7"):
         load_params(path)
+    head, _, row = body.replace("d = 7", "d = 5").rpartition("A = ")
+    path.write_text(head + "A = " + row.rstrip().rpartition(",")[0] + "\n")
+    with pytest.raises(fileio.FileFormatError, match="A has 4 entries, expected d = 5"):
+        load_params(path)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("0xzz1", "A: invalid literal for int"),
+        ("0x2", "A: value 0x2 out of range for GF(2^1)"),
+        ("1", "A: field element must start with 0x, got '1'"),
+    ],
+)
+def test_params_file_malformed_entry(tmp_path, params15, entry, message):
+    path = tmp_path / "p.params"
+    save_params(params15, path)
+    head, _, row = path.read_text().rpartition("A = ")
+    path.write_text(head + "A = " + entry + row[row.index(","):])
+    with pytest.raises(fileio.FileFormatError) as info:
+        load_params(path)
+    assert str(info.value).startswith(f"{path}: {message}")
 
 
 @pytest.mark.parametrize("d", (0, -5))
