@@ -15,8 +15,8 @@ from importlib import import_module
 _HOME = {
     name: module
     for module, names in {
-        "circulant": "Circulant NotInvertible OpCounter inverse matvec mul"
-        " power square",
+        "circulant": "Circulant NotInvertible inverse matvec mul power power_cost"
+        " square",
         "dlp": "NotFound bsgs pohlig_hellman solve_circulant_dlp",
         "elgamal": "Ciphertext PrivateKey PublicKey decrypt encrypt oracle_reduction",
         "gf2field": "FieldElement FieldSpec Poly field_make",

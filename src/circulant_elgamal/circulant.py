@@ -11,8 +11,8 @@ at size d computes on, so products, squares, powers, inverses and
 matrix-vector products hand it to the kernel as it is: one carry-less
 product per ring product, squares by spreading bits, Frobenius-digit
 powers and Itoh-Tsujii inversion. This module holds the `Circulant`
-type and its operations on that kernel, the operation counter of the
-paper's cost model, the determinant as a resultant, and the
+type and its operations on that kernel, `power_cost`, the paper's cost
+model of a power, the determinant as a resultant, and the
 characteristic-polynomial quotient over F_q[x]/Phi, kept as a test oracle.
 """
 
@@ -46,34 +46,17 @@ class PhiReducible(ValueError):
     pass
 
 
-class OpCounter:
-    """Cost telemetry for exponentiation.
+def power_cost(m: int, d: int) -> tuple[int, int, int]:
+    """The paper's cost of a^m for a d x d circulant, as (squarings,
+    general multiplications, field multiplications).
 
-    A full circulant product is booked as one general multiplication
-    and d^2 base-field multiplications (the convolution cost); a
-    circulant squaring is booked as one squaring, never as mults.
-    `power` books the paper's model of binary square and multiply on m,
-    bit_length(m) - 1 squarings and popcount(m) - 1 products, not the
-    schedule it runs.
+    Left-to-right binary square and multiply: bit_length(m) - 1 free
+    squarings and popcount(m) - 1 products of d^2 field multiplications
+    each (the convolution cost), each count floored at 0. A model of m,
+    not of the schedule `power` runs.
     """
-
-    def __init__(self):
-        self.general_mults = 0
-        self.field_mults = 0
-        self.squarings = 0
-
-    def count_mul(self, d: int) -> None:
-        self.general_mults += 1
-        self.field_mults += d * d
-
-    def count_square(self) -> None:
-        self.squarings += 1
-
-    def count_power(self, m: int, d: int) -> None:
-        mults = bin(m).count("1") - 1
-        self.squarings += m.bit_length() - 1
-        self.general_mults += mults
-        self.field_mults += d * d * mults
+    mults = max(m.bit_count() - 1, 0)
+    return max(m.bit_length() - 1, 0), mults, d * d * mults
 
 
 class Circulant:
@@ -161,38 +144,27 @@ def _check_odd(d: int) -> None:
         raise EvenD(f"squaring permutation needs odd d, got {d}")
 
 
-def mul(a: Circulant, b: Circulant, counter: OpCounter | None = None) -> Circulant:
-    """Cyclic convolution: c_k = sum over i+j = k (mod d) of a_i b_j.
-
-    Books d^2 base-field multiplications on the counter, the paper's
-    cost for a convolution.
-    """
+def mul(a: Circulant, b: Circulant) -> Circulant:
+    """Cyclic convolution: c_k = sum over i+j = k (mod d) of a_i b_j."""
     _check_pair(a, b)
-    if counter is not None:
-        counter.count_mul(a.d)
     return Circulant._of(a.spec, a.d, _ring(a.spec, a.d).product(a.row, b.row))
 
 
-def square(a: Circulant, counter: OpCounter | None = None) -> Circulant:
+def square(a: Circulant) -> Circulant:
     """Frobenius squaring: coefficient a_i lands squared at index 2i mod d.
 
-    Needs d odd so that doubling indices is a permutation; booked as one
-    squaring and no general multiplications.
+    Needs d odd so that doubling indices is a permutation.
     """
     _check_odd(a.d)
-    if counter is not None:
-        counter.count_square()
     return Circulant._of(a.spec, a.d, _ring(a.spec, a.d).square(a.row))
 
 
-def power(a: Circulant, m: int, counter: OpCounter | None = None) -> Circulant:
+def power(a: Circulant, m: int) -> Circulant:
     """a^m; a^0 is the identity.
 
     Runs the Frobenius-digit schedule of `_Ring.power` on the packed
     row, which also keys the tables the ring keeps for a base that comes
-    back. The counter gets the paper's cost model of left-to-right
-    square and multiply, whatever schedule runs: bit_length(m) - 1
-    squarings and popcount(m) - 1 general multiplications.
+    back. `power_cost(m, d)` is the paper's price of it.
     """
     if m < 0:
         raise ValueError("exponent must be nonnegative")
@@ -200,8 +172,6 @@ def power(a: Circulant, m: int, counter: OpCounter | None = None) -> Circulant:
         return Circulant._of(a.spec, a.d, 1)
     if m > 1:
         _check_odd(a.d)
-    if counter is not None:
-        counter.count_power(m, a.d)
     return Circulant._of(a.spec, a.d, _ring(a.spec, a.d).power(a.row, m))
 
 

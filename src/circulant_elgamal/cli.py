@@ -13,15 +13,14 @@
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 attack or
 verification failure. Stdout carries machine-readable `key=value` lines
-(TSV for the tables subcommand); diagnostics go to stderr. When no
---seed is given the CIRC_ELGAMAL_SEED environment variable is used as a
-fallback; a fixed seed makes every run bit-identical.
+(TSV for the tables subcommand); diagnostics go to stderr. A fixed
+--seed makes every run bit-identical; without one, secret exponents
+come from the OS CSPRNG.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 import time
@@ -68,26 +67,12 @@ def _diag(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _resolve_seed(explicit: int | None) -> int | None:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("CIRC_ELGAMAL_SEED", "")
-    if not env:
-        return None
-    try:
-        return int(env, 0)
-    except ValueError:
-        raise _UsageError(
-            f"CIRC_ELGAMAL_SEED is not an integer: {env!r}"
-        ) from None
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_params_gen(args) -> int:
     from . import keygen as kg
-    ps = kg.generate(args.n, args.d, _resolve_seed(args.seed), args.factor_budget)
+    ps = kg.generate(args.n, args.d, args.seed, args.factor_budget)
     kg.save_params(ps, args.out)
     _emit("n", ps.n)
     _emit("d", ps.d)
@@ -114,7 +99,7 @@ def cmd_keygen(args) -> int:
     from . import elgamal
     from . import keygen as kg
     ps = kg.load_params(args.params)
-    priv, pub = elgamal.keygen(ps, _resolve_seed(args.seed))
+    priv, pub = elgamal.keygen(ps, args.seed)
     elgamal.save_private(priv, args.out_priv)
     elgamal.save_public(pub, args.out_pub)
     _emit("n", ps.n)
@@ -128,7 +113,7 @@ def cmd_encrypt(args) -> int:
     from . import elgamal, fileio
     pub = elgamal.load_public(args.pub)
     spec, d = pub.A.spec, pub.A.d
-    rng = elgamal._rng(_resolve_seed(args.seed))
+    rng = elgamal._rng(args.seed)
     if args.hexblock is not None:
         v = fileio.parse_entries(args.hexblock, spec, d, "--in")
         cts = [elgamal.encrypt(pub, v, rng)]
@@ -236,26 +221,30 @@ def cmd_security_verify_paper(args) -> int:
 
 
 def cmd_bench_pow(args) -> int:
-    from .circulant import Circulant, OpCounter, power
+    from .circulant import Circulant, power, power_cost
     from .gf2field import field_make
     spec = field_make(args.n)
-    rng = random.Random(_resolve_seed(args.seed))
-    counter, total_s = OpCounter(), 0.0
+    rng = random.Random(args.seed)
+    ms, total_s = [], 0.0
     for _ in range(args.trials):
         a = Circulant.random(spec, args.d, rng)
         # top bit forced so every exponent is exactly `bits` long
         m = 1 << (args.bits - 1) | rng.getrandbits(args.bits - 1)
         t0 = time.perf_counter()
-        power(a, m, counter)
+        power(a, m)
         total_s += time.perf_counter() - t0
+        ms.append(m)
     t = args.trials
+    squarings, general_mults, field_mults = map(
+        sum, zip(*(power_cost(m, args.d) for m in ms))
+    )
     _emit("n", args.n)
     _emit("d", args.d)
     _emit("bits", args.bits)
     _emit("trials", t)
-    _emit("mean_general_mults", f"{counter.general_mults / t:.4f}")
-    _emit("mean_field_mults", f"{counter.field_mults / t:.4f}")
-    _emit("mean_squarings", f"{counter.squarings / t:.4f}")
+    _emit("mean_general_mults", f"{general_mults / t:.4f}")
+    _emit("mean_field_mults", f"{field_mults / t:.4f}")
+    _emit("mean_squarings", f"{squarings / t:.4f}")
     _emit("predicted_field_mults", f"{args.d * args.d / 2 * args.bits:.1f}")
     _emit("mean_power_ms", f"{total_s / t * 1e3:.4f}")
     return 0

@@ -55,15 +55,18 @@ def _rng(seed: int | random.Random | None) -> random.Random:
     return random.SystemRandom() if seed is None else random.Random(seed)
 
 
+def _exponent(seed: int | random.Random | None, bound: int) -> int:
+    """A secret exponent drawn uniformly from [2, bound)."""
+    if bound <= 2:
+        raise ValueError("group too small to hold a secret exponent")
+    return _rng(seed).randrange(2, bound)
+
+
 def keygen(
     params: ParamSet, seed: int | random.Random | None = None
 ) -> tuple[PrivateKey, PublicKey]:
     """Draw m uniformly from [2, L) and publish (A, A^m)."""
-    rng = _rng(seed)
-    bound = params.exponent_bound()
-    if bound <= 2:
-        raise ValueError("group too small to hold a secret exponent")
-    m = rng.randrange(2, bound)
+    m = _exponent(seed, params.exponent_bound())
     return PrivateKey(m, params), PublicKey(params.A, power(params.A, m))
 
 
@@ -76,8 +79,7 @@ def encrypt(
     a = pub.A
     if len(v) != a.d:
         raise DimensionMismatch(f"message block has {len(v)} entries, need {a.d}")
-    rng = _rng(seed)
-    r = rng.randrange(2, 1 << (a.spec.n * (a.d - 1)))
+    r = _exponent(seed, 1 << (a.spec.n * (a.d - 1)))
     return Ciphertext(power(a, r), matvec(power(pub.Am, r), v))
 
 

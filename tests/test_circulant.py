@@ -1,5 +1,5 @@
 """Circulant ring arithmetic: convolution products, squaring permutation,
-operation counting, the idempotent split by Phi, and the
+the paper's cost model of a power, the idempotent split by Phi, and the
 characteristic-polynomial quotient.
 
 The expanded d x d matrix is the oracle for everything the first-row
@@ -16,7 +16,6 @@ from circulant_elgamal.circulant import (
     DimensionMismatch,
     EvenD,
     NotInvertible,
-    OpCounter,
     PhiReducible,
     char_poly_quotient,
     det,
@@ -24,6 +23,7 @@ from circulant_elgamal.circulant import (
     matvec,
     mul,
     power,
+    power_cost,
     row_sum,
     square,
 )
@@ -155,41 +155,33 @@ def test_circulant_compares_and_hashes_by_row_and_spec():
     assert C(s3, 0, 0, 0) != C(s3, 0, 0, 0, 0, 0)
 
 
-def test_op_counter_posts():
-    spec = field_make(3)
-    rng = random.Random(5)
-    a = Circulant.random(spec, 11, rng)
-    b = Circulant.random(spec, 11, rng)
-    c = OpCounter()
-    mul(a, b, c)
-    assert (c.general_mults, c.field_mults, c.squarings) == (1, 121, 0)
-    c = OpCounter()
-    square(a, c)
-    assert (c.general_mults, c.field_mults, c.squarings) == (0, 0, 1)
-    # the counter is a cost model: d^2 base multiplications per product
-    c = OpCounter()
-    for _ in range(7):
-        mul(a, b, c)
-    assert c.field_mults == 7 * 121 == 121 * c.general_mults
+def test_power_cost():
+    # (squarings, general mults, field mults) of binary square and
+    # multiply: squarings are free, a product costs d^2 field mults
+    assert power_cost(3, 11) == (1, 1, 121)
+    assert power_cost(2, 11) == (1, 0, 0)
+    assert power_cost(0, 11) == power_cost(1, 11) == (0, 0, 0)
+    assert power_cost(0b1011011, 5) == (6, 4, 100)
+    for m in (7, 19, 100, 1 << 127 | 1):
+        _, general, field = power_cost(m, 11)
+        assert field == 121 * general
 
 
 def test_power_exponent_laws_and_counts():
     spec = field_make(3)
     rng = random.Random(6)
     a = Circulant.random(spec, 5, rng)
-    c = OpCounter()
-    assert power(a, 1, c) == a
-    assert c.general_mults == 0 and c.squarings == 0
+    assert power(a, 1) == a
+    assert power_cost(1, 5) == (0, 0, 0)
     assert power(a, 0).is_identity()
     for k in (1, 2, 5):
-        c = OpCounter()
-        power(a, 1 << k, c)
-        assert c.squarings == k and c.general_mults == 0
+        assert power(a, 1 << k) == power(square(a), 1 << (k - 1))
+        assert power_cost(1 << k, 5) == (k, 0, 0)
     for m in (3, 7, 19, 100):
-        c = OpCounter()
-        power(a, m, c)
-        assert c.squarings == m.bit_length() - 1
-        assert c.general_mults == m.bit_count() - 1
+        assert power(a, m) == mul(power(a, m - 1), a)
+        squarings, general, _ = power_cost(m, 5)
+        assert squarings == m.bit_length() - 1
+        assert general == m.bit_count() - 1
     for _ in range(20):
         i, j = rng.randrange(50), rng.randrange(50)
         assert power(a, i + j) == mul(power(a, i), power(a, j))

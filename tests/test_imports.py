@@ -1,7 +1,8 @@
 """What a command imports: each CLI command loads only the modules it
 runs, the package exports its names lazily, no module builds a
-dataclass, the library loads nothing outside the standard library, and
-no private module-level helper goes unnamed in the package.
+dataclass, the library loads nothing outside the standard library or
+reads an environment variable, and no private module-level helper goes
+unnamed in the package.
 
 A command runs in a fresh interpreter, as a user runs it, and reports
 the package modules it loaded. The lazy exports are checked against the
@@ -200,6 +201,13 @@ def test_every_public_name_is_referenced_exported_or_traced():
         and where not in home | traced
     ]
     assert defined and not dead, dead
+
+
+def test_library_reads_no_environment_variable():
+    # options come from the command line alone; a variable inherited from
+    # the shell would be a second source nobody sees
+    _, used = package_names()
+    assert not used & {"environ", "environb", "getenv", "getenvb", "putenv"}
 
 
 def test_lazy_exports_resolve_to_their_home_modules():
