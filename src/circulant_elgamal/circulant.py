@@ -7,13 +7,14 @@ x^{d-1} is a ring isomorphism onto F_q[x]/(x^d - 1), which is what the
 multiplication and inversion routines below actually compute.
 
 The row is packed into one int, the form the kernel `gf2field._Ring`
-at size d computes on, so products, squares, powers, inverses and
-matrix-vector products hand it to the kernel as it is: one carry-less
-product per ring product, squares by spreading bits, Frobenius-digit
-powers and Itoh-Tsujii inversion. This module holds the `Circulant`
-type and its operations on that kernel, `power_cost`, the paper's cost
-model of a power, the determinant as a resultant, and the
-characteristic-polynomial quotient over F_q[x]/Phi, kept as a test oracle.
+at size d computes on, so products, squares, powers and matrix-vector
+products hand it to the kernel as it is: one carry-less product per
+ring product, squares by spreading bits and Frobenius-digit powers.
+The same row is a `Poly`, so the inverse is extended Euclid against
+x^d - 1 and the determinant a resultant by Euclid. This module holds
+the `Circulant` type and its operations, `power_cost`, the paper's
+cost model of a power, and the characteristic-polynomial quotient over
+F_q[x]/Phi, kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from typing import Iterable, Sequence
 from .gf2field import (
     FieldElement,
     FieldSpec,
-    NotInvertible,
     Poly,
     SpecMismatch,
     _ring,
     frobenius,
     linear_factor_product,
+    poly_ext_gcd,
 )
 from .numtheory import primitive_cell
 
@@ -43,6 +44,10 @@ class EvenD(ValueError):
 
 
 class PhiReducible(ValueError):
+    pass
+
+
+class NotInvertible(ArithmeticError):
     pass
 
 
@@ -176,9 +181,15 @@ def power(a: Circulant, m: int) -> Circulant:
 
 
 def inverse(a: Circulant) -> Circulant:
-    """a^-1 on the packed kernel (`_Ring.inverse`); NotInvertible when
-    the matrix is singular."""
-    return Circulant._of(a.spec, a.d, _ring(a.spec, a.d).inverse(a.row))
+    """a^-1: the Bezout coefficient u of u a + v (x^d + 1) = 1, from
+    extended Euclid on packed rows, for every d; NotInvertible when the
+    gcd is not 1, that is when the matrix is singular."""
+    spec = a.spec
+    f = Poly(1 << _ring(spec, a.d).row_bits | 1, spec)  # x^d + 1 in slots d and 0
+    g, u, _ = poly_ext_gcd(Poly(a.row, spec), f)
+    if g.row != 1:
+        raise NotInvertible("the matrix is singular, it has no inverse")
+    return Circulant._of(spec, a.d, u.row)  # deg u < d - deg g = d
 
 
 def matvec(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .circulant import Circulant, _check_odd, _ring, power
+from .circulant import Circulant, _check_odd, _ring, inverse, power
 from .keygen import _group_order
 from .numtheory import (
     DEFAULT_BUDGET,
@@ -51,7 +51,7 @@ def bsgs(base: Circulant, target: Circulant, order: int) -> int:
     for j in range(m):
         table.setdefault(cur, j)
         cur = ring.mul(step, cur)
-    giant = ring.window(ring.power(ring.inverse(a), m))
+    giant = ring.window(ring.power(inverse(base).row, m))
     cur = b
     for i in range(m):  # m^2 >= order, so x = i m + j reaches order - 1
         j = table.get(cur)

@@ -20,9 +20,11 @@ from .circulant import (
     inverse,
     matvec,
     power,
+    row_sum,
 )
 from .gf2field import FieldElement, FieldSpec
 from .keygen import ParamSet
+from .numtheory import primitive_cell
 
 
 class OracleInconsistent(ArithmeticError):
@@ -84,9 +86,18 @@ def encrypt(
 
 
 def decrypt(priv: PrivateKey, ct: Ciphertext) -> tuple[FieldElement, ...]:
-    """Rebuild A^{mr} from A^r, invert it, apply to w."""
-    mask = power(ct.Ar, priv.m)
-    return matvec(inverse(mask), ct.w)
+    """Apply A^{-mr} to w. On a primitive cell R = F_q x F_(q^(d-1)), so
+    every unit u has u^N = 1 for N = q^(d-1) - 1, and A^{-mr} is the one
+    power (A^r)^(-m mod N); A^r is a unit there exactly when its row sum
+    is nonzero and its entries are not all equal. Other cells invert A^{mr}."""
+    ar, m = ct.Ar, priv.m
+    if m < 0:
+        raise ValueError("exponent must be nonnegative")
+    if not primitive_cell(ar.spec.n, ar.d):
+        return matvec(inverse(power(ar, m)), ct.w)
+    if row_sum(ar).is_zero() or len(set(ar.bits())) == 1:
+        raise NotInvertible("A^r is singular, so A^{mr} has no inverse")
+    return matvec(power(ar, -m % ((1 << ar.spec.n * (ar.d - 1)) - 1)), ct.w)
 
 
 def oracle_reduction(
@@ -179,6 +190,8 @@ def save_private(priv: PrivateKey, path) -> None:
 def load_private(path) -> PrivateKey:
     r = fileio.KvReader(path)
     m = r.expect_int("m")
+    if m < 0:
+        raise fileio.FileFormatError(f"{path}: m must be nonnegative")
     a = Circulant(r.entries("A"), r.spec)
     r.done()
     return PrivateKey(m, ParamSet(r.spec, r.d, a))

@@ -53,10 +53,6 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-class NotInvertible(ArithmeticError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # GF(2)[t] on bare ints (bit i <-> t^i)
 
@@ -522,54 +518,6 @@ class _Ring:
         for k in range(d):
             r |= (a >> k * w & mask) << k * e % d * w
         return r
-
-    def inverse(self, a: int) -> int:
-        """a^-1; raises NotInvertible when a is not a unit.
-
-        Odd d: x^d - 1 is squarefree, so the ring is a product of fields
-        F_(q^e) with every e dividing L = ord_d(q), and a unit a has
-        a^-1 = a^(q^L - 2) = a^(q - 2) delta^(q + ... + q^(L - 1)) with
-        delta = a^(q - 1). a^(q - 2) is the square of a^(2^(n - 1) - 1)
-        from an Itoh-Tsujii chain, and delta's exponent is a chain of
-        free Frobenius permutations. A non-unit gets some other value,
-        which the product a a^-1 = 1 then tells from an inverse.
-        Even d = 2^s d': b = a^(2^s) lies on the slots that are multiples
-        of 2^s, a copy of the ring for d', and a^-1 = b^-1 a^(2^s - 1).
-        """
-        d, n, prod, square = self.d, self.n, self.product, self.square
-        s = (d & -d).bit_length() - 1
-        if s:
-            # acc = a^(2^i - 1) and b = a^(2^i) for i = 1 .. s
-            acc, b = a, square(a)
-            for _ in range(s - 1):
-                acc, b = prod(acc, b), square(b)
-            sub = _ring(self.spec, d >> s)
-            inv = sub.inverse(sub.pack(self.unpack(b)[:: 1 << s]))
-            out = [0] * d
-            out[:: 1 << s] = sub.unpack(inv)
-            return prod(self.pack(out), acc)
-        # c = a^(2^i - 1), with a^(2^(i + j) - 1) = c^(2^j) a^(2^j - 1)
-        c, i = a, 1
-        for bit in bin(n - 1)[3:]:
-            x = c
-            for _ in range(i):
-                x = square(x)
-            c, i = prod(x, c), 2 * i
-            if bit == "1":
-                c, i = prod(square(c), a), i + 1
-        u = square(c) if n > 1 else 1  # a^(q - 2)
-        # e = delta^(1 + q + ... + q^(j - 1)), with sigma^j a free permutation
-        delta, frob = prod(u, a), self.frobenius
-        e, j = delta, 1
-        L = next(k for k in range(1, d + 1) if pow(2, n * k, d) == 1 % d)
-        for bit in bin(L - 1)[3:]:
-            e, j = prod(e, frob(e, j)), 2 * j
-            if bit == "1":
-                e, j = prod(delta, frob(e, 1)), j + 1
-        inv = prod(u, frob(e, 1)) if L > 1 else u
-        if prod(a, inv) != 1:
-            raise NotInvertible("the matrix is singular, it has no inverse")
-        return inv
 
     def power(self, a: int, m: int) -> int:
         """a^m, m >= 1, in one pass over the base-q^t digits of m.

@@ -30,7 +30,11 @@ def generic_bits(p: int) -> float:
 
 
 def regime_check(n: int, d: int) -> bool:
-    """True when d > n^2, where index calculus goes exponential."""
+    """True when d > n^2, where index calculus goes exponential in the
+    paper's 2011 model. The circulant DLP reduces to one in F_(2^(n(d-1))),
+    and the DLP in fixed small characteristic is now quasi-polynomial
+    (Joux 2013; Barbulescu-Gaudry-Joux-Thome 2014; Kleinjung-Wesolowski
+    2022), so True is that model's verdict, not a present-day claim."""
     return d > n * n
 
 
@@ -54,7 +58,8 @@ class SecurityReport(NamedTuple):
 
 
 def estimate(n: int, d: int) -> SecurityReport:
-    """Cheap per-cell report; no factoring."""
+    """Cheap per-cell report; no factoring. `index_calculus_bits` and
+    `regime_exponential` are the paper's 2011 model (`regime_check`)."""
     return SecurityReport(
         n=n,
         d=d,

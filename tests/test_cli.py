@@ -192,10 +192,14 @@ def test_full_pipeline_bytes(tmp_path, params_file):
     assert back.read_bytes() == data
 
 
-@pytest.mark.parametrize("ar", ("0x0", "0x7"))
+@pytest.mark.parametrize(
+    "ar",
+    [",".join([e] * 11) for e in ("0x0", "0x7")] + ["0x1,0x1" + ",0x0" * 9],
+    ids=["0x0", "0x7", "row-sum-0"],
+)
 def test_decrypt_singular_ar_exits_2(tmp_path, params_file, ar):
-    # a hostile ciphertext: Ar all zero or all ones, both singular, so
-    # A^{mr} has no inverse
+    # a hostile ciphertext: Ar all zero, all equal, or with row sum 0 and
+    # unequal entries, each singular, so A^{mr} has no inverse
     priv, pub = str(tmp_path / "k.priv"), str(tmp_path / "k.pub")
     run_cli(["keygen", "--params", params_file, "--out-priv", priv,
              "--out-pub", pub, "--seed", "41"])
@@ -204,7 +208,7 @@ def test_decrypt_singular_ar_exits_2(tmp_path, params_file, ar):
              "--out", str(ct), "--seed", "42"])
     lines = ct.read_text().splitlines()
     i = next(i for i, line in enumerate(lines) if line.startswith("Ar = "))
-    lines[i] = "Ar = " + ",".join([ar] * 11)
+    lines[i] = "Ar = " + ar
     ct.write_text("\n".join(lines) + "\n")
     code, stdout, stderr = run_cli(
         ["decrypt", "--priv", priv, "--in", str(ct), "--out", str(tmp_path / "x")]
@@ -601,6 +605,18 @@ def test_encrypt_in_malformed_block_exits_2_naming_it(tmp_path, hostile_setup, f
     )
     assert (code, stdout, stderr) == (2, "", f"--in{tail}\n")
     assert not out.exists()
+
+
+def test_negative_private_exponent_exits_2_naming_the_file(hostile_setup):
+    root, _, priv, _ = hostile_setup
+    path = root / "negative-m.priv"
+    text = Path(priv).read_text()
+    m = load_private(priv).m
+    assert f"m = {m}\n" in text
+    path.write_text(text.replace(f"m = {m}\n", f"m = {-m}\n"))
+    assert run_cli(_reading("priv", path, hostile_setup)) == (
+        2, "", f"{path}: m must be nonnegative\n"
+    )
 
 
 # ---------------------------------------------------------------------------

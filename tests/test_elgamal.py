@@ -12,7 +12,10 @@ from circulant_elgamal import fileio
 from circulant_elgamal.circulant import (
     Circulant,
     DimensionMismatch,
+    NotInvertible,
     det,
+    inverse,
+    matvec,
     power,
     row_sum,
 )
@@ -36,6 +39,7 @@ from circulant_elgamal.elgamal import (
 )
 from circulant_elgamal.gf2field import FieldElement, _ring, field_make
 from circulant_elgamal.keygen import OrderInfo, ParamSet
+from circulant_elgamal.numtheory import primitive_cell
 from oracles import decode_blocks_ref, encode_bytes_ref
 
 
@@ -141,6 +145,65 @@ def test_scaling_malleability(params311):
     c = FieldElement(0x6, spec)
     scaled = Ciphertext(ct.Ar, tuple(c * e for e in ct.w))
     assert decrypt(priv, scaled) == tuple(c * e for e in v)
+
+
+def rand_unit(spec, d, rng):
+    while True:
+        a = Circulant.random(spec, d, rng)
+        if not det(a).is_zero():
+            return a
+
+
+def bare_key(m, spec, d):
+    # decrypt reads only m from the private key
+    return PrivateKey(m, ParamSet(spec, d, Circulant.identity(spec, d)))
+
+
+@pytest.mark.parametrize("n, d", [(3, 11), (5, 19), (47, 11)])
+def test_decrypt_by_one_power_applies_the_inverse_mask(n, d):
+    # on a primitive cell decrypt raises A^r to -m mod N, N = q^(d-1) - 1;
+    # the definition inverts A^{mr}
+    spec, rng = field_make(n), random.Random(40 + n * d)
+    assert primitive_cell(n, d)
+    big_n = (1 << n * (d - 1)) - 1
+    for _ in range(2):
+        ar, w = rand_unit(spec, d, rng), rand_vector(spec, d, rng)
+        for m in (0, 1, 2, big_n - 1, big_n, big_n + 1, rng.randrange(big_n)):
+            want = matvec(inverse(power(ar, m)), w)
+            assert decrypt(bare_key(m, spec, d), Ciphertext(ar, w)) == want
+
+
+@pytest.mark.parametrize("n, d", [(1, 7), (2, 13)])
+def test_roundtrip_off_the_primitive_cells(n, d):
+    # q is not primitive mod d, so decrypt inverts A^{mr}
+    spec, rng = field_make(n), random.Random(50 + n * d)
+    assert not primitive_cell(n, d)
+    ps = ParamSet(spec, d, rand_unit(spec, d, rng))
+    for _ in range(10):
+        priv, pub = keygen(ps, seed=rng.randrange(1 << 32))
+        v = rand_vector(spec, d, rng)
+        assert decrypt(priv, encrypt(pub, v, seed=rng.randrange(1 << 32))) == v
+
+
+# x^3 + x + 1 divides x^7 - 1, so it is singular though its row sum is 1
+# and its entries differ: only the inverse tells it at (1,7)
+@pytest.mark.parametrize(
+    "n, d, extra",
+    [(3, 11, []), (1, 7, [[1, 1, 0, 1, 0, 0, 0]])],
+    ids=["primitive", "fallback"],
+)
+def test_decrypt_rejects_singular_ar_and_negative_m(n, d, extra):
+    spec, rng = field_make(n), random.Random(60 + n * d)
+    w = rand_vector(spec, d, rng)
+    top = spec.order
+    # all zero, all equal (a multiple of Phi), and row sum 0 but not all equal
+    for bits in [[0] * d, [top] * d, [1, 1] + [0] * (d - 2)] + extra:
+        ct = Ciphertext(Circulant.from_bits(spec, bits), w)
+        with pytest.raises(NotInvertible, match="singular"):
+            decrypt(bare_key(5, spec, d), ct)
+    ct = Ciphertext(rand_unit(spec, d, rng), w)
+    with pytest.raises(ValueError, match="exponent must be nonnegative"):
+        decrypt(bare_key(-1, spec, d), ct)
 
 
 def dh_shared(a: Circulant, my_exp: int, other_pub: Circulant) -> Circulant:
