@@ -182,11 +182,11 @@ def power(a: Circulant, m: int) -> Circulant:
 
 def inverse(a: Circulant) -> Circulant:
     """a^-1: the Bezout coefficient u of u a + v (x^d + 1) = 1, from
-    extended Euclid on packed rows, for every d; NotInvertible when the
-    gcd is not 1, that is when the matrix is singular."""
+    extended Euclid on packed rows, for every d (v is not computed);
+    NotInvertible when the gcd is not 1, that is when the matrix is singular."""
     spec = a.spec
     f = Poly(1 << _ring(spec, a.d).row_bits | 1, spec)  # x^d + 1 in slots d and 0
-    g, u, _ = poly_ext_gcd(Poly(a.row, spec), f)
+    g, u = poly_ext_gcd(Poly(a.row, spec), f)
     if g.row != 1:
         raise NotInvertible("the matrix is singular, it has no inverse")
     return Circulant._of(spec, a.d, u.row)  # deg u < d - deg g = d

@@ -90,23 +90,15 @@ def _pdivmod(a: int, b: int) -> tuple[int, int]:
     return q, a
 
 
-def _pgcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _pmod(a, b)
-    return a
-
-
 def _pinvert(a: int, m: int) -> int:
-    # inverse of a mod m in GF(2)[t], m irreducible and a nonzero mod m
+    # inverse of a mod m in GF(2)[t], or 0 when gcd(a, m) != 1
     r0, r1 = m, _pmod(a, m)
     s0, s1 = 0, 1
     while r1:
         q, r = _pdivmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 ^ _pmul(q, s1)
-    if r0 != 1:
-        raise ZeroInverse(f"0b{a:b} has no inverse mod 0b{m:b}")
-    return _pmod(s0, m)
+    return _pmod(s0, m) if r0 == 1 else 0
 
 
 def _pirreducible(f: int) -> bool:
@@ -127,7 +119,7 @@ def _pirreducible(f: int) -> bool:
         r = _pmod(int(format(r, "b"), 4), f)  # bit i to bit 2i squares r
         if j in keep:
             keep[j] = r
-    return r == x and all(_pdeg(_pgcd(v ^ x, f)) <= 0 for v in keep.values())
+    return r == x and all(_pinvert(v ^ x, f) != 0 for v in keep.values())
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +162,10 @@ class FieldSpec:
         return self._ring.square(a)
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroInverse("0 has no inverse")
-        return _pinvert(a, self.modulus)
+        u = _pinvert(a, self.modulus)
+        if not u:
+            raise ZeroInverse(f"{a} has no inverse")
+        return u
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -673,29 +666,21 @@ def _divider(b: Poly) -> Callable[[int], tuple[int, int]]:
     return divide
 
 
-def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Monic g = gcd(a, b) and Bezout pair (u, v) with u*a + v*b = g."""
+def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Monic g = gcd(a, b) and the Bezout coefficient u of a, with
+    u*a = g mod b; b's coefficient is not computed."""
     a._same(b)
     spec = a.spec
     r0, r1 = a, b
     s0, s1 = Poly.const(spec, 1), Poly(0, spec)
-    t0, t1 = Poly(0, spec), Poly.const(spec, 1)
     while not r1.is_zero():
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 + q * s1
-        t0, t1 = t1, t0 + q * t1
     if r0.is_zero():
-        return r0, s0, t0
+        return r0, s0
     c = spec.inv(r0.leading())
-    return r0.scale(c), s0.scale(c), t0.scale(c)
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    a._same(b)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    return r0.scale(c), s0.scale(c)
 
 
 def poly_mod_mul(a: Poly, b: Poly, tau: Poly) -> Poly:
@@ -775,7 +760,7 @@ def poly_is_irreducible(p: Poly) -> bool:
     ys = _frobenius_orbit(p)
     x = ys[0]
     return ys[k] == x and all(
-        poly_gcd(Poly(ys[k // r] ^ x, p.spec), p).degree <= 0
+        poly_ext_gcd(Poly(ys[k // r] ^ x, p.spec), p)[0].degree <= 0
         for r in _prime_divisors(k)
     )
 

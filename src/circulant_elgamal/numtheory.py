@@ -299,11 +299,11 @@ def integer_crt(residues: list[int], moduli: list[int]) -> int:
     """Chinese remainder lift for pairwise coprime moduli."""
     if len(residues) != len(moduli) or not moduli:
         raise ValueError("residues and moduli must be equal-length, nonempty")
+    if min(moduli) < 1:
+        raise ValueError("moduli must be >= 1")
     x = residues[0] % moduli[0]
     m = moduli[0]
     for r, mi in zip(residues[1:], moduli[1:]):
-        if mi < 1:
-            raise ValueError("moduli must be >= 1")
         if math.gcd(m, mi) != 1:
             raise NotCoprime(f"moduli are not pairwise coprime (gcd with {mi} > 1)")
         t = (r - x) * pow(m, -1, mi) % mi

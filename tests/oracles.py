@@ -3,7 +3,7 @@
 from functools import lru_cache
 
 from circulant_elgamal.circulant import Circulant
-from circulant_elgamal.gf2field import FieldElement, FieldSpec, _pinvert, _pmod, _pmul
+from circulant_elgamal.gf2field import FieldElement, FieldSpec
 
 
 def C(spec, *bits):
@@ -17,18 +17,41 @@ def expand(a: Circulant):
     return [[c[(j - k) % d] for j in range(d)] for k in range(d)]
 
 
+def mulmod(a: int, b: int, m: int) -> int:
+    """a b mod m in GF(2)[t] (bit i <-> t^i), by shift-and-add and then
+    long division."""
+    r = 0
+    for i in range(b.bit_length()):
+        if b >> i & 1:
+            r ^= a << i
+    dm = m.bit_length() - 1
+    while r.bit_length() > dm:
+        r ^= m << (r.bit_length() - 1 - dm)
+    return r
+
+
 @lru_cache(maxsize=None)
 def field_ops(spec: FieldSpec):
-    """(mul, inv) of GF(2^n) by bitwise multiply and reduce and by Euclid,
-    not by the kernel they check; for n <= 8 both read tables built once."""
+    """(mul, inv) of GF(2^n) by `mulmod` and by Fermat, a^(2^n - 2), not
+    by the kernel and the Euclid they check; for n <= 8 both read tables
+    built once."""
     m = spec.modulus
     if spec.n > 8:
-        return (lambda a, b: _pmod(_pmul(a, b), m)), (lambda a: _pinvert(a, m))
+
+        def inv(a):
+            # a^(2^n - 2) = a^2 a^4 ... a^(2^(n-1))
+            r, s = 1, a
+            for _ in range(spec.n - 1):
+                s = mulmod(s, s, m)
+                r = mulmod(r, s, m)
+            return r
+
+        return (lambda a, b: mulmod(a, b, m)), inv
     table = []
     for a in range(1 << spec.n):
         row = [0]  # a b for b < 2^i; a (t^i + b) = a t^i + a b doubles it
         for i in range(spec.n):
-            at = _pmod(a << i, m)
+            at = mulmod(a, 1 << i, m)
             row += [at ^ v for v in row]
         table.append(row)
     inverse = [0] + [row.index(1) for row in table[1:]]

@@ -16,6 +16,8 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.abc import t
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_gcd
 
 from circulant_elgamal import fileio, gf2field
 from circulant_elgamal.circulant import Circulant
@@ -27,6 +29,7 @@ from circulant_elgamal.gf2field import (
     SpecMismatch,
     ZeroInverse,
     _frobenius_orbit,
+    _pinvert,
     _pirreducible,
     _pmod,
     _pmul,
@@ -36,7 +39,6 @@ from circulant_elgamal.gf2field import (
     frobenius,
     linear_factor_product,
     poly_ext_gcd,
-    poly_gcd,
     poly_is_irreducible,
     poly_mod_mul,
     poly_mod_pow,
@@ -218,8 +220,22 @@ def test_field_tables_match_kernel(n):
                 assert spec.mul(a, b) == fmul(a, b)
             if a:
                 assert spec.inv(a) == finv(a) and spec.mul(a, spec.inv(a)) == 1
-        with pytest.raises(ZeroInverse):
+        with pytest.raises(ZeroInverse, match="^0 has no inverse$"):
             spec.inv(0)
+
+
+def test_pinvert_zero_exactly_off_coprime():
+    # every a < 2^7 against every m of degree 1 to 6, reducible ones too:
+    # the inverse is 0 exactly when sympy's gcd of a and m over GF(2) is
+    # not 1 (on dense coefficient lists, leading coefficient first)
+    dense = [[int(b) for b in f"{v:b}"] for v in range(1 << 7)]
+    for m in range(2, 1 << 7):
+        for a in range(1 << 7):
+            u = _pinvert(a, m)
+            coprime = a != 0 and gf_gcd(dense[a], dense[m], 2, ZZ) == [1]
+            assert (u != 0) == coprime, (a, m)
+            if coprime:
+                assert _pmod(_pmul(a, u), m) == 1, (a, m)
 
 
 def poly_mul_naive(a: Poly, b: Poly) -> Poly:
@@ -332,34 +348,45 @@ def test_poly_basics():
         divmod(p, Poly.make(spec, [0]))
 
 
+def check_ext_gcd(a, b):
+    """g divides a and b and u a = g mod b, which pins g as the gcd, since
+    every common divisor of a and b then divides g."""
+    g, u = poly_ext_gcd(a, b)
+    assert g.is_monic()
+    assert (a % g).is_zero() and (b % g).is_zero()
+    assert ((u * a + g) % b).is_zero()
+    if b.degree >= 1:
+        assert u.degree < b.degree
+    return g, u
+
+
 def test_poly_ext_gcd_known_and_random():
     spec = field_make(1)
     x2m1 = Poly.make(spec, [1, 0, 1])  # x^2 - 1 = x^2 + 1
     xm1 = Poly.make(spec, [1, 1])
-    g, u, v = poly_ext_gcd(x2m1, xm1)
+    g, u = check_ext_gcd(x2m1, xm1)
     assert g == xm1
-    g, u, v = poly_ext_gcd(Poly.x(spec), Poly.make(spec, [1, 1]))
-    assert g == Poly.const(spec, 1)
-    assert u * Poly.x(spec) + v * Poly.make(spec, [1, 1]) == g
+    g, u = check_ext_gcd(Poly.x(spec), xm1)
+    assert g == Poly.const(spec, 1) and u == Poly.const(spec, 1)
     p = Poly.make(spec, [1, 1, 0, 1])
-    g, u, v = poly_ext_gcd(p, Poly.make(spec, [0]))
-    assert g == p.monic() and u == Poly.const(spec, 1) and v.is_zero()
+    g, u = poly_ext_gcd(p, Poly.make(spec, [0]))
+    assert g == p.monic() and u == Poly.const(spec, 1)
+    s3 = field_make(3)
+    p = Poly.make(s3, [1, 2, 5])
+    g, u = poly_ext_gcd(p, Poly.make(s3, [0]))
+    assert g == p.monic() and u == Poly.const(s3, s3.inv(5))
 
     rng = random.Random(15)
-    s3 = field_make(3)
     for _ in range(100):
         a = Poly.make(s3, [rng.getrandbits(3) for _ in range(rng.randrange(1, 6))])
         b = Poly.make(s3, [rng.getrandbits(3) for _ in range(rng.randrange(1, 6))])
         if a.is_zero() and b.is_zero():
             continue
-        g, u, v = poly_ext_gcd(a, b)
-        assert u * a + v * b == g
-        assert g.is_monic()
-        if not a.is_zero():
-            assert (a % g).is_zero()
-        if not b.is_zero():
-            assert (b % g).is_zero()
-        assert poly_gcd(a, b) == g
+        if b.is_zero():
+            g, u = poly_ext_gcd(a, b)
+            assert g == a.monic() and u == Poly.const(s3, s3.inv(a.leading()))
+        else:
+            check_ext_gcd(a, b)
 
 
 def test_poly_is_irreducible_known():
@@ -411,10 +438,15 @@ def irreducible_reference(p):
             r = poly_mod_mul(r, r, tau)
         return r
 
+    def gcd(a, b):
+        while not b.is_zero():
+            a, b = b, a % b
+        return a
+
     if p.coeffs[0] == 0 or x_q_power(k) != x:
         return k == 1
     return all(
-        poly_gcd(x_q_power(k // r) + x, tau).degree == 0
+        gcd(x_q_power(k // r) + x, tau).degree == 0
         for r in sympy.primefactors(k)
     )
 

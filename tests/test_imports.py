@@ -203,6 +203,20 @@ def test_every_public_name_is_referenced_exported_or_traced():
     assert defined and not dead, dead
 
 
+def test_oracles_import_no_private_name():
+    # an oracle that borrows a private helper checks the library against
+    # itself; the shared oracles use the public API or their own code
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").startswith("circulant_elgamal")
+        for alias in node.names
+    ]
+    assert imported and not [n for n in imported if n.startswith("_")], imported
+
+
 def test_library_reads_no_environment_variable():
     # options come from the command line alone; a variable inherited from
     # the shell would be a second source nobody sees

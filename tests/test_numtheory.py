@@ -382,3 +382,7 @@ def test_integer_crt_rejects_bad_inputs():
         integer_crt([1, 2], [3])
     with pytest.raises(ValueError):
         integer_crt([], [])
+    # the first modulus is checked too, not only those after it
+    for moduli in ([0], [-3], [0, 3], [-3, 5]):
+        with pytest.raises(ValueError, match="moduli must be >= 1"):
+            integer_crt([1] * len(moduli), moduli)
