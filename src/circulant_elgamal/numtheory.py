@@ -3,14 +3,15 @@
 Everything operates on plain Python ints. Factoring is budgeted so callers
 can bound work on large inputs: trial division runs below a fixed bound,
 then Brent-cycle Pollard rho consumes the remaining budget, counted in
-f-evaluations. Every number the library factors is 2^N - 1, and a prime p
-divides it exactly when ord_p(2) divides N; so trial division of 2^N - 1
-tries only the primes 1 mod k, or 1 mod 2k for odd k, for each divisor k of
-N (Brillhart et al., *Factorizations of b^n +- 1*), and finds what a scan
-of every prime below the bound finds. A Factorization records what was
-proven and whether the job finished. `element_order` turns one into an
-element's order, given a test for g^e = 1; an incomplete one gives a
-certified divisor of it.
+f-evaluations. Every number the library factors is 2^N - 1, the product
+of the cyclotomic pieces Phi_k(2) over the divisors k of N (Brillhart et
+al., *Factorizations of b^n +- 1*); each piece is factored on its own, so
+the result is a full scan below the bound of each Phi_k(2), then rho on
+the composite leftovers, whose every step squares a piece rather than the
+whole of 2^N - 1. A Factorization records what was proven and whether
+the job finished. `element_order` turns one into an element's order,
+given a test for g^e = 1; an incomplete one gives a certified divisor of
+it.
 """
 
 from __future__ import annotations
@@ -165,30 +166,30 @@ def _rho_brent(n: int, budget: int) -> tuple[int | None, int]:
     return None, used
 
 
-def _trial_walks(n: int) -> list[tuple[int, int]]:
-    """(step, top) of each progression 1 + j step < top, j >= 1, whose
-    primes trial division of n tries, in the order it tries them.
+def _pieces(n: int) -> list[tuple[int, int, list[int]]]:
+    """(piece, step, first) for each piece of n that trial division takes
+    on its own: divide out the primes ``first``, then walk the primes
+    1 + j step, j >= 1.
 
-    A prime p divides 2^N - 1 exactly when k = ord_p(2) divides N, and then
-    k | p - 1 and p < 2^k; p is odd, so p = 1 mod 2k for odd k. For
-    n = 2^N - 1 that is one walk per divisor k >= 2 of N, ascending, with
-    step k for even k and 2k for odd k, except that a walk whose step is a
-    multiple of an earlier walk's that reached the bound is left out: that
-    walk tried its every candidate. Any other n gets 2 and then the odd
-    numbers, an ascending scan of every prime.
+    For n = 2^N - 1 the pieces are Phi_k(2) for the divisors k >= 2 of N,
+    by exact division: Phi_k(2) = (2^k - 1) / prod_(e | k, e < k) Phi_e(2).
+    A prime divides Phi_k(2) either because it divides k (the intrinsic
+    primes), or because ord_p(2) = k; then k | p - 1, and p is odd, so
+    p = 1 mod 2k for odd k. Any other n is one piece: 2, then the odd
+    numbers.
     """
     if n & (n + 1):
-        return [(1, 3), (2, TRIAL_DIVISION_BOUND)]
-    big_n, walks = n.bit_length(), []
-    for k in range(2, big_n + 1):
-        if big_n % k:
-            continue
-        step = k if k % 2 == 0 else 2 * k
-        if not any(
-            step % s == 0 for s, top in walks if top >= TRIAL_DIVISION_BOUND
-        ):
-            walks.append((step, 1 << k))
-    return walks
+        return [(n, 2, [2])]
+    big_n = n.bit_length()
+    divisors = [k for k in range(1, big_n + 1) if big_n % k == 0]
+    phi: dict[int, int] = {}
+    for k in divisors:
+        below = math.prod(phi[e] for e in phi if k % e == 0)
+        phi[k] = ((1 << k) - 1) // below
+    return [
+        (phi[k], k if k % 2 == 0 else 2 * k, _prime_divisors(k))
+        for k in divisors[1:]
+    ]
 
 
 @lru_cache(maxsize=512)
@@ -198,31 +199,41 @@ def factor(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     Trial division below 10^6 first, then budgeted Brent rho on what
     remains. Composite leftovers end up multiplied into ``cofactor``.
 
-    Trial division tries only the primes that can divide n (every prime
-    unless n = 2^N - 1; see ``_trial_walks``), each walk stopping once p^2
-    exceeds what is left. A prime below 10^6 that it leaves undivided is
-    then the whole of what is left, so the result is the one a scan of
-    every prime below 10^6 in ascending order gives.
+    For n = 2^N - 1 each piece Phi_k(2), k | N, is factored on its own
+    (see ``_pieces``): its intrinsic primes go first, then one walk over
+    the primes that can divide it, stopping once p^2 exceeds what is left,
+    so the result is the one a scan of every prime below 10^6 of each
+    Phi_k(2) gives. (A walk never needs the bound 2^k that every such
+    prime lies below: Phi_k(2) divides 2^k - 1, so its square root is
+    smaller.) Rho then takes the composite leftovers of all pieces,
+    smallest first, on the one budget. Any other n is scanned whole, 2
+    and then the odd numbers.
     """
     if n < 1:
         raise ValueError("factor() wants n >= 1")
     found: dict[int, int] = {}
-    m = n
     sieve = _small_primes()
-    for step, top in _trial_walks(n):
-        stop = min(TRIAL_DIVISION_BOUND, top, math.isqrt(m) + 1)
-        walk = range(1 + step, stop, step)
-        for p in itertools.compress(walk, sieve[1 + step : stop : step]):
+    left = []
+    for m, step, first in _pieces(n):
+        # every prime of m is in ``first`` or on the walk, and ``first``
+        # lies below the walk, so p^2 > m leaves 1 or a prime
+        stop = min(TRIAL_DIVISION_BOUND, math.isqrt(m) + 1)
+        walk = itertools.compress(
+            range(1 + step, stop, step), sieve[1 + step : stop : step]
+        )
+        for p in itertools.chain(first, walk):
             if p * p > m:
                 break
             while m % p == 0:
                 found[p] = found.get(p, 0) + 1
                 m //= p
-    stack = [m] if m > 1 else []
+        if m > 1:
+            left.append(m)
+    left.sort(reverse=True)  # rho takes the smallest first, from the end
     cofactor = 1
     remaining = budget
-    while stack:
-        m = stack.pop()
+    while left:
+        m = left.pop()
         if m < TRIAL_DIVISION_BOUND ** 2 or is_prime(m):
             # below the trial bound squared anything surviving is prime
             found[m] = found.get(m, 0) + 1
@@ -232,8 +243,8 @@ def factor(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
         if f is None:
             cofactor *= m
             continue
-        stack.append(f)
-        stack.append(m // f)
+        # both parts lie below every leftover still waiting: still sorted
+        left += sorted((f, m // f), reverse=True)
     return Factorization(n, found, cofactor)
 
 

@@ -10,6 +10,7 @@ pin the errata, so they pass on the shipped data and fail when the
 verifier or the data changes what is flagged.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -44,6 +45,7 @@ from circulant_elgamal.security import (
     load_reference_pairs,
     load_reference_security,
     reference_pairs_diff,
+    security_table,
     verify_reference_primes,
 )
 
@@ -319,4 +321,57 @@ def test_c10_inversion():
         failures == 0,
         f"1000 invertible circulants at (8,11) verified against Gaussian "
         f"elimination; {singular_seen} singular draws matched NotInvertible",
+    )
+
+
+TABLE2_BUDGET = 1 << 14  # the table2-factor benchmark's
+
+
+def test_c11_table2_largest_primes():
+    # Each Table-2 row against 2^(n(d-1)) - 1 factored under the budget.
+    # Whether a quoted q means |log2 p - q| <= 0.5 or floor(log2 p) = q is
+    # open, so a largest prime p agrees when either holds: 2^(q - 1/2) <=
+    # p < 2^(q + 1). A row is a discrepancy when the factorization does
+    # not multiply out, a proven factor is not prime, a proven prime
+    # reaches 2^(q + 1), or no prime it proves or leaves in the cofactor
+    # can reach 2^(q - 1/2); certified when it is complete and agrees;
+    # consistent so far otherwise.
+    t0 = time.monotonic()
+    certified, consistent, wrong = [], [], []
+    for row in load_reference_security():
+        n, d, q = row.n, row.d, row.log_largest_prime
+        big = (1 << (n * (d - 1))) - 1
+        fact = factor(big, TABLE2_BUDGET)
+        (rep,) = security_table([n], [d], TABLE2_BUDGET)
+        top = max(fact.factors, default=1)
+        sound = (
+            math.prod(p ** e for p, e in fact.factors.items()) * fact.cofactor == big
+            and all(sympy.isprime(p) for p in fact.factors)
+            and top < 2 ** (q + 1)
+            and max(top, fact.cofactor) ** 2 >= 2 ** (2 * q - 1)
+            and rep.largest_prime == max(fact.factors, default=None)
+            and rep.largest_prime_exact == fact.complete
+        )
+        if not sound:
+            wrong.append((n, d))
+        elif not fact.complete:
+            consistent.append((n, d))
+        else:
+            readings = [
+                name
+                for name, holds in (
+                    ("floor", top.bit_length() - 1 == q),
+                    ("+-0.5", _log2_within(top, q, 0.5)),
+                )
+                if holds
+            ]
+            certified.append((n, d, "/".join(readings)))
+    elapsed = time.monotonic() - t0
+    ok = len(certified) + len(consistent) == 48 and not wrong
+    assert report(
+        "C11 Table-2 largest primes",
+        ok,
+        f"budget 2^14: {len(certified)} certified {certified}, "
+        f"{len(consistent)} consistent so far, {len(wrong)} discrepancies "
+        f"{wrong}; {elapsed:.1f}s",
     )

@@ -132,9 +132,8 @@ def _prime_blocks():
 
 
 def _full_scan(n):
-    """factor()'s trial division before it walked only the primes that can
-    divide 2^N - 1: every prime below 10^6 in ascending order, stopping
-    once p^2 exceeds what is left. Returns (primes found, what is left).
+    """A scan of every prime below 10^6 in ascending order, stopping once
+    p^2 exceeds what is left. Returns (primes found, what is left).
 
     A run of primes that ends at or below the square root of what is left
     and shares no factor with it is passed over whole, as the loop would
@@ -172,12 +171,41 @@ def _mersenne_exponents():
     return sorted(set(range(1, 301)) | table2 | {470, 1068})
 
 
+@functools.lru_cache(maxsize=None)
+def _piece_by_full_scan(k):
+    """The full scan of Phi_k(2); the pieces recur across exponents."""
+    return _factor_by_full_scan(int(sympy.cyclotomic_poly(k, polys=True).eval(2)))
+
+
+def _factor_by_full_scan_of_pieces(big_n):
+    """The full scan of each piece Phi_k(2), k | N, of 2^N - 1, merged:
+    proven primes add up, leftovers multiply into the cofactor."""
+    n = (1 << big_n) - 1
+    pieces = [_piece_by_full_scan(k) for k in sympy.divisors(big_n)]
+    assert math.prod(piece.n for piece in pieces) == n
+    found, cofactor = {}, 1
+    for piece in pieces:
+        for p, e in piece.factors.items():
+            found[p] = found.get(p, 0) + e
+        cofactor *= piece.cofactor
+    return Factorization(n, found, cofactor)
+
+
+def _below_bound(fact):
+    return {p: e for p, e in fact.factors.items() if p < 10 ** 6}
+
+
 def test_factor_matches_full_scan_on_mersenne_numbers():
+    # factor() scans each cyclotomic piece on its own, so it proves at
+    # least what a scan of the whole number proves: the same primes below
+    # 10^6, and a piece's prime leftover as a prime
     exponents = _mersenne_exponents()
     assert len(exponents) > 300 + 40
     for big_n in exponents:
         n = (1 << big_n) - 1
-        assert factor(n, NO_RHO) == _factor_by_full_scan(n), big_n
+        got = factor(n, NO_RHO)
+        assert got == _factor_by_full_scan_of_pieces(big_n), big_n
+        assert _below_bound(got) == _below_bound(_factor_by_full_scan(n)), big_n
 
 
 def test_factor_matches_full_scan_on_other_numbers():

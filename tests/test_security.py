@@ -9,6 +9,7 @@ import math
 import pytest
 import sympy
 
+from circulant_elgamal.numtheory import factor
 from circulant_elgamal.security import (
     REFERENCE_D_RANGE,
     REFERENCE_PRIMES,
@@ -102,6 +103,21 @@ def test_security_table_incomplete_budget():
     assert r.largest_prime is not None
     assert sympy.isprime(r.largest_prime)
     assert pow(2, 1068, r.largest_prime) == 1
+
+
+def test_table2_row_63_11_certified():
+    # the one Table-2 row that the table2-factor benchmark's budget, 2^14,
+    # factors completely: its largest prime is certified
+    (row,) = [r for r in load_reference_security() if (r.n, r.d) == (63, 11)]
+    assert row.log_largest_prime == 123
+    n = (1 << 630) - 1
+    f = factor(n, 1 << 14)
+    assert f.complete
+    assert math.prod(p ** e for p, e in f.factors.items()) == n
+    assert all(sympy.isprime(p) for p in f.factors)
+    assert max(f.factors).bit_length() - 1 == row.log_largest_prime
+    (r,) = security_table([63], [11], 1 << 14)
+    assert r.largest_prime == max(f.factors) and r.largest_prime_exact
 
 
 def test_render_tsv_golden():
