@@ -8,8 +8,9 @@ reduction to the field F_(q^(d-1)) (and the base field of the row sum)
 is therefore already inside the ring: every product of rows carries both
 components, and ord(A) divides q^(d-1) - 1. So the attack runs in <A>
 itself, on rows packed into the circulant kernel: `element_order` finds
-ord(A), Pohlig-Hellman peels it into prime powers, and baby-step
-giant-step solves each leaf.
+ord(A) by one long power and a product tree of short ones, which also
+checks A^(q^(d-1) - 1) = 1; Pohlig-Hellman peels it into prime powers,
+and baby-step giant-step solves each leaf.
 """
 
 from __future__ import annotations

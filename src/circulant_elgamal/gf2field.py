@@ -113,6 +113,8 @@ def _pirreducible(f: int) -> bool:
         return False
     if f & 1 == 0:
         return f == 0b10  # t divides f
+    if f.bit_count() % 2 == 0:
+        return f == 0b11  # f(1) = 0: t + 1 divides f
     x = r = _pmod(0b10, f)
     keep = dict.fromkeys(n // p for p in _prime_divisors(n))
     for j in range(1, n + 1):

@@ -128,14 +128,15 @@ def _group_order(a: Circulant, budget: int) -> tuple[Factorization, Factorizatio
     (`element_order`): exact when the first is complete, else a certified
     divisor. ArithmeticError when a^N != 1.
     """
-    big_n = (1 << (a.spec.n * (a.d - 1))) - 1
-    fact = factor(big_n, budget)
-    if not power(a, big_n).is_identity():
+    fact = factor((1 << (a.spec.n * (a.d - 1))) - 1, budget)
+    try:
+        order = element_order(fact, a, power, Circulant.is_identity)
+    except ArithmeticError:
         raise ArithmeticError(
             "order does not divide q^(d-1) - 1; the matrix is outside the "
             "group these parameters assume"
-        )
-    return fact, element_order(fact, lambda e: power(a, e).is_identity())
+        ) from None
+    return fact, order
 
 
 def order_of(a: Circulant, budget: int = DEFAULT_BUDGET) -> OrderInfo:
@@ -178,7 +179,7 @@ def generate(
         tau = primitive_poly(d - 1, spec, rng, budget).poly
         if qm1.complete:
             tau0 = tau.row & spec.order
-            det_order = element_order(qm1, lambda e: spec.pow(tau0, e) == 1).n
+            det_order = element_order(qm1, tau0, spec.pow, lambda x: x == 1).n
         else:
             # q - 1 is always a multiple of the true order; using it
             # keeps det(A) = 1 without the exact factorization

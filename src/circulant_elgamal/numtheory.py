@@ -10,8 +10,9 @@ the result is a full scan below the bound of each Phi_k(2), then rho on
 the composite leftovers, whose every step squares a piece rather than the
 whole of 2^N - 1. A Factorization records what was proven and whether
 the job finished. `element_order` turns one into an element's order,
-given a test for g^e = 1; an incomplete one gives a certified divisor of
-it.
+given the element, its group's power map and a test for the identity,
+by one long power and a product tree of short ones; an incomplete
+factorization gives a certified divisor of it.
 """
 
 from __future__ import annotations
@@ -20,15 +21,19 @@ import itertools
 import math
 import random
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, TypeVar
 
 DEFAULT_BUDGET = 1 << 26  # rho f-evaluations per factor() call
 TRIAL_DIVISION_BOUND = 10 ** 6
 
-# Below 2^64 these witnesses decide primality deterministically.
+# Below psi_12 these witnesses decide primality deterministically: it is
+# the least strong pseudoprime to all twelve (Sorenson and Webster, Math.
+# Comp. 86, 2017), 399165290221 * 798330580441, about 2^78.1.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_DETERMINISTIC_BOUND = 1 << 64
+_MR_DETERMINISTIC_BOUND = 318665857834031151167461
 _MR_ROUNDS = 64
+
+T = TypeVar("T")
 
 
 class IncompleteFactorization(ValueError):
@@ -62,7 +67,8 @@ def _mr_round(n: int, a: int, d: int, s: int) -> bool:
 def is_prime(n: int) -> bool:
     """Miller-Rabin primality test.
 
-    Deterministic witness set below 2^64; above that, 64 rounds with
+    Deterministic witness set below psi_12, about 2^78.1 (see
+    ``_MR_DETERMINISTIC_BOUND``); from there on, 64 rounds with
     witnesses drawn from a generator seeded by n, so results are
     reproducible.
     """
@@ -114,14 +120,17 @@ class Factorization(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _small_primes() -> bytearray:
-    """Primality flags below the trial bound: entry i is 1 exactly when i
-    is prime (sieve of Eratosthenes)."""
-    bound = TRIAL_DIVISION_BOUND
-    sieve = bytearray([1]) * bound
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(bound) + 1):
+    """Primality flags for the odd numbers below the trial bound: entry i
+    is 1 exactly when 2i + 1 is prime (sieve of Eratosthenes). Every walk
+    in `factor` takes even steps from 1, so it reads odd numbers only."""
+    half = TRIAL_DIVISION_BOUND // 2
+    sieve = bytearray([1]) * half
+    sieve[0] = 0  # 1 is not prime
+    for i in range(1, (math.isqrt(TRIAL_DIVISION_BOUND) + 1) // 2):
         if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, bound, i)))
+            p = 2 * i + 1
+            # the odd multiples p^2, p^2 + 2p, ... sit at p^2 // 2 + j p
+            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, half, p)))
     return sieve
 
 
@@ -218,8 +227,9 @@ def factor(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
         # every prime of m is in ``first`` or on the walk, and ``first``
         # lies below the walk, so p^2 > m leaves 1 or a prime
         stop = min(TRIAL_DIVISION_BOUND, math.isqrt(m) + 1)
+        half = step // 2  # the walk's odd number 1 + j step is entry j half
         walk = itertools.compress(
-            range(1 + step, stop, step), sieve[1 + step : stop : step]
+            range(1 + step, stop, step), sieve[half : stop // 2 : half]
         )
         for p in itertools.chain(first, walk):
             if p * p > m:
@@ -249,26 +259,48 @@ def factor(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
 
 
 def element_order(
-    fact: Factorization, is_one: Callable[[int], bool]
+    fact: Factorization,
+    g: T,
+    power: Callable[[T, int], T],
+    is_one: Callable[[T], bool],
 ) -> Factorization:
     """ord(g), factored, from a factorization of a multiple N = fact.n.
 
-    ``is_one(e)`` says whether g^e = 1; the caller has checked g^N = 1.
-    A proven prime p^e of N contributes p^(e - k), k <= e the largest
-    with g^(N/p^k) = 1 (Handbook of Applied Cryptography, Alg. 4.79).
-    Primes dividing the cofactor, whose multiplicity is unknown, are
-    left out, so an incomplete ``fact`` gives a certified divisor.
+    ``power(x, e)`` is x^e in g's group and ``is_one(x)`` tests for its
+    identity. Only proven primes that do not divide the cofactor count,
+    as only their multiplicity in N is known. With M the product of their
+    p^e, one long power gives c = g^(N/M); a product tree (Sutherland,
+    *Order Computations in Generic Groups*, 2007, ch. 7) splits the
+    primes in halves and raises c by the other half's part of M on each
+    side, so each leaf holds g^(N/p^e) after log2(#primes) levels of
+    short powers. p's part of ord(g) is p^k, k the number of powers by p
+    that take the leaf to 1, so an incomplete ``fact`` gives a certified
+    divisor. ArithmeticError when g^N != 1: a leaf that reaches p^e, or
+    the root g^N when no prime counts, is not 1.
     """
-    n, order = fact.n, {}
-    for p, e in sorted(fact.factors.items()):
-        if fact.cofactor % p == 0:
-            continue
+    certified = [(p, e) for p, e in sorted(fact.factors.items()) if fact.cofactor % p]
+    order: dict[int, int] = {}
+
+    def part(primes) -> int:
+        return math.prod(p ** e for p, e in primes)
+
+    def descend(c: T, primes: list[tuple[int, int]]) -> None:
+        if len(primes) > 1:
+            half = len(primes) // 2
+            descend(power(c, part(primes[half:])), primes[:half])
+            descend(power(c, part(primes[:half])), primes[half:])
+            return
+        p, e = primes[0] if primes else (1, 0)  # no prime: c = g^N
         k = 0
-        while k < e and is_one(n // p ** (k + 1)):
-            k += 1
-        if k < e:
-            order[p] = e - k
-    return Factorization(math.prod(p ** e for p, e in order.items()), order)
+        while not is_one(c):
+            if k == e:
+                raise ArithmeticError(f"g^N != 1 for N = {fact.n}")
+            c, k = power(c, p), k + 1
+        if k:
+            order[p] = k
+
+    descend(power(g, fact.n // part(certified)), certified)
+    return Factorization(part(order.items()), order)
 
 
 def _prime_divisors(k: int) -> list[int]:

@@ -1,9 +1,11 @@
 """Oracles that several test modules share, kept out of the library."""
 
+import math
 from functools import lru_cache
 
 from circulant_elgamal.circulant import Circulant
 from circulant_elgamal.gf2field import FieldElement, FieldSpec
+from circulant_elgamal.numtheory import Factorization
 
 
 def C(spec, *bits):
@@ -102,3 +104,22 @@ def decode_blocks_ref(blocks, spec: FieldSpec, length: int) -> bytes:
             i += 1
     total &= (1 << (8 * length)) - 1
     return total.to_bytes(length, "little")
+
+
+def element_order_scan(fact: Factorization, g, power, is_one) -> Factorization:
+    """ord(g), factored, one prime at a time (Handbook of Applied
+    Cryptography, Alg. 4.79), with the arguments of `element_order`.
+
+    g^N = 1 is assumed, N = fact.n. A proven prime p^e of N that does not
+    divide the cofactor contributes p^(e - k), k <= e the largest with
+    g^(N/p^k) = 1: a full power of g for every step."""
+    n, order = fact.n, {}
+    for p, e in sorted(fact.factors.items()):
+        if fact.cofactor % p == 0:
+            continue
+        k = 0
+        while k < e and is_one(power(g, n // p ** (k + 1))):
+            k += 1
+        if k < e:
+            order[p] = e - k
+    return Factorization(math.prod(p ** e for p, e in order.items()), order)

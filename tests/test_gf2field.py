@@ -8,6 +8,7 @@ division, and against the schoolbook double loop.
 """
 
 import functools
+import hashlib
 import operator
 import random
 
@@ -537,6 +538,16 @@ def test_binary_irreducibility_exhaustive():
         ), bin(f)
 
 
+# SHA-256 of the moduli field_make picks for n = 1 .. 128, one hex line
+# each; any shortcut in the irreducibility test that moves one changes it
+FIELD_MODULI_SHA256 = "39fff5a63c10fc379a8724552e7226651691ef1848469cda48398ab3ba13cf47"
+
+
+def test_field_make_moduli_pinned():
+    moduli = "\n".join(f"{field_make(n).modulus:x}" for n in range(1, 129))
+    assert hashlib.sha256(moduli.encode()).hexdigest() == FIELD_MODULI_SHA256
+
+
 def test_extension_arithmetic():
     s1 = field_make(1)
     phi3 = Poly.make(s1, [1, 1, 1])
@@ -571,11 +582,13 @@ def test_frobenius_full_orbit_and_homomorphism():
 
 def _poly_order(a, tau, fact):
     one = Poly.const(tau.spec, 1)
-    return element_order(fact, lambda e: poly_mod_pow(a, e, tau) == one).n
+    return element_order(
+        fact, a, lambda u, e: poly_mod_pow(u, e, tau), one.__eq__
+    ).n
 
 
 def _field_order(spec, a, fact):
-    return element_order(fact, lambda e: spec.pow(a, e) == 1).n
+    return element_order(fact, a, spec.pow, lambda x: x == 1).n
 
 
 def test_poly_order_known():

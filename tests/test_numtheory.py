@@ -34,6 +34,7 @@ from circulant_elgamal.numtheory import (
     is_primitive_mod,
 )
 from circulant_elgamal.security import load_reference_security
+from oracles import element_order_scan
 
 BIG_PRIME = 7993364465170792998716337691033251350895453313
 
@@ -53,9 +54,25 @@ def test_is_prime_matches_sympy():
     for _ in range(400):
         n = rng.randrange(2, 1 << 48)
         assert is_prime(n) == sympy.isprime(n)
-    # straddle the deterministic-witness boundary at 2^64
+    # straddle 2^64
     for n in range((1 << 64) - 64, (1 << 64) + 64):
         assert is_prime(n) == sympy.isprime(n)
+
+
+# the least strong pseudoprime to the twelve witnesses 2 .. 37
+PSI_12 = 318665857834031151167461
+
+
+def test_is_prime_deterministic_up_to_psi_12():
+    assert PSI_12 == 399165290221 * 798330580441
+    # psi_12 itself takes the random rounds, which catch it
+    assert not is_prime(PSI_12)
+    assert is_prime(sympy.prevprime(PSI_12))
+    rng = random.Random(15)
+    odd = [rng.randrange(1 << 64, PSI_12) | 1 for _ in range(3000)]
+    assert sum(map(sympy.isprime, odd)) > 30  # primes are tested, not only composites
+    for n in odd:
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 @functools.lru_cache(maxsize=None)
@@ -64,9 +81,9 @@ def _primes_below_bound():
 
 
 def test_small_primes_match_sympy():
-    sieve = _small_primes()
-    flagged = tuple(itertools.compress(range(len(sieve)), sieve))
-    assert len(sieve) == 10 ** 6 and flagged == _primes_below_bound()
+    sieve = _small_primes()  # entry i flags the odd number 2i + 1
+    flagged = (2,) + tuple(itertools.compress(range(1, 10 ** 6, 2), sieve))
+    assert len(sieve) == 10 ** 6 // 2 and flagged == _primes_below_bound()
 
 
 def test_factor_known_values():
@@ -257,17 +274,21 @@ def _valuation(n, p):
     return v
 
 
+def _is_one(x):
+    return x == 1
+
+
 def _field_units(n):
-    """(N, is_one, brute-force order) for every unit of F_(2^n)."""
+    """(N, g, power, is_one, brute-force order) for every unit g of F_(2^n)."""
     spec = field_make(n)
     big_n = (1 << n) - 1
     for a in range(1, big_n + 1):
-        is_one = lambda e, a=a: spec.pow(a, e) == 1  # noqa: E731
-        yield big_n, is_one, _brute_order(a, spec.mul, 1, big_n)
+        yield big_n, a, spec.pow, _is_one, _brute_order(a, spec.mul, 1, big_n)
 
 
 def _x_mod_irreducibles(max_degree):
-    """(N, is_one, brute-force order) of x mod each irreducible tau over GF(2)."""
+    """(N, g, power, is_one, brute-force order) of g = x mod each
+    irreducible tau over GF(2)."""
     s1 = field_make(1)
     x = Poly.x(s1)
     for k in range(1, max_degree + 1):
@@ -279,15 +300,16 @@ def _x_mod_irreducibles(max_degree):
             g = x % tau
             brute = _brute_order(g, lambda u, v: poly_mod_mul(u, v, tau), one, big_n)
 
-            def is_one(e, tau=tau, one=one):
-                return poly_mod_pow(x, e, tau) == one
+            def power(u, e, tau=tau):
+                return poly_mod_pow(u, e, tau)
 
-            yield big_n, is_one, brute
+            yield big_n, g, power, one.__eq__, brute
 
 
 def _circulant_units(n, d, count, seed):
-    """(N, is_one, brute-force order) of random units of F_q[x]/(x^d - 1);
-    N = q^(d-1) - 1, a multiple of every unit's order for odd prime d."""
+    """(N, g, power, is_one, brute-force order) of random units g of
+    F_q[x]/(x^d - 1); N = q^(d-1) - 1, a multiple of every unit's order
+    for odd prime d."""
     spec = field_make(n)
     ring = _ring(spec, d)
     one = ring.pack([1] + [0] * (d - 1))
@@ -298,9 +320,10 @@ def _circulant_units(n, d, count, seed):
         if det(unit).is_zero():
             continue
         a = unit.row
-        is_one = lambda e, a=a: ring.power(a, e) == one  # noqa: E731
         big_n = (1 << n * (d - 1)) - 1
-        yield big_n, is_one, _brute_order(a, ring.product, one, big_n)
+        yield big_n, a, ring.power, one.__eq__, _brute_order(
+            a, ring.product, one, big_n
+        )
         done += 1
 
 
@@ -313,8 +336,8 @@ def _all_cases():
 
 def test_element_order_matches_brute_force():
     seen = set()
-    for big_n, is_one, brute in _all_cases():
-        got = element_order(factor(big_n), is_one)
+    for big_n, *group, brute in _all_cases():
+        got = element_order(factor(big_n), *group)
         assert got.n == brute and got.complete and got.check()
         assert all(got.factors.values())  # no prime of exponent 0
         seen.add((big_n, brute))
@@ -324,7 +347,8 @@ def test_element_order_matches_brute_force():
 
 def test_element_order_of_the_trivial_group():
     # q = 2: factor(1) is complete with no primes, so every order is 1
-    assert element_order(factor(1), lambda e: False) == Factorization(1, {})
+    got = element_order(factor(1), 1, field_make(1).pow, _is_one)
+    assert got == Factorization(1, {})
 
 
 def _one_prime_in_the_cofactor(fact):
@@ -342,17 +366,63 @@ def test_element_order_incomplete_certifies_the_other_primes():
     spec = field_make(12)  # 4095 = 3^2 5 7 13; order by scanning divisors
     divisors = [t for t in range(1, 4096) if 4095 % t == 0]
     for a in range(1, 4096, 7):
-        is_one = lambda e, a=a: spec.pow(a, e) == 1  # noqa: E731
-        cases.append((4095, is_one, next(t for t in divisors if is_one(t))))
-    for big_n, is_one, brute in cases:
+        brute = next(t for t in divisors if spec.pow(a, t) == 1)
+        cases.append((4095, a, spec.pow, _is_one, brute))
+    for big_n, *group, brute in cases:
         for p, fact in _one_prime_in_the_cofactor(factor(big_n)):
             assert fact.check() and not fact.complete
-            got = element_order(fact, is_one)
+            got = element_order(fact, *group)
             assert p not in got.factors
             assert got.check() and brute % got.n == 0
             for r in fact.factors:
                 if r != p:
                     assert got.factors.get(r, 0) == _valuation(brute, r)
+
+
+def test_element_order_tree_matches_the_scan():
+    # the product tree gives what a full power per step gives, on complete
+    # factorizations and on each one with a prime moved into the cofactor
+    for big_n, *group, _ in _all_cases():
+        fact = factor(big_n)
+        for f in [fact] + [f for _, f in _one_prime_in_the_cofactor(fact)]:
+            assert element_order(f, *group) == element_order_scan(f, *group)
+
+
+def test_element_order_rejects_g_outside_the_multiple():
+    spec = field_make(4)
+    g = 0b10  # t generates F_16*: ord = 15, and g^5 != 1
+    # leaf path: the certified 5 reaches 5^1 without the identity
+    with pytest.raises(ArithmeticError):
+        element_order(factor(5), g, spec.pow, _is_one)
+    # root path: no prime is certified, and g^N is checked on its own
+    uncertified = Factorization(5, {}, 5)
+    with pytest.raises(ArithmeticError):
+        element_order(uncertified, g, spec.pow, _is_one)
+    g3 = spec.pow(g, 3)  # order 5: g3^5 = 1, so nothing to certify
+    assert element_order(uncertified, g3, spec.pow, _is_one) == Factorization(1, {})
+
+
+def test_element_order_power_work_at_the_paper_cell():
+    # (47, 11): 2^470 - 1 has eight certified primes under this budget.
+    # One long power at the root and short ones below it stay within two
+    # powers of N's size; the per-prime scan, with its g^N check, makes
+    # nine.
+    spec, d = field_make(47), 11
+    fact = factor((1 << 470) - 1, 1 << 12)
+    assert not fact.complete and len(fact.factors) > 2
+    ring, rng = _ring(spec, d), random.Random(16)
+    unit = Circulant.random(spec, d, rng)
+    while det(unit).is_zero():
+        unit = Circulant.random(spec, d, rng)
+    bits = []
+
+    def power(x, e):
+        bits.append(e.bit_length())
+        return ring.power(x, e)
+
+    got = element_order(fact, unit.row, power, _is_one)
+    assert 0 < sum(bits) <= 2 * 470
+    assert got == element_order_scan(fact, unit.row, ring.power, _is_one)
 
 
 def test_is_primitive_mod_table_anchors():
