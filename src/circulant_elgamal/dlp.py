@@ -9,8 +9,8 @@ is therefore already inside the ring: every product of rows carries both
 components, and ord(A) divides q^(d-1) - 1. So the attack runs in <A>
 itself, on rows packed into the circulant kernel: `element_order` finds
 ord(A) by one long power and a product tree of short ones, which also
-checks A^(q^(d-1) - 1) = 1; Pohlig-Hellman peels it into prime powers,
-and baby-step giant-step solves each leaf.
+checks A^(q^(d-1) - 1) = 1; Pohlig-Hellman splits it into prime powers,
+and one baby-step giant-step solves each.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ def bsgs(base: Circulant, target: Circulant, order: int) -> int:
     """Least x in [0, order) with base^x = target.
 
     Table memory is ceil(sqrt(order)) entries, hence the desk bound.
-    A packed row is canonical, so it keys the table as it is.
+    A packed row is canonical, so it keys the table as it is. The baby
+    steps end on base^m, whose inverse is the giant step.
     """
     if order <= 0:
         raise ValueError("order must be positive")
@@ -52,7 +53,7 @@ def bsgs(base: Circulant, target: Circulant, order: int) -> int:
     for j in range(m):
         table.setdefault(cur, j)
         cur = ring.mul(step, cur)
-    giant = ring.window(ring.power(inverse(base).row, m))
+    giant = ring.window(inverse(Circulant._of(base.spec, base.d, cur)).row)
     cur = b
     for i in range(m):  # m^2 >= order, so x = i m + j reaches order - 1
         j = table.get(cur)
@@ -67,8 +68,11 @@ def bsgs(base: Circulant, target: Circulant, order: int) -> int:
 def pohlig_hellman(base: Circulant, target: Circulant, order: Factorization) -> int:
     """Composite-order solve; ``order`` must factor ord(base) exactly.
 
-    The answer is canonical in [0, order.n) and checked: NotFound when
-    base^x is not the target.
+    For each prime power p^e of n = ord(base), one `bsgs` of order p^e
+    finds x mod p^e from base^(n/p^e), of order p^e, and
+    target^(n/p^e); `bsgs` holds p^e to the 2^48 desk bound. The answer
+    is the CRT of those residues, canonical in [0, n) and checked:
+    NotFound when base^x is not the target.
     """
     if not order.complete:
         raise IncompleteFactorization(
@@ -79,20 +83,11 @@ def pohlig_hellman(base: Circulant, target: Circulant, order: Factorization) -> 
     ring, n = _ring(spec, d), order.n
     residues, moduli = [0], [1]  # x = 0 when ord(base) = 1
     for p, e in sorted(order.factors.items()):
-        if p > BSGS_MAX_ORDER:
-            raise ValueError(f"prime {p} exceeds the 2^48 desk bound")
-        gamma = Circulant._of(spec, d, ring.power(a, n // p))  # order p
-        x_pe = 0
-        pk = 1
-        for _ in range(e):
-            # base^(n - x_pe) = base^(-x_pe), as base^n = 1
-            shifted = ring.product(b, ring.power(a, n - x_pe))
-            leaf = Circulant._of(spec, d, ring.power(shifted, n // (pk * p)))
-            digit = bsgs(gamma, leaf, p)
-            x_pe += digit * pk
-            pk *= p
-        residues.append(x_pe)
-        moduli.append(pk)
+        pe = p**e
+        gamma = Circulant._of(spec, d, ring.power(a, n // pe))  # order p^e
+        leaf = Circulant._of(spec, d, ring.power(b, n // pe))
+        residues.append(bsgs(gamma, leaf, pe))
+        moduli.append(pe)
     x = integer_crt(residues, moduli)
     if power(base, x) != target:
         raise NotFound("reconstructed exponent does not reproduce the target")

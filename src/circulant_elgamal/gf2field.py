@@ -10,8 +10,8 @@ F_q[x]/(x^d - 1) packed into one int, multiplied with one carry-less
 product and reduced mod the field polynomial by one Barrett step. At
 d = 1 it is GF(2^n) itself, which every field multiplies and squares
 on, and at d = deg(ab) + 1 its fold never wraps, so it is the plain
-product of `Poly` a and b (Kronecker substitution); a `Poly` of k
-terms squares on 2k - 1 slots the same way. One long-division loop,
+product of `Poly` a and b (Kronecker substitution); a row of k terms
+squares on 2k - 1 slots the same way. One long-division loop,
 `_divider`, keeps the remainder packed and subtracts one kernel product
 of the divisor a step; `Poly` division and every reduction mod tau run
 on it. Set-up computes in F_q[x]/tau on packed rows only: the
@@ -359,8 +359,6 @@ class Poly:
         self._same(other)
         return Poly(self.row ^ other.row, self.spec)
 
-    __sub__ = __add__
-
     def __mul__(self, other: "Poly") -> "Poly":
         self._same(other)
         if self.is_zero() or other.is_zero():
@@ -373,13 +371,6 @@ class Poly:
         if self.is_zero():
             return self
         return Poly(_ring(self.spec, self.degree + 1).product(self.row, c), self.spec)
-
-    def square(self) -> "Poly":
-        if self.is_zero():
-            return self
-        # the kernel square moves slot i to slot 2i, so 2k - 1 slots never wrap
-        ring = _ring(self.spec, 2 * self.degree + 1)
-        return Poly(ring.square(self.row), self.spec)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._same(other)
@@ -697,17 +688,14 @@ def poly_mod_pow(a: Poly, e: int, tau: Poly) -> Poly:
     while e:
         if e & 1:
             r = poly_mod_mul(r, a, tau)
-        a = a.square() % tau
+        a = poly_mod_mul(a, a, tau)
         e >>= 1
     return r
 
 
 def frobenius(a: Poly, tau: Poly) -> Poly:
-    """a^q mod tau, q = 2^n: n successive squarings."""
-    r = a % tau
-    for _ in range(tau.spec.n):
-        r = r.square() % tau
-    return r
+    """a^q mod tau, q = 2^n."""
+    return poly_mod_pow(a, 1 << tau.spec.n, tau)
 
 
 @lru_cache(maxsize=1)

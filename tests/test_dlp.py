@@ -4,8 +4,8 @@ order behind them, and the full circulant solver.
 Everything runs in groups of circulants. At (1,5) the ring is F_2 x
 GF(16), and 1 + x + x^2 generates a cyclic group of order 15, small
 enough that exhaustive search is the oracle; at (3,3) it is F_8 x F_64,
-and x + 2x^2 has order 63 = 3^2 * 7, which takes Pohlig-Hellman through
-its prime-power lifting.
+and x + 2x^2 has order 63 = 3^2 * 7, which gives Pohlig-Hellman a
+prime-power leaf of order 9.
 """
 
 import random
@@ -13,6 +13,7 @@ import random
 import pytest
 import sympy
 
+from circulant_elgamal import dlp, generate
 from circulant_elgamal.circulant import Circulant, power, row_sum
 from circulant_elgamal.dlp import (
     BSGS_MAX_ORDER,
@@ -23,7 +24,7 @@ from circulant_elgamal.dlp import (
     solve_circulant_dlp,
 )
 from circulant_elgamal.elgamal import keygen
-from circulant_elgamal.gf2field import Poly, field_make
+from circulant_elgamal.gf2field import Poly, _Ring, field_make
 from circulant_elgamal.numtheory import Factorization, IncompleteFactorization, factor
 
 S1, S3 = field_make(1), field_make(3)
@@ -71,6 +72,16 @@ def test_bsgs_not_found():
         bsgs(G15, power(G15, 6), 5)  # the least exponent is past the bound
 
 
+def test_bsgs_raises_nothing_to_a_power(monkeypatch):
+    # the giant step is the inverse of the base^m the baby steps end on
+    target = power(G63, 50)
+    calls = []
+    real = _Ring.power
+    monkeypatch.setattr(_Ring, "power", lambda *a: calls.append(a) or real(*a))
+    assert bsgs(G63, target, 63) == 50
+    assert calls == []
+
+
 def test_bsgs_bounds():
     g = G15
     with pytest.raises(ValueError):
@@ -91,11 +102,19 @@ def test_pohlig_hellman_exhaustive_gf16():
 
 
 def test_pohlig_hellman_prime_power_branch():
-    f63 = factor(63)  # 3^2 * 7 exercises multi-digit lifting
+    f63 = factor(63)  # 3^2 * 7: the leaf of order 9 is a prime power
     rng = random.Random(40)
     for _ in range(10):
         x = rng.randrange(63)
         assert pohlig_hellman(G63, power(G63, x), f63) == x
+
+
+def test_pohlig_hellman_one_bsgs_per_prime_power(monkeypatch):
+    orders = []
+    real = dlp.bsgs
+    monkeypatch.setattr(dlp, "bsgs", lambda g, h, o: orders.append(o) or real(g, h, o))
+    assert pohlig_hellman(G63, power(G63, 41), factor(63)) == 41
+    assert sorted(orders) == [7, 9]
 
 
 def test_pohlig_hellman_refuses_incomplete():
@@ -118,6 +137,10 @@ def test_pohlig_hellman_desk_bound():
     p = int(sympy.nextprime(BSGS_MAX_ORDER))
     with pytest.raises(ValueError):
         pohlig_hellman(G15, G15, Factorization(p, {p: 1}))
+    # the bound holds on the prime power: p^2 > 2^48 for p > 2^24
+    p = int(sympy.nextprime(1 << 24))
+    with pytest.raises(ValueError):
+        pohlig_hellman(G15, G15, Factorization(p * p, {p: 2}))
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +193,11 @@ def test_solver_recovers_private_keys(params311):
     for seed in range(20):
         priv, pub = keygen(params311, seed=seed)
         assert solve_circulant_dlp(pub.A, pub.Am) == priv.m
+    # seed-1 params at (5,19): ord(A) holds 3^3, a leaf of order 27
+    params = generate(5, 19, seed=1)
+    assert reduce_to_field(params.A, params.A).factors[3] == 3
+    priv, pub = keygen(params, seed=2)
+    assert solve_circulant_dlp(pub.A, pub.Am) == priv.m % params.order_info.order
 
 
 def test_solver_exhaustive_small(params15):
