@@ -31,6 +31,14 @@ from pathlib import Path
 from .numtheory import DEFAULT_BUDGET, IncompleteFactorization
 
 
+# every --factor-budget, the budget of one factor() call
+_BUDGET_HELP = (
+    "Pollard rho f-evaluations for factoring 2^N - 1, checked before each "
+    "gcd batch, so at most 127 over; only evaluations a gcd reads are "
+    "charged (default: %(default)s)"
+)
+
+
 class _UsageError(Exception):
     pass
 
@@ -266,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=_positive, required=True, help="field size exponent")
     gen.add_argument("--d", type=_positive, required=True, help="matrix dimension")
     gen.add_argument("--seed", type=_int0, default=None)
-    gen.add_argument("--factor-budget", type=_positive, default=DEFAULT_BUDGET)
+    gen.add_argument(
+        "--factor-budget", type=_positive, default=DEFAULT_BUDGET, help=_BUDGET_HELP
+    )
     gen.add_argument("--out", required=True, metavar="FILE")
     gen.set_defaults(func=cmd_params_gen)
     check = psub.add_parser("check", help="five-condition report for a parameter file")
@@ -307,7 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     adlp.add_argument("--params", required=True, metavar="FILE")
     adlp.add_argument("--pub", required=True, metavar="FILE")
-    adlp.add_argument("--factor-budget", type=_positive, default=DEFAULT_BUDGET)
+    adlp.add_argument(
+        "--factor-budget", type=_positive, default=DEFAULT_BUDGET, help=_BUDGET_HELP
+    )
     adlp.set_defaults(func=cmd_attack_dlp)
 
     sec = sub.add_parser("security", help="security estimates and reference checks")
@@ -332,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--factor-budget",
         type=_positive,
         default=1 << 16,
-        help="per-cell factoring effort for --which 2",
+        help="per cell, for --which 2: " + _BUDGET_HELP,
     )
     tables.set_defaults(func=cmd_security_tables)
     vp = ssub.add_parser(

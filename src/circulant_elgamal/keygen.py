@@ -2,14 +2,19 @@
 
 A good public matrix A over GF(2^n) must satisfy: determinant 1,
 row-sum 1, d prime, chi_A/(x-1) irreducible, and 2^n primitive mod d.
-Together these make the circulant DLP as hard as the DLP of the field
-with 2^{n(d-1)} elements and no easier. The generator below constructs
-such matrices from a random primitive polynomial tau: it builds the row
-psi with psi = 1 mod (x-1) and psi = tau mod Phi, and raises circ(psi)
-to det_order, the order of tau(0) in F_q. psi's Phi-component is
-tau(zeta), not a root of tau, so tau(0) is not det(psi); but a verified
-primitive tau has tau(0) primitive, so det_order = q - 1 and det(A) =
-det(psi)^(q-1) = 1.
+Together these make A's DLP one in the field with 2^{n(d-1)} elements
+(`dlp.reduce_to_field`), but they do not make it hard: they say nothing
+of ord(A), and the shift matrix, of order d, passes all five. What rules
+out small orders is the order floor q^(d-3), which `generate` applies to
+an exact order; an order known only as a certified divisor is not held
+to it.
+
+The generator below constructs matrices passing all five from a random
+primitive polynomial tau: it builds the row psi with psi = 1 mod (x-1)
+and psi = tau mod Phi, and raises circ(psi) to det_order, the order of
+tau(0) in F_q. psi's Phi-component is tau(zeta), not a root of tau, so
+tau(0) is not det(psi); but a verified primitive tau has tau(0)
+primitive, so det_order = q - 1 and det(A) = det(psi)^(q-1) = 1.
 """
 
 from __future__ import annotations

@@ -3,11 +3,14 @@
 Everything operates on plain Python ints. Factoring is budgeted so callers
 can bound work on large inputs: trial division runs below a fixed bound,
 then Brent-cycle Pollard rho consumes the remaining budget, counted in
-f-evaluations. Every number the library factors is 2^N - 1, the product
-of the cyclotomic pieces Phi_k(2) over the divisors k of N (Brillhart et
-al., *Factorizations of b^n +- 1*); each piece is factored on its own, so
-the result is a full scan below the bound of each Phi_k(2), then rho on
-the composite leftovers, whose every step squares a piece rather than the
+f-evaluations. Rho charges an evaluation only when a gcd can read it and
+checks the budget before each gcd batch, so it overdraws by at most one
+batch, 127 evaluations (see `_rho_brent` for the rare replay). Every
+number the library factors is 2^N - 1, the product of the cyclotomic
+pieces Phi_k(2) over the divisors k of N (Brillhart et al.,
+*Factorizations of b^n +- 1*); each piece is factored on its own, so the
+result is a full scan below the bound of each Phi_k(2), then rho on the
+composite leftovers, whose every step squares a piece rather than the
 whole of 2^N - 1. A Factorization records what was proven and whether
 the job finished. `element_order` turns one into an element's order,
 given the element, its group's power map and a test for the identity,
@@ -23,7 +26,9 @@ import random
 from functools import lru_cache
 from typing import Callable, NamedTuple, TypeVar
 
-DEFAULT_BUDGET = 1 << 26  # rho f-evaluations per factor() call
+# rho f-evaluations per factor() call; rho overdraws it by at most one
+# gcd batch (127), and charges only evaluations a gcd reads
+DEFAULT_BUDGET = 1 << 26
 TRIAL_DIVISION_BOUND = 10 ** 6
 
 # Below psi_12 these witnesses decide primality deterministically: it is
@@ -139,6 +144,13 @@ def _rho_brent(n: int, budget: int) -> tuple[int | None, int]:
 
     Brent's cycle variant with gcd batched over 128 accumulated
     differences. Returns (factor_or_None, f_evaluations_used).
+
+    Brent compares every term after a round's r-step advance with x
+    (BIT 20, 1980), so the advance alone finds nothing: a round starts
+    only when the budget leaves room for a gcd after its advance, and
+    every evaluation charged is one a gcd can read. The budget is checked
+    before each batch, so ``used`` exceeds it by at most 127, plus the
+    replay of that batch in the rare case its gcd is n itself.
     """
     used = 0
     c = 1
@@ -146,7 +158,10 @@ def _rho_brent(n: int, budget: int) -> tuple[int | None, int]:
         y, r, q = 2, 1, 1
         g = 1
         x = ys = y
-        while g == 1 and used < budget:
+        while g == 1:
+            if used + r >= budget:
+                # the advance would spend the rest, and no gcd would follow
+                return None, used
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -215,8 +230,11 @@ def factor(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     Phi_k(2) gives. (A walk never needs the bound 2^k that every such
     prime lies below: Phi_k(2) divides 2^k - 1, so its square root is
     smaller.) Rho then takes the composite leftovers of all pieces,
-    smallest first, on the one budget. Any other n is scanned whole, 2
-    and then the odd numbers.
+    smallest first, on the one budget of rho f-evaluations; what one
+    leftover leaves unspent passes to the next, and the call overdraws
+    by at most one gcd batch of 127 evaluations and that batch's replay
+    (see ``_rho_brent``). Any other n is scanned whole, 2 and then the
+    odd numbers.
     """
     if n < 1:
         raise ValueError("factor() wants n >= 1")

@@ -123,3 +123,46 @@ def element_order_scan(fact: Factorization, g, power, is_one) -> Factorization:
         if k < e:
             order[p] = e - k
     return Factorization(math.prod(p ** e for p, e in order.items()), order)
+
+
+def rho_brent_ref(n: int, budget: int) -> tuple[int | None, int]:
+    """Brent rho as `numtheory._rho_brent` ran before it checked the
+    budget ahead of each round: (factor_or_None, f_evaluations_used).
+
+    A round's r-step advance starts whenever the budget is not yet
+    spent, so the last one can use it up with no gcd after it, and
+    ``used`` reaches about 1.5 times the budget on a leftover rho cannot
+    split.
+    """
+    used = 0
+    c = 1
+    while used < budget:
+        y, r, q = 2, 1, 1
+        g = 1
+        x = ys = y
+        while g == 1 and used < budget:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            used += r
+            k = 0
+            while k < r and g == 1 and used < budget:
+                ys = y
+                steps = min(128, r - k)
+                for _ in range(steps):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                used += steps
+                g = math.gcd(q, n)
+                k += steps
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                used += 1
+                g = math.gcd(x - ys, n)
+        if 1 < g < n:
+            return g, used
+        c += 1
+    return None, used

@@ -8,10 +8,12 @@ import functools
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 import sympy
 
+from circulant_elgamal import numtheory
 from circulant_elgamal.circulant import Circulant, det
 from circulant_elgamal.gf2field import (
     Poly,
@@ -34,7 +36,7 @@ from circulant_elgamal.numtheory import (
     is_primitive_mod,
 )
 from circulant_elgamal.security import load_reference_security
-from oracles import element_order_scan
+from oracles import element_order_scan, rho_brent_ref
 
 BIG_PRIME = 7993364465170792998716337691033251350895453313
 
@@ -183,9 +185,12 @@ def _factor_by_full_scan(n):
     return Factorization(n, found, m)
 
 
+def _table2_exponents():
+    return sorted({row.n * (row.d - 1) for row in load_reference_security()})
+
+
 def _mersenne_exponents():
-    table2 = {row.n * (row.d - 1) for row in load_reference_security()}
-    return sorted(set(range(1, 301)) | table2 | {470, 1068})
+    return sorted(set(range(1, 301)) | set(_table2_exponents()) | {470, 1068})
 
 
 @functools.lru_cache(maxsize=None)
@@ -235,6 +240,76 @@ def test_factor_matches_full_scan_on_other_numbers():
     assert len(numbers) > 55
     for n in numbers:
         assert factor(n, NO_RHO) == _factor_by_full_scan(n), n
+
+
+TABLE2_BUDGET = 1 << 14  # the table2-factor benchmark's
+PAPER_BUDGET = 1 << 12  # the paper-crypto set-up's
+PAPER_CELLS = ((47, 11), (89, 13), (29, 37), (43, 29))
+# rho checks the budget before each gcd batch of at most 128 steps
+BATCH_SLACK = 127
+
+
+def _rho_leftovers(exponents):
+    """The distinct composites that trial division leaves of 2^N - 1 and
+    `factor` hands to rho, over the given N."""
+    real, seen = numtheory._rho_brent, set()
+
+    def spy(n, budget):
+        seen.add(n)
+        return real(n, budget)
+
+    factor.cache_clear()
+    with mock.patch.object(numtheory, "_rho_brent", spy):
+        for big_n in exponents:
+            factor((1 << big_n) - 1, NO_RHO)
+    factor.cache_clear()
+    return sorted(seen)
+
+
+def test_rho_brent_matches_reference_within_the_budget():
+    # every gcd the reference computes is still computed on the same
+    # terms: the same factor, or None, and the same evaluations when a
+    # factor turns up; giving up, rho no longer counts a last advance
+    # that no gcd reads, so it stays within one batch of the budget
+    table2 = _rho_leftovers(_table2_exponents())
+    mersenne = _rho_leftovers(range(1, 260))
+    rng = random.Random(31)
+    drawn = rng.sample(table2, 12) + rng.sample(mersenne, 12)
+    (m470,) = [m for m in table2 if m.bit_length() == 184 and (1 << 470) % m == 1]
+    for m in drawn + [m470]:
+        for budget in (1, 2, 3, 64, 1000, PAPER_BUDGET, TABLE2_BUDGET):
+            f, used = numtheory._rho_brent(m, budget)
+            f_ref, used_ref = rho_brent_ref(m, budget)
+            assert f == f_ref, (m, budget)
+            assert used == used_ref if f else used <= used_ref, (m, budget)
+            assert used <= budget + BATCH_SLACK, (m, budget, used)
+    # the defect: the reference's last advance took a round of 2^13 steps
+    assert rho_brent_ref(m470, TABLE2_BUDGET) == (None, 24574)
+    assert numtheory._rho_brent(m470, TABLE2_BUDGET) == (None, 16382)
+
+
+def test_factor_matches_reference_rho():
+    # unspent evaluations pass to the next leftover, where the reference
+    # overdrew the budget; on the Table-2 rows and the paper cells that
+    # finds nothing new, and nothing is found in another order
+    jobs = [(big_n, TABLE2_BUDGET) for big_n in _table2_exponents()]
+    jobs += [
+        (n * (d - 1), budget)
+        for n, d in PAPER_CELLS
+        for budget in (PAPER_BUDGET, 1 << 16)
+    ]
+
+    def run():
+        factor.cache_clear()
+        facts = [factor((1 << big_n) - 1, budget) for big_n, budget in jobs]
+        factor.cache_clear()
+        return [(list(f.factors.items()), f.cofactor) for f in facts]
+
+    got = run()
+    with mock.patch.object(numtheory, "_rho_brent", rho_brent_ref):
+        want = run()
+    assert len(got) == 48 + 8
+    assert got == want
 
 
 def test_factor_rejects_nonpositive():
