@@ -15,14 +15,15 @@ whole of 2^N - 1. A Factorization records what was proven and whether
 the job finished. `element_order` turns one into an element's order,
 given the element, its group's power map and a test for the identity,
 by one long power and a product tree of short ones; an incomplete
-factorization gives a certified divisor of it.
+factorization gives a certified divisor of it. Primality: twelve
+Miller-Rabin witnesses below psi_12 (about 2^78.1), then a base-3 round
+and BPSW (Baillie and Wagstaff, *Math. Comp.* 35, 1980).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from functools import lru_cache
 from typing import Callable, NamedTuple, TypeVar
 
@@ -36,7 +37,6 @@ TRIAL_DIVISION_BOUND = 10 ** 6
 # Comp. 86, 2017), 399165290221 * 798330580441, about 2^78.1.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 318665857834031151167461
-_MR_ROUNDS = 64
 
 T = TypeVar("T")
 
@@ -69,14 +69,57 @@ def _mr_round(n: int, a: int, d: int, s: int) -> bool:
     return False
 
 
-def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test.
+def _jacobi(a: int, n: int) -> int:
+    # the Jacobi symbol (a/n) of odd n > 0, by quadratic reciprocity
+    a, j = a % n, 1
+    while a:
+        t = (a & -a).bit_length() - 1
+        a >>= t  # (2/n) = -1 exactly when n = 3 or 5 mod 8
+        if t % 2 and n % 8 in (3, 5):
+            j = -j
+        if a % 4 == 3 and n % 4 == 3:
+            j = -j
+        a, n = n % a, a
+    return j if n == 1 else 0
 
-    Deterministic witness set below psi_12, about 2^78.1 (see
-    ``_MR_DETERMINISTIC_BOUND``); from there on, 64 rounds with
-    witnesses drawn from a generator seeded by n, so results are
-    reproducible.
-    """
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n, Selfridge's method A: D
+    is the first of 5, -7, 9, -11, ... with Jacobi(D/n) = -1, P = 1 and
+    Q = (1 - D) / 4. A square has no such D, so it is rejected first."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and D % n:
+            return False  # gcd(D, n) is a proper divisor
+        D = 2 - D if D < 0 else -2 - D
+    q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = k 2^s, k odd
+    # (U_k, V_k, Q^k) mod n, reading k from its top bit: index j -> 2j
+    # doubles, 2j -> 2j + 1 is U' = (U + V) / 2 and V' = (D U + V) / 2
+    u, v, qk = 1, 1, q % n
+    for bit in bin((n + 1) >> s)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = u + v, D * u + v, qk * q % n
+            # n is odd, so adding it to an odd value halves that mod n
+            u, v = (u + n * (u & 1)) // 2 % n, (v + n * (v & 1)) // 2 % n
+    for _ in range(s):  # V_(k 2^r) = 0 for some r < s, or U_k = 0
+        if v == 0:
+            return True
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+    return u == 0
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin on twelve witnesses that decide it below psi_12 (see
+    ``_MR_DETERMINISTIC_BOUND``); from there on, a strong round to base 3
+    and then BPSW, no known composite passing. Base 3 goes first because
+    every composite leftover m of 2^N - 1 that `factor` tests is a strong
+    base-2 pseudoprime: each prime p of a leftover of Phi_k(2) has
+    ord_p(2) = k, so k divides m - 1 and all the orders share one 2-adic
+    valuation."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -84,18 +127,11 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    d = (n - 1) >> s
     if n < _MR_DETERMINISTIC_BOUND:
         return all(_mr_round(n, a, d, s) for a in _MR_WITNESSES)
-    rng = random.Random(n & 0xFFFFFFFFFFFFFFFF)
-    for _ in range(_MR_ROUNDS):
-        a = rng.randrange(2, n - 1)
-        if not _mr_round(n, a, d, s):
-            return False
-    return True
+    return _mr_round(n, 3, d, s) and _mr_round(n, 2, d, s) and _strong_lucas(n)
 
 
 class Factorization(NamedTuple):

@@ -138,19 +138,21 @@ def _data_text(name: str) -> str:
     )
 
 
+def _data_rows(name: str, header: str) -> list[tuple[int, ...]]:
+    first, *rows = _data_text(name).strip().splitlines()
+    if first != header:
+        raise ValueError(f"{name}: header {first!r}, expected {header!r}")
+    return [tuple(int(x) for x in ln.split("\t")) for ln in rows]
+
+
 def load_reference_pairs() -> list[tuple[int, int]]:
     """(n, d) pairs the reference tabulates as passing all conditions."""
-    lines = _data_text("table1.tsv").strip().splitlines()
-    assert lines[0] == "n\td"
-    return [tuple(int(x) for x in ln.split("\t")) for ln in lines[1:]]
+    return _data_rows("table1.tsv", "n\td")
 
 
 def load_reference_security() -> list[ReferenceRow]:
-    lines = _data_text("table2.tsv").strip().splitlines()
-    assert lines[0] == "n\td\tlog_largest_prime\tindex_bits"
-    return [
-        ReferenceRow(*(int(x) for x in ln.split("\t"))) for ln in lines[1:]
-    ]
+    header = "n\td\tlog_largest_prime\tindex_bits"
+    return [ReferenceRow(*row) for row in _data_rows("table2.tsv", header)]
 
 
 class PairsDiff(NamedTuple):

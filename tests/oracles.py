@@ -1,6 +1,7 @@
 """Oracles that several test modules share, kept out of the library."""
 
 import math
+import random
 from functools import lru_cache
 
 from circulant_elgamal.circulant import Circulant
@@ -166,3 +167,45 @@ def rho_brent_ref(n: int, budget: int) -> tuple[int | None, int]:
             return g, used
         c += 1
     return None, used
+
+
+# the witnesses 2 .. 37 decide primality below psi_12, about 2^78.1
+_PRIME_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI_12 = 318665857834031151167461
+
+
+def _strong_round(n: int, a: int, d: int, s: int) -> bool:
+    # one Miller-Rabin round; True means "probably prime for this witness"
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def is_prime_mr64_ref(n: int) -> bool:
+    """Miller-Rabin as `numtheory.is_prime` ran before its base-3 round
+    and BPSW: the twelve witnesses below psi_12, and from there on 64
+    rounds with witnesses drawn from a generator seeded by n."""
+    if n < 2:
+        return False
+    for p in _PRIME_WITNESSES:
+        if n == p:
+            return True
+        if n % p == 0:
+            return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    if n < _PSI_12:
+        return all(_strong_round(n, a, d, s) for a in _PRIME_WITNESSES)
+    rng = random.Random(n & 0xFFFFFFFFFFFFFFFF)
+    for _ in range(64):
+        a = rng.randrange(2, n - 1)
+        if not _strong_round(n, a, d, s):
+            return False
+    return True

@@ -12,6 +12,7 @@ from unittest import mock
 
 import pytest
 import sympy
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from circulant_elgamal import numtheory
 from circulant_elgamal.circulant import Circulant, det
@@ -36,7 +37,7 @@ from circulant_elgamal.numtheory import (
     is_primitive_mod,
 )
 from circulant_elgamal.security import load_reference_security
-from oracles import element_order_scan, rho_brent_ref
+from oracles import element_order_scan, is_prime_mr64_ref, rho_brent_ref
 
 BIG_PRIME = 7993364465170792998716337691033251350895453313
 
@@ -67,7 +68,8 @@ PSI_12 = 318665857834031151167461
 
 def test_is_prime_deterministic_up_to_psi_12():
     assert PSI_12 == 399165290221 * 798330580441
-    # psi_12 itself takes the random rounds, which catch it
+    # psi_12 itself is the first number past the twelve witnesses; the
+    # Lucas step rejects it (see test_is_prime_rejects_psi_12_by_lucas)
     assert not is_prime(PSI_12)
     assert is_prime(sympy.prevprime(PSI_12))
     rng = random.Random(15)
@@ -288,28 +290,149 @@ def test_rho_brent_matches_reference_within_the_budget():
     assert numtheory._rho_brent(m470, TABLE2_BUDGET) == (None, 16382)
 
 
-def test_factor_matches_reference_rho():
-    # unspent evaluations pass to the next leftover, where the reference
-    # overdrew the budget; on the Table-2 rows and the paper cells that
-    # finds nothing new, and nothing is found in another order
+def _run_factor_jobs():
+    """(factors in the order found, cofactor) of 2^N - 1 for the 48
+    Table-2 rows at the benchmark's budget, and for the paper cells at
+    the set-up's budget and at 2^16."""
     jobs = [(big_n, TABLE2_BUDGET) for big_n in _table2_exponents()]
     jobs += [
         (n * (d - 1), budget)
         for n, d in PAPER_CELLS
         for budget in (PAPER_BUDGET, 1 << 16)
     ]
+    factor.cache_clear()
+    facts = [factor((1 << big_n) - 1, budget) for big_n, budget in jobs]
+    factor.cache_clear()
+    return [(list(f.factors.items()), f.cofactor) for f in facts]
 
-    def run():
-        factor.cache_clear()
-        facts = [factor((1 << big_n) - 1, budget) for big_n, budget in jobs]
-        factor.cache_clear()
-        return [(list(f.factors.items()), f.cofactor) for f in facts]
 
-    got = run()
-    with mock.patch.object(numtheory, "_rho_brent", rho_brent_ref):
-        want = run()
+@functools.lru_cache(maxsize=None)
+def _traced_factor_jobs():
+    """`_run_factor_jobs()`, every number it asks `is_prime` about, and
+    rho's answer to each (leftover, budget) it tried."""
+    asked, rho = set(), {}
+    real_is_prime, real_rho = numtheory.is_prime, numtheory._rho_brent
+
+    def spy_is_prime(n):
+        asked.add(n)
+        return real_is_prime(n)
+
+    def spy_rho(n, budget):
+        rho[n, budget] = real_rho(n, budget)
+        return rho[n, budget]
+
+    with mock.patch.object(numtheory, "is_prime", spy_is_prime):
+        with mock.patch.object(numtheory, "_rho_brent", spy_rho):
+            got = _run_factor_jobs()
     assert len(got) == 48 + 8
-    assert got == want
+    return got, sorted(asked), rho
+
+
+def test_factor_matches_reference_rho():
+    # unspent evaluations pass to the next leftover, where the reference
+    # overdrew the budget; on the Table-2 rows and the paper cells that
+    # finds nothing new, and nothing is found in another order
+    got, _, _ = _traced_factor_jobs()
+    with mock.patch.object(numtheory, "_rho_brent", rho_brent_ref):
+        assert _run_factor_jobs() == got
+
+
+def test_factor_matches_reference_primality():
+    # what factor finds depends only on what is_prime and rho answer;
+    # rho's answers are replayed from the traced run, so this run costs
+    # little and any change comes from the primality oracle alone (a
+    # leftover or budget the traced run never tried still runs rho)
+    got, _, rho = _traced_factor_jobs()
+    real_rho = numtheory._rho_brent
+
+    def replay(n, budget):
+        return rho[n, budget] if (n, budget) in rho else real_rho(n, budget)
+
+    with mock.patch.object(numtheory, "_rho_brent", replay):
+        with mock.patch.object(numtheory, "is_prime", is_prime_mr64_ref):
+            assert _run_factor_jobs() == got
+
+
+def _strong_base(n, a):
+    """One strong (Miller-Rabin) round of odd n to base a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    return numtheory._mr_round(n, a, (n - 1) >> s, s)
+
+
+def _random_prime(rng, bits):
+    """The first prime that sympy accepts at or after a random odd number
+    of the given bits, skipping those with a prime factor below 1 000."""
+    small = math.prod(sympy.primerange(3, 1000))
+    n = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+    while math.gcd(n, small) != 1 or not sympy.isprime(n):
+        n += 2
+    return n
+
+
+def test_is_prime_matches_reference_and_sympy_above_psi_12():
+    # factor's every primality question on the Table-2 rows and the paper
+    # cells, and random odd numbers and primes of 80-1 024 bits; the 64
+    # reference rounds keep the random draw small
+    _, asked, _ = _traced_factor_jobs()
+    rng = random.Random(32)
+    sizes = [rng.randrange(80, 1025) for _ in range(150)]
+    odd = [rng.randrange(1 << (b - 1), 1 << b) | 1 for b in sizes]
+    for n in asked + odd:
+        want = sympy.isprime(n)
+        assert is_prime(n) == is_prime_mr64_ref(n) == want, n
+        if n > PSI_12 and not want and n in asked:
+            # why base 3 goes first: each composite leftover of a piece
+            # Phi_k(2) is a strong base-2 pseudoprime, and base 3 rejects it
+            assert _strong_base(n, 2) and not _strong_base(n, 3), n
+    assert sum(n > PSI_12 and not sympy.isprime(n) for n in asked) > 100
+    # Miller-Rabin never rejects a prime, so the reference reads true on
+    # each of these; sympy proves they are primes
+    for bits in rng.sample(range(80, 1025), 6):
+        assert is_prime(_random_prime(rng, bits))
+
+
+# the ten strong Lucas pseudoprimes with Selfridge's parameters below
+# 60 000 (OEIS A217255)
+STRONG_LUCAS_PSEUDOPRIMES = (
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+)
+
+
+def test_strong_lucas_matches_sympy():
+    for n in range(1, 20000, 2):
+        assert numtheory._strong_lucas(n) == is_strong_lucas_prp(n), n
+    for n in STRONG_LUCAS_PSEUDOPRIMES:
+        assert numtheory._strong_lucas(n) and not sympy.isprime(n), n
+
+
+def test_is_prime_rejects_psi_12_by_lucas():
+    # psi_12 passes bases 3 and 2, so only the Lucas step stands between
+    # it and a wrong answer
+    assert _strong_base(PSI_12, 3) and _strong_base(PSI_12, 2)
+    assert not numtheory._strong_lucas(PSI_12)
+    assert not is_prime(PSI_12)
+
+
+def test_is_prime_rejects_carmichael_numbers_above_psi_12():
+    # Chernick's (6k + 1)(12k + 1)(18k + 1) is a Carmichael number when
+    # all three factors are prime: a Fermat liar to every coprime base
+    for k in (6265100, 6265206, 6265461):
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        assert all(map(sympy.isprime, factors))
+        n = math.prod(factors)
+        assert n > PSI_12 and not is_prime(n), k
+
+
+def test_base_3_rejects_a_leftover_that_base_2_passes():
+    # the 184-bit leftover of 2^470 - 1 that rho cannot split at the
+    # paper-crypto set-up's budget: a strong base-2 pseudoprime, so a
+    # BPSW that started with base 2 would pay a Lucas test to reject it
+    m = 12655447047150655978480214687038028503217661982582733791
+    assert m.bit_length() == 184 and (1 << 470) % m == 1
+    assert factor((1 << 470) - 1, PAPER_BUDGET).cofactor % m == 0
+    assert not sympy.isprime(m)
+    assert _strong_base(m, 2) and not _strong_base(m, 3)
+    assert not is_prime(m)
 
 
 def test_factor_rejects_nonpositive():

@@ -5,10 +5,12 @@ the tests pin both the agreements and the known discrepancies.
 """
 
 import math
+from unittest import mock
 
 import pytest
 import sympy
 
+from circulant_elgamal import security
 from circulant_elgamal.numtheory import factor
 from circulant_elgamal.security import (
     REFERENCE_D_RANGE,
@@ -150,6 +152,15 @@ def test_reference_security_fixture_shape():
     assert len(rows) == 48
     assert rows[0] == (47, 11, 115, 470)
     assert rows[-1] == (89, 19, 323, 1602)
+
+
+def test_reference_tables_reject_a_wrong_header():
+    # a check that raises, not an assert, so python -O keeps it
+    with mock.patch.object(security, "_data_text", return_value="n\tq\n41\t11\n"):
+        with pytest.raises(ValueError, match="table1.tsv"):
+            load_reference_pairs()
+        with pytest.raises(ValueError, match="table2.tsv"):
+            load_reference_security()
 
 
 def test_reference_pairs_diff_pins_discrepancies():
