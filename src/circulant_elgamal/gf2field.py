@@ -421,8 +421,8 @@ class _Ring:
     and a dense modulus alike.
     """
 
-    # `power` keeps the subset products of the KEPT_BASES most recently used
-    # bases, charged a list slot and a full row each, in KEPT_BYTES
+    # `power` keeps its KEPT_BASES latest bases and the wide table of each one
+    # seen twice, charged a list slot and a full row per entry, in KEPT_BYTES
     KEPT_BASES, KEPT_BYTES = 4, 2 << 20
 
     def __init__(self, spec: FieldSpec, d: int):
@@ -437,7 +437,7 @@ class _Ring:
         mu = _pdivmod(1 << 2 * n - 2, spec.modulus)[0]
         self.mu_shifts = tuple(n - 2 - i for i in range(n - 2) if mu >> i & 1)
         self.g_terms = tuple(i for i in range(n) if spec.modulus >> i & 1)
-        self.kept = OrderedDict()  # row -> [calls, {t: subset products}, bytes]
+        self.kept = OrderedDict()  # row -> its wide table, [] once seen once
         self.kept_bytes, self.slot_bytes = 0, 8 + sys.getsizeof(self.row)
 
     def pack(self, coeffs: Sequence[int]) -> int:
@@ -518,21 +518,19 @@ class _Ring:
         most one table product per block. With t = ceil(bits / n) and
         g = 1 this is plain square and multiply.
 
-        A base that comes back finds its subset products kept, by row and
-        t (see `KEPT_BASES`), so a power under any g reuses and extends
-        them; windows are made per call. Once its calls have paid for
-        `_plan`'s wide table, the base is promoted and runs that plan.
+        A base seen for the first time runs `_plan`'s cold pick on a table
+        made for this call, and only its row is kept (see `KEPT_BASES`); a
+        base seen again runs the wide pick on the one table it keeps.
+        Windows are made per call.
         """
-        cold, wide, after = _plan(self.n, self.d, m.bit_length())
-        calls, tables, size = rec = self.kept.pop(a, None) or [0, {}, 0]
-        t, g = wide if calls >= after else cold
-        entries = tables.setdefault(t, [None])  # entries[S], S a subset of bases
-        entries += [None] * ((1 << g) - len(entries))
-        rec[0], rec[2] = calls + 1, self.slot_bytes * sum(map(len, tables.values()))
-        self.kept_bytes += rec[2] - size
-        self.kept[a] = rec  # now the most recently used
+        cold, wide = _plan(self.n, self.d)
+        rec = self.kept.pop(a, None)  # None on first sight, [] on the second
+        t, g = cold if rec is None else wide
+        entries = rec or [None] * (1 << g)  # entries[S], S a subset of bases
+        self.kept[a] = [] if rec is None else entries  # now the most recently used
+        self.kept_bytes += self.slot_bytes * (len(self.kept[a]) - len(rec or ()))
         while len(self.kept) > self.KEPT_BASES or self.kept_bytes > self.KEPT_BYTES:
-            self.kept_bytes -= self.kept.popitem(last=False)[1][2]
+            self.kept_bytes -= self.slot_bytes * len(self.kept.popitem(last=False)[1])
 
         span = self.n * t
         digits = [m >> s & (1 << span) - 1 for s in range(0, m.bit_length(), span)]
@@ -581,18 +579,17 @@ class _Ring:
         return r
 
 
-@lru_cache(maxsize=1024)
-def _plan(n: int, d: int, bits: int) -> tuple[tuple[int, int], tuple[int, int], float]:
-    """Plans (t, g) for `_Ring.power` with a `bits`-bit exponent by a model
-    of the kernel's costs: the cold pick, the wide pick, and the calls after
-    which a base that comes back is promoted to the wide pick.
+@lru_cache(maxsize=64)
+def _plan(n: int, d: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Plans (t, g) for `_Ring.power` on the group's n max(d - 1, 1)-bit
+    exponents by a model of the kernel's costs: the cold pick and the wide
+    pick. Longer exponents run more blocks under the same plan.
 
     A plan runs squares, table products, windows and slot permutations,
     and builds 2^g - 1 - g subset products. The cold pick (g <= 8) has the
-    cheapest run plus build; the wide pick the cheapest run, with 2^g
-    entries in `_Ring.KEPT_BYTES / KEPT_BASES`. A returning base's cold
-    entries are kept, so it pays the cold run until its calls times the
-    run saved reach the wide build (ski rental). The costs fit the
+    cheapest run plus build, for a base seen once; the wide pick the
+    cheapest run, with 2^g entries in `_Ring.KEPT_BYTES / KEPT_BASES`, for
+    a base that comes back and keeps its table. The costs fit the
     hex-digit kernel's timings (n = 3 .. 128, d = 3 .. 37, row length L);
     only their ratios matter.
     """
@@ -603,10 +600,9 @@ def _plan(n: int, d: int, bits: int) -> tuple[tuple[int, int], tuple[int, int], 
     perm, win, step = 0.5 + 0.25 * d, 1.2 + L / 6000, 0.2
     slots = _Ring.KEPT_BYTES // _Ring.KEPT_BASES // (8 + sys.getsizeof((1 << L) - 1))
     widest = max(slots.bit_length() - 1, 1)
-    cold = wide = None
-    for t in range(1, -(-bits // n) + 1):
-        span = min(n * t, bits)
-        k = -(-bits // span)
+    digits, cold, wide = max(d - 1, 1), None, None
+    for t in range(1, digits + 1):
+        span, k = n * t, -(-digits // t)
         for g in range(1, min(k, max(8, widest)) + 1):
             build = mul * ((1 << g) - 1 - g) + (perm + win) * g
             run = sq * (span - 1)
@@ -619,11 +615,10 @@ def _plan(n: int, d: int, bits: int) -> tuple[tuple[int, int], tuple[int, int], 
                 used = ((1 << h) - 1) * (1 - (1 - p) ** span)
                 run += (step + mul * (1 - p)) * span + (win + perm * (i > 0)) * used
             if g <= 8 and (cold is None or build + run < cold[0]):
-                cold = (build + run, run, (t, g))
+                cold = (build + run, (t, g))
             if g <= widest and (wide is None or run < wide[0]):
-                wide = (run, build, (t, g))
-    saving = cold[1] - wide[0]
-    return cold[2], wide[2], wide[1] / saving if saving > 0 else float("inf")
+                wide = (run, (t, g))
+    return cold[1], wide[1]
 
 
 @lru_cache(maxsize=64)

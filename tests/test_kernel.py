@@ -11,8 +11,9 @@ are checked against binary square and multiply over the kernel's own
 `square` and `mul`, which the convolution checks, and q-power
 exponents against the slot permutation of the squaring theorem. The
 subset products `power` keeps across calls are checked the same way, on
-interleaved calls with bases that are evicted and come back, and with
-bases driven past promotion to the wide table under the byte bound. Fields
+interleaved calls with bases that are evicted and come back, and under
+the byte bound; so is the rule that a base runs the cold plan when it is
+first seen and the wide table it keeps from its second call on. Fields
 come in two kinds: the default modulus of `field_make` (sparse g) and
 the largest irreducible modulus of each degree (g of degree n - 1 and
 nearly full weight), as a loaded parameter file may carry.
@@ -344,10 +345,10 @@ def kept_table_calls(draw):
 
 
 def scripted_calls():
-    """One base on the (3,11) ring under the plans (t, g) = (1, 2), (3, 2),
-    (1, 1) and (3, 3), at 14, 16, 9 and 25 bits: the same g with another t,
-    then the same t with another g. Four other bases evict it, it comes
-    back, and its int then runs on the (5,11) ring under (1, 2) and (2, 3).
+    """One base on the (3,11) ring at 14, 16, 9 and 25 bits: cold once, then
+    wide on the table it keeps, under exponents shorter than the ring's
+    plan. Four other bases evict it, it comes back cold and then wide, and
+    its int then runs on the (5,11) ring, cold and then wide.
     """
     bases = [random.Random(i).getrandbits(100) for i in range(5)]
 
@@ -362,15 +363,14 @@ def scripted_calls():
 
 def kept_bytes_hold(ring):
     """The ring's byte count is its records' slots, and within the bound."""
-    slots = sum(len(e) for _, tables, _ in ring.kept.values() for e in tables.values())
-    assert ring.kept_bytes == sum(rec[2] for rec in ring.kept.values())
+    slots = sum(map(len, ring.kept.values()))
     assert ring.kept_bytes == slots * ring.slot_bytes <= ring.KEPT_BYTES
     assert len(ring.kept) <= ring.KEPT_BASES
 
 
-def promoted(ring, a, bits):
-    """Whether the last power of base a, at `bits` bits, ran `_plan`'s wide pick."""
-    return a in ring.kept and ring.kept[a][0] - 1 >= _plan(ring.n, ring.d, bits)[2]
+def promoted(ring, a):
+    """Whether base a is kept with `_plan`'s wide table of 2^g slots."""
+    return a in ring.kept and len(ring.kept[a]) == 1 << _plan(ring.n, ring.d)[1][1]
 
 
 @PROPS
@@ -404,7 +404,7 @@ def test_power_promoted_bases_match_plain_power(n, d):
         m = rng.getrandbits(bits) | 1 << bits - 1
         assert ring.power(a, m) == plain_power(ring, a, m)
         kept_bytes_hold(ring)
-        runs += promoted(ring, a, bits)
+        runs += promoted(ring, a)
     assert runs > 200 and returns > 10
 
 
@@ -427,21 +427,53 @@ def test_power_byte_bound_evicts():
 
 def test_power_keeps_the_recently_used_bases():
     # an encrypt-decrypt loop: two fixed bases, then a fresh one each
-    # round; the fixed bases are promoted and stay so
+    # round; the fixed bases are promoted on their second call and stay so
     ring = _Ring(field_make(3), 11)
     rng = random.Random(12)
     fixed = [ring.pack([rng.getrandbits(3) for _ in range(11)]) for _ in range(2)]
-    (t, g), after = _plan(3, 11, 30)[1:]
     for i in range(100):
         fresh = ring.pack([rng.getrandbits(3) for _ in range(11)])
         for a in fixed + [fresh]:
             m = rng.getrandbits(30) | 1 << 29
             assert ring.power(a, m) == plain_power(ring, a, m)
         assert set(ring.kept) >= set(fixed)
-        # round i's call was a fixed base's (i + 1)-th: wide from i >= after
-        wide = [len(ring.kept[a][1].get(t, ())) == 1 << g for a in fixed]
-        assert all(wide) if i >= after else not any(wide)
-        assert all(promoted(ring, a, 30) == (i >= after) for a in fixed)
+        # round i's call was a fixed base's (i + 1)-th: wide from the second
+        assert all(promoted(ring, a) == (i >= 1) for a in fixed)
+        assert ring.kept[fresh] == []
+
+
+@pytest.mark.parametrize("n,d", ((3, 11), (5, 19), (47, 11), (11, 1)))
+def test_power_promotes_a_base_on_its_second_call(n, d):
+    ring = _Ring(field_make(n), d)
+    (_, cg), (t, g) = _plan(n, d)
+    rng = random.Random(n + d)
+    bits = n * max(d - 1, 1)
+    a, *others = [ring.pack([rng.getrandbits(n) for _ in range(d)]) for _ in range(5)]
+
+    def check(base, m):
+        assert ring.power(base, m) == plain_power(ring, base, m)
+        kept_bytes_hold(ring)
+
+    # first sight: the cold pick on a table for this call; only the row stays
+    check(a, rng.getrandbits(bits) | 1 << bits - 1)
+    assert ring.kept[a] == [] and ring.kept_bytes == 0
+    # second sight: the wide pick, on a kept table of 2^g slots whose
+    # entry 2^j is sigma^(tj)(a), and past the cold table's 2^cg slots
+    # when g > cg; exponents longer than n(d - 1) bits run more blocks
+    for m in (rng.getrandbits(bits) | 1 << bits - 1, rng.getrandbits(3 * bits + 5) | 1):
+        check(a, m)
+        entries = ring.kept[a]
+        assert len(entries) == 1 << g
+        assert ring.kept_bytes == ring.slot_bytes << g
+        for j in range(g):
+            assert entries[1 << j] in (None, ring.frobenius(a, t * j))
+        assert g == cg or any(e is not None for e in entries[1 << cg :])
+    # evicted by KEPT_BASES others, a starts cold again
+    for b in others[: ring.KEPT_BASES]:
+        check(b, rng.getrandbits(bits) | 1)
+    assert a not in ring.kept
+    check(a, rng.getrandbits(bits) | 1 << bits - 1)
+    assert ring.kept[a] == []
 
 
 def q_order(n, d):
@@ -513,12 +545,12 @@ def test_power_pinned_at_north_star_cells():
 
 @pytest.mark.parametrize("n,d", NORTH_STAR)
 def test_plan_promotes_once_the_wide_table_pays(n, d):
-    # a wider table than the cold pick's, within a base's share of the
-    # bytes, and worth its build only after several calls, not the second
-    cold, (t, g), after = _plan(n, d, n * (d - 1))
+    # the table a base runs from its second call on is wider than the cold
+    # pick's, and within a base's share of the bytes
+    cold, (t, g) = _plan(n, d)
     slot = 8 + sys.getsizeof((1 << d * (2 * n - 1)) - 1)
     assert (1 << g) * slot <= _Ring.KEPT_BYTES // _Ring.KEPT_BASES
-    assert g > cold[1] and 5 < after < 250
+    assert g > cold[1]
 
 
 # ---------------------------------------------------------------------------
