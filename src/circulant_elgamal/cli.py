@@ -84,8 +84,6 @@ def cmd_params_gen(args) -> int:
     kg.save_params(ps, args.out)
     _emit("n", ps.n)
     _emit("d", ps.d)
-    if ps.det_order is not None:
-        _emit("det_order", ps.det_order)
     if ps.order_info is not None:
         _emit("order", ps.order_info.order)
         _emit("order_exact", _b(ps.order_info.exact))

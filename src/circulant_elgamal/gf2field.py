@@ -780,7 +780,6 @@ def _x_is_primitive(tau: Poly, fact: Factorization) -> bool:
 
 class PrimitivePoly(NamedTuple):
     poly: Poly
-    order_factorization: Factorization
     primitivity_verified: bool
 
 
@@ -811,9 +810,9 @@ def primitive_poly(
         if not poly_is_irreducible(cand):
             continue
         if not fact.complete:
-            return PrimitivePoly(cand, fact, False)
+            return PrimitivePoly(cand, False)
         if _x_is_primitive(cand, fact):
-            return PrimitivePoly(cand, fact, True)
+            return PrimitivePoly(cand, True)
     raise BudgetExceeded(
         f"no primitive polynomial of degree {degree} found in {max_draws} draws"
     )

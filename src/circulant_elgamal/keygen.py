@@ -11,10 +11,7 @@ to it.
 
 The generator below constructs matrices passing all five from a random
 primitive polynomial tau: it builds the row psi with psi = 1 mod (x-1)
-and psi = tau mod Phi, and raises circ(psi) to det_order, the order of
-tau(0) in F_q. psi's Phi-component is tau(zeta), not a root of tau, so
-tau(0) is not det(psi); but a verified primitive tau has tau(0)
-primitive, so det_order = q - 1 and det(A) = det(psi)^(q-1) = 1.
+and psi = tau mod Phi, and A = circ(psi)^(q-1), so det(A) = 1.
 """
 
 from __future__ import annotations
@@ -70,7 +67,6 @@ class ParamSet(NamedTuple):
     d: int
     A: Circulant
     tau: Poly | None = None
-    det_order: int | None = None
     order_info: OrderInfo | None = None
 
     @property
@@ -165,41 +161,31 @@ def generate(
 ) -> ParamSet:
     """Construct a matrix passing all five conditions at (2^n, d).
 
-    Draw a primitive tau of degree d-1; det_order is the order of
-    tau(0) in the base field, q - 1 when tau is verified primitive; psi
-    is the row with psi = 1 mod (x-1) and psi = tau mod Phi; A =
-    circ(psi)^det_order, whose determinant det(psi)^det_order is 1 when
-    det_order = q - 1. The result is re-validated and, when the
-    group order is exactly computable, required to reach q^{d-3};
-    failures draw a fresh tau, up to MAX_ATTEMPTS times.
+    Draw a primitive tau of degree d-1; psi is the row with psi = 1
+    mod (x-1) and psi = tau mod Phi; A = circ(psi)^(q-1), so det(A) = 1.
+    The result is re-validated and, when the group order is exactly
+    computable, required to reach q^{d-3}; failures draw a fresh tau, up
+    to MAX_ATTEMPTS times.
     """
     if not primitive_cell(n, d):
         raise NotPrimitive(f"d = {d} is not a prime with 2^{n} primitive mod d")
     spec = field_make(n)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     q = 1 << n
-    qm1 = factor(q - 1, budget)
     order_floor = q ** (d - 3)
     for _ in range(MAX_ATTEMPTS):
         tau = primitive_poly(d - 1, spec, rng, budget).poly
-        if qm1.complete:
-            tau0 = tau.row & spec.order
-            det_order = element_order(qm1, tau0, spec.pow, lambda x: x == 1).n
-        else:
-            # q - 1 is always a multiple of the true order; using it
-            # keeps det(A) = 1 without the exact factorization
-            det_order = q - 1
         # tau is monic of degree d - 1, so tau mod Phi = tau + Phi, and
         # psi = (tau + Phi) + tau(1) Phi is 1 mod (x - 1) (Phi(1) = d = 1)
         s = tau.evaluate(1)
         psi = Circulant._of(spec, d, tau.row ^ _ring(spec, d).ones * (1 ^ s))
-        a = power(psi, det_order)
+        a = power(psi, q - 1)
         if not five_conditions(a).all:
             continue
         info = order_of(a, budget)
         if info.exact and info.order < order_floor:
             continue
-        return ParamSet(spec, d, a, tau, det_order, info)
+        return ParamSet(spec, d, a, tau, info)
     raise RetriesExhausted(
         f"no matrix passed validation in {MAX_ATTEMPTS} draws at (2^{n}, {d})"
     )

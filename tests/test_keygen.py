@@ -39,6 +39,7 @@ from circulant_elgamal.keygen import (
     order_of,
     save_params,
 )
+from circulant_elgamal.numtheory import element_order, factor
 
 from oracles import C, expand, field_ops
 
@@ -281,7 +282,6 @@ def test_order_of_rejects_singular():
 
 def test_generate_small_field(params15):
     assert params15.n == 1 and params15.d == 5
-    assert params15.det_order == 1  # GF(2)* is trivial
     rep = five_conditions(params15.A)
     assert rep.all
     info = params15.order_info
@@ -291,7 +291,6 @@ def test_generate_small_field(params15):
 
 
 def test_generate_regression_values(params311):
-    assert params311.det_order == 7
     assert params311.order_info == OrderInfo(153391689, True)
     assert (1 << 24) - 1 == 16777215 < 153391689  # above the q^{d-3} floor
     assert fileio.hex_line(params311.A.bits()) == (
@@ -303,7 +302,7 @@ def test_generate_regression_values(params311):
 
 # seeds 1-4 at desk cells and 1-3 at (47,11) under a 2^12 factoring
 # budget, the paper benchmark's; most runs reject draws on the way. The
-# digest over (A, tau, det_order, order_info) of all 23 was computed on
+# digest over (A, tau, q - 1, order_info) of all 23 was computed on
 # the set-up that reduced mod tau by `Poly` products and long division,
 # and re-pinned when `factor` began to take 2^N - 1 one cyclotomic piece
 # at a time: only the (47,11) orders moved. 2^470 - 1 stays incomplete
@@ -328,7 +327,7 @@ def test_generate_pinned_across_seeds():
             assert not info.exact and info.order % old == 0 and info.order > old
         tau = ",".join(format(c, "#x") for c in p.tau.coeffs)
         h.update(
-            f"{n} {d} {seed} {fileio.hex_line(p.A.bits())} {tau} {p.det_order} "
+            f"{n} {d} {seed} {fileio.hex_line(p.A.bits())} {tau} {(1 << n) - 1} "
             f"{info.order} {info.exact}\n".encode()
         )
     assert h.hexdigest() == SETUP_DIGEST
@@ -337,7 +336,7 @@ def test_generate_pinned_across_seeds():
 def test_generate_determinism():
     a = generate(3, 11, seed=7)
     b = generate(3, 11, seed=7)
-    assert a.A == b.A and a.tau == b.tau and a.det_order == b.det_order
+    assert a.A == b.A and a.tau == b.tau
     assert a.order_info == b.order_info
     assert a == b and a != generate(3, 11, seed=8)
 
@@ -352,19 +351,19 @@ def test_generate_respects_order_floor():
 
 
 def test_generate_construction_invariant(params311):
-    # A = psi^det_order with psi = 1 mod (x - 1) and psi = tau mod Phi
+    # A = psi^(q - 1) with psi = 1 mod (x - 1) and psi = tau mod Phi
     spec, d = params311.spec, params311.d
     phi = Poly.make(spec, (1,) * d)
     assert row_sum(params311.A) == spec.one
-    want = poly_mod_pow(params311.tau % phi, params311.det_order, phi)
+    want = poly_mod_pow(params311.tau % phi, (1 << spec.n) - 1, phi)
     assert Poly.make(spec, params311.A.bits()) % phi == want
     assert det(params311.A).bits == 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_verified_primitive_tau_has_primitive_constant_term(n):
-    # what tau's primitivity gives generate: tau(0) of order q - 1 in F_q,
-    # so det_order = q - 1 on every verified draw
+    # a verified primitive tau has tau(0) of order q - 1 in F_q
+    # (Lidl-Niederreiter, Thm 3.18)
     spec = field_make(n)
     q = 1 << n
     rng = random.Random(n)
@@ -376,20 +375,54 @@ def test_verified_primitive_tau_has_primitive_constant_term(n):
             assert len({spec.pow(tau0, i) for i in range(q - 1)}) == q - 1
 
 
+def _psi(p):
+    """The row generate raises: 1 mod (x - 1), tau mod Phi."""
+    s = p.tau.evaluate(1)
+    return Circulant.from_bits(p.spec, [c ^ 1 ^ s for c in p.tau.coeffs[:-1]] + [s])
+
+
 def test_tau0_is_not_det_psi_but_det_a_is_one():
     # psi = tau mod Phi carries tau(zeta), a value of tau, on Phi: det(circ
     # psi) is not tau(0), and det(A) = det(psi)^(q - 1) = 1 all the same
     differ = 0
     for seed in range(4):
         p = generate(3, 11, seed=seed)
-        s = p.tau.evaluate(1)
-        psi = Circulant.from_bits(
-            p.spec, [c ^ 1 ^ s for c in p.tau.coeffs[:-1]] + [s]
-        )
-        assert power(psi, p.det_order) == p.A
-        assert p.det_order == 7 and det(p.A).bits == 1
+        psi = _psi(p)
+        assert power(psi, (1 << p.n) - 1) == p.A
+        assert det(p.A).bits == 1
         differ += det(psi).bits != p.tau.coeffs[0]
     assert differ > 0
+
+
+def test_generate_never_rejects_on_det_or_row_sum(monkeypatch):
+    # at (33,11) under a 2^10 budget q^10 - 1 stays incomplete, so no tau
+    # is verified primitive and tau(0) may have order below q - 1; A =
+    # psi^(q - 1) has det(A) = 1 and row sum 1 on every draw all the same
+    reports = []
+
+    def wrapped(a):
+        reports.append(five_conditions(a))
+        return reports[-1]
+
+    monkeypatch.setattr("circulant_elgamal.keygen.five_conditions", wrapped)
+    for seed in range(10):
+        generate(33, 11, seed, 1 << 10)
+    assert len(reports) >= 10
+    assert all(r.det_one and r.row_sum_one for r in reports)
+
+
+def test_generate_unverified_tau_with_small_constant_order():
+    # seed 4's first draw is an unverified tau whose tau(0) has order below
+    # q - 1; A is circ(psi)^(q - 1) for that draw
+    p = generate(33, 11, 4, 1 << 10)
+    spec, q = p.spec, 1 << 33
+    got = primitive_poly(10, spec, random.Random(4), 1 << 10)
+    assert not got.primitivity_verified and got.poly == p.tau
+    tau0 = p.tau.coeffs[0]
+    assert element_order(factor(q - 1), tau0, spec.pow, lambda x: x == 1).n < q - 1
+    assert p.A == power(_psi(p), q - 1) and det(p.A).bits == 1
+    assert fileio.hex_line(p.A.bits()).startswith("0x140519245,0x12d3a678d,")
+    assert not p.order_info.exact
 
 
 def test_generate_rejects_non_primitive_cells():
