@@ -84,9 +84,8 @@ def cmd_params_gen(args) -> int:
     kg.save_params(ps, args.out)
     _emit("n", ps.n)
     _emit("d", ps.d)
-    if ps.order_info is not None:
-        _emit("order", ps.order_info.order)
-        _emit("order_exact", _b(ps.order_info.exact))
+    _emit("order", ps.order_info.order)
+    _emit("order_exact", _b(ps.order_info.exact))
     _emit("out", args.out)
     return 0
 

@@ -422,7 +422,7 @@ class _Ring:
     """
 
     # `power` keeps its KEPT_BASES latest bases and the wide table of each one
-    # seen twice, charged a list slot and a full row per entry, in KEPT_BYTES
+    # seen twice, which `_plan` fits in KEPT_BYTES / KEPT_BASES
     KEPT_BASES, KEPT_BYTES = 4, 2 << 20
 
     def __init__(self, spec: FieldSpec, d: int):
@@ -438,7 +438,6 @@ class _Ring:
         self.mu_shifts = tuple(n - 2 - i for i in range(n - 2) if mu >> i & 1)
         self.g_terms = tuple(i for i in range(n) if spec.modulus >> i & 1)
         self.kept = OrderedDict()  # row -> its wide table, [] once seen once
-        self.kept_bytes, self.slot_bytes = 0, 8 + sys.getsizeof(self.row)
 
     def pack(self, coeffs: Sequence[int]) -> int:
         r, w = 0, self.width
@@ -520,17 +519,16 @@ class _Ring:
 
         A base seen for the first time runs `_plan`'s cold pick on a table
         made for this call, and only its row is kept (see `KEPT_BASES`); a
-        base seen again runs the wide pick on the one table it keeps.
-        Windows are made per call.
+        base seen again runs the wide pick on the one table it keeps, which
+        `_plan` bounds. Windows are made per call.
         """
         cold, wide = _plan(self.n, self.d)
         rec = self.kept.pop(a, None)  # None on first sight, [] on the second
         t, g = cold if rec is None else wide
         entries = rec or [None] * (1 << g)  # entries[S], S a subset of bases
         self.kept[a] = [] if rec is None else entries  # now the most recently used
-        self.kept_bytes += self.slot_bytes * (len(self.kept[a]) - len(rec or ()))
-        while len(self.kept) > self.KEPT_BASES or self.kept_bytes > self.KEPT_BYTES:
-            self.kept_bytes -= self.slot_bytes * len(self.kept.popitem(last=False)[1])
+        if len(self.kept) > self.KEPT_BASES:
+            self.kept.popitem(last=False)
 
         span = self.n * t
         digits = [m >> s & (1 << span) - 1 for s in range(0, m.bit_length(), span)]
@@ -589,9 +587,9 @@ def _plan(n: int, d: int) -> tuple[tuple[int, int], tuple[int, int]]:
     and builds 2^g - 1 - g subset products. The cold pick (g <= 8) has the
     cheapest run plus build, for a base seen once; the wide pick the
     cheapest run, with 2^g entries in `_Ring.KEPT_BYTES / KEPT_BASES`, for
-    a base that comes back and keeps its table. The costs fit the
-    hex-digit kernel's timings (n = 3 .. 128, d = 3 .. 37, row length L);
-    only their ratios matter.
+    a base that comes back and keeps its table: the one bound on what
+    `power` keeps. The costs fit the hex-digit kernel's timings (n = 3 ..
+    128, d = 3 .. 37, row length L); only their ratios matter.
     """
     L = d * (2 * n - 1)
     red = 0.8 + L / 2500

@@ -4,14 +4,15 @@ A good public matrix A over GF(2^n) must satisfy: determinant 1,
 row-sum 1, d prime, chi_A/(x-1) irreducible, and 2^n primitive mod d.
 Together these make A's DLP one in the field with 2^{n(d-1)} elements
 (`dlp.reduce_to_field`), but they do not make it hard: they say nothing
-of ord(A), and the shift matrix, of order d, passes all five. What rules
-out small orders is the order floor q^(d-3), which `generate` applies to
-an exact order; an order known only as a certified divisor is not held
-to it.
+of ord(A), and the shift matrix, of order d, passes all five.
 
-The generator below constructs matrices passing all five from a random
-primitive polynomial tau: it builds the row psi with psi = 1 mod (x-1)
-and psi = tau mod Phi, and A = circ(psi)^(q-1), so det(A) = 1.
+The generator below draws a primitive tau and makes A = circ(psi)^(q-1),
+psi = 1 mod (x-1) and psi = tau mod Phi. d prime and q primitive mod d
+are checked before any draw, the row sum is psi(1)^(q-1) = 1, and det(A)
+= N(tau(zeta))^(q-1), a norm to F_q, is 1 unless tau = Phi, where A = Phi
+has d - 1 equal conjugates. So a draw is rejected only by the quotient
+condition or by the order floor q^(d-3), which rules out small orders;
+it applies to an exact order, not to a certified divisor of one.
 """
 
 from __future__ import annotations
@@ -162,10 +163,10 @@ def generate(
     """Construct a matrix passing all five conditions at (2^n, d).
 
     Draw a primitive tau of degree d-1; psi is the row with psi = 1
-    mod (x-1) and psi = tau mod Phi; A = circ(psi)^(q-1), so det(A) = 1.
-    The result is re-validated and, when the group order is exactly
-    computable, required to reach q^{d-3}; failures draw a fresh tau, up
-    to MAX_ATTEMPTS times.
+    mod (x-1) and psi = tau mod Phi; A = circ(psi)^(q-1). Four conditions
+    hold by construction (module docstring): only the quotient condition,
+    which rejects tau = Phi, and the floor q^{d-3} on an exact order
+    reject a draw, for a fresh tau, up to MAX_ATTEMPTS times.
     """
     if not primitive_cell(n, d):
         raise NotPrimitive(f"d = {d} is not a prime with 2^{n} primitive mod d")
@@ -180,7 +181,7 @@ def generate(
         s = tau.evaluate(1)
         psi = Circulant._of(spec, d, tau.row ^ _ring(spec, d).ones * (1 ^ s))
         a = power(psi, q - 1)
-        if not five_conditions(a).all:
+        if not _quotient_condition(a):
             continue
         info = order_of(a, budget)
         if info.exact and info.order < order_floor:

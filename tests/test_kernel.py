@@ -11,9 +11,10 @@ are checked against binary square and multiply over the kernel's own
 `square` and `mul`, which the convolution checks, and q-power
 exponents against the slot permutation of the squaring theorem. The
 subset products `power` keeps across calls are checked the same way, on
-interleaved calls with bases that are evicted and come back, and under
-the byte bound; so is the rule that a base runs the cold plan when it is
-first seen and the wide table it keeps from its second call on. Fields
+interleaved calls with bases that are evicted and come back; so is the
+rule that a base runs the cold plan when it is first seen and the wide
+table it keeps from its second call on, and that table's size against
+its share of the kept bytes, over n = 1 .. 128 and d = 1 .. 79. Fields
 come in two kinds: the default modulus of `field_make` (sparse g) and
 the largest irreducible modulus of each degree (g of degree n - 1 and
 nearly full weight), as a loaded parameter file may carry.
@@ -362,9 +363,11 @@ def scripted_calls():
 
 
 def kept_bytes_hold(ring):
-    """The ring's byte count is its records' slots, and within the bound."""
-    slots = sum(map(len, ring.kept.values()))
-    assert ring.kept_bytes == slots * ring.slot_bytes <= ring.KEPT_BYTES
+    """At most KEPT_BASES bases are kept, each with no table or the wide
+    table of 2^g slots, which `_plan` fits in a base's share of the bytes
+    (`test_plan_wide_table_fits_its_share`)."""
+    wide = 1 << _plan(ring.n, ring.d)[1][1]
+    assert all(len(entries) in (0, wide) for entries in ring.kept.values())
     assert len(ring.kept) <= ring.KEPT_BASES
 
 
@@ -408,23 +411,6 @@ def test_power_promoted_bases_match_plain_power(n, d):
     assert runs > 200 and returns > 10
 
 
-def test_power_byte_bound_evicts():
-    # a bound that holds one wide table: three bases are fewer than
-    # KEPT_BASES, so only the bytes evict, and every result stays right
-    ring = _Ring(field_make(3), 11)
-    ring.KEPT_BYTES = ring.slot_bytes * 1200
-    rng = random.Random(5)
-    bases = [ring.pack([rng.getrandbits(3) for _ in range(11)]) for _ in range(3)]
-    returns = 0
-    for i in range(300):
-        a = bases[i % 3]
-        returns += i >= 3 and a not in ring.kept
-        m = rng.getrandbits(30) | 1 << 29
-        assert ring.power(a, m) == plain_power(ring, a, m)
-        kept_bytes_hold(ring)
-    assert returns > 0
-
-
 def test_power_keeps_the_recently_used_bases():
     # an encrypt-decrypt loop: two fixed bases, then a fresh one each
     # round; the fixed bases are promoted on their second call and stay so
@@ -456,7 +442,7 @@ def test_power_promotes_a_base_on_its_second_call(n, d):
 
     # first sight: the cold pick on a table for this call; only the row stays
     check(a, rng.getrandbits(bits) | 1 << bits - 1)
-    assert ring.kept[a] == [] and ring.kept_bytes == 0
+    assert ring.kept[a] == []
     # second sight: the wide pick, on a kept table of 2^g slots whose
     # entry 2^j is sigma^(tj)(a), and past the cold table's 2^cg slots
     # when g > cg; exponents longer than n(d - 1) bits run more blocks
@@ -464,7 +450,6 @@ def test_power_promotes_a_base_on_its_second_call(n, d):
         check(a, m)
         entries = ring.kept[a]
         assert len(entries) == 1 << g
-        assert ring.kept_bytes == ring.slot_bytes << g
         for j in range(g):
             assert entries[1 << j] in (None, ring.frobenius(a, t * j))
         assert g == cg or any(e is not None for e in entries[1 << cg :])
@@ -551,6 +536,19 @@ def test_plan_promotes_once_the_wide_table_pays(n, d):
     slot = 8 + sys.getsizeof((1 << d * (2 * n - 1)) - 1)
     assert (1 << g) * slot <= _Ring.KEPT_BYTES // _Ring.KEPT_BASES
     assert g > cold[1]
+
+
+def test_plan_wide_table_fits_its_share():
+    # the wide table, 2^g slots of a list slot and a full row each, is the
+    # only table `_Ring.power` keeps, and KEPT_BASES of them fit in
+    # KEPT_BYTES at every cell up to n = 128 and d = 79
+    share = _Ring.KEPT_BYTES // _Ring.KEPT_BASES
+    for n in range(1, 129):
+        spec = field_make(n)
+        for d in range(1, 80):
+            ring = _Ring(spec, d)
+            g = _plan(n, d)[1][1]
+            assert (8 + sys.getsizeof(ring.row)) << g <= share, (n, d)
 
 
 # ---------------------------------------------------------------------------

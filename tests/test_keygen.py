@@ -25,6 +25,8 @@ from circulant_elgamal.circulant import (
 from circulant_elgamal.gf2field import (
     FieldSpec,
     Poly,
+    PrimitivePoly,
+    _ring,
     field_make,
     poly_is_irreducible,
     poly_mod_pow,
@@ -33,6 +35,7 @@ from circulant_elgamal.gf2field import (
 from circulant_elgamal.keygen import (
     NotPrimitive,
     OrderInfo,
+    _quotient_condition,
     five_conditions,
     generate,
     load_params,
@@ -397,18 +400,49 @@ def test_tau0_is_not_det_psi_but_det_a_is_one():
 def test_generate_never_rejects_on_det_or_row_sum(monkeypatch):
     # at (33,11) under a 2^10 budget q^10 - 1 stays incomplete, so no tau
     # is verified primitive and tau(0) may have order below q - 1; A =
-    # psi^(q - 1) has det(A) = 1 and row sum 1 on every draw all the same
-    reports = []
+    # psi^(q - 1) has det(A) = 1 and row sum 1 on every draw all the same,
+    # so the quotient condition alone gives the five conditions' verdict
+    verdicts = []
 
     def wrapped(a):
-        reports.append(five_conditions(a))
-        return reports[-1]
+        verdicts.append((a, _quotient_condition(a)))
+        return verdicts[-1][1]
 
-    monkeypatch.setattr("circulant_elgamal.keygen.five_conditions", wrapped)
+    monkeypatch.setattr("circulant_elgamal.keygen._quotient_condition", wrapped)
     for seed in range(10):
         generate(33, 11, seed, 1 << 10)
-    assert len(reports) >= 10
-    assert all(r.det_one and r.row_sum_one for r in reports)
+    monkeypatch.undo()
+    assert len(verdicts) >= 10
+    assert all(five_conditions(a).all == ok for a, ok in verdicts)
+
+
+def test_generate_makes_no_det_call(monkeypatch):
+    # det(A) = 1 by construction, so no draw computes it
+    def no_det(a):
+        raise AssertionError("generate computed a determinant")
+
+    monkeypatch.setattr("circulant_elgamal.keygen.det", no_det)
+    for n, d in ((3, 11), (11, 11), (5, 19)):
+        for seed in range(1, 4):
+            assert generate(n, d, seed).d == d
+
+
+def test_generate_rejects_a_phi_draw(monkeypatch):
+    # tau = Phi makes tau(zeta) = 0 and A = Phi, the one draw whose det is
+    # not 1; its conjugates are all equal, so the quotient condition
+    # rejects it and the next draws are the unpatched run's
+    want = generate(3, 11, 1)
+    calls = []
+
+    def first_phi(degree, spec, rng, budget):
+        calls.append(degree)
+        if len(calls) == 1:
+            return PrimitivePoly(Poly(_ring(spec, 11).ones, spec), False)
+        return primitive_poly(degree, spec, rng, budget)
+
+    monkeypatch.setattr("circulant_elgamal.keygen.primitive_poly", first_phi)
+    assert generate(3, 11, 1) == want
+    assert len(calls) == 3
 
 
 def test_generate_unverified_tau_with_small_constant_order():
