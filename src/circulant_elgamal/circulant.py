@@ -39,10 +39,6 @@ class DimensionMismatch(ValueError):
     pass
 
 
-class EvenD(ValueError):
-    pass
-
-
 class PhiReducible(ValueError):
     pass
 
@@ -144,11 +140,6 @@ def _check_pair(a: Circulant, b: Circulant) -> None:
         raise DimensionMismatch("circulants over different fields")
 
 
-def _check_odd(d: int) -> None:
-    if d % 2 == 0:
-        raise EvenD(f"squaring permutation needs odd d, got {d}")
-
-
 def mul(a: Circulant, b: Circulant) -> Circulant:
     """Cyclic convolution: c_k = sum over i+j = k (mod d) of a_i b_j."""
     _check_pair(a, b)
@@ -156,11 +147,9 @@ def mul(a: Circulant, b: Circulant) -> Circulant:
 
 
 def square(a: Circulant) -> Circulant:
-    """Frobenius squaring: coefficient a_i lands squared at index 2i mod d.
-
-    Needs d odd so that doubling indices is a permutation.
+    """Frobenius squaring: coefficient a_i lands squared at index 2i mod d,
+    and coefficients that land on one index add.
     """
-    _check_odd(a.d)
     return Circulant._of(a.spec, a.d, _ring(a.spec, a.d).square(a.row))
 
 
@@ -168,15 +157,13 @@ def power(a: Circulant, m: int) -> Circulant:
     """a^m; a^0 is the identity.
 
     Runs the Frobenius-digit schedule of `_Ring.power` on the packed
-    row, which also keys the tables the ring keeps for a base that comes
-    back. `power_cost(m, d)` is the paper's price of it.
+    row, for every d, which also keys the tables the ring keeps for a
+    base that comes back. `power_cost(m, d)` is the paper's price of it.
     """
     if m < 0:
         raise ValueError("exponent must be nonnegative")
     if m == 0:
         return Circulant._of(a.spec, a.d, 1)
-    if m > 1:
-        _check_odd(a.d)
     return Circulant._of(a.spec, a.d, _ring(a.spec, a.d).power(a.row, m))
 
 

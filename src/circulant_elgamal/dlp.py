@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .circulant import Circulant, _check_odd, _ring, inverse, power
+from .circulant import Circulant, _ring, inverse, power
 from .keygen import _group_order
 from .numtheory import (
     DEFAULT_BUDGET,
@@ -44,7 +44,6 @@ def bsgs(base: Circulant, target: Circulant, order: int) -> int:
         raise ValueError("order must be positive")
     if order > BSGS_MAX_ORDER:
         raise ValueError(f"order {order} exceeds the 2^48 desk bound")
-    _check_odd(base.d)
     ring, a, b = _ring(base.spec, base.d), base.row, target.row
     m = isqrt(order - 1) + 1
     step = ring.window(a)
@@ -78,7 +77,6 @@ def pohlig_hellman(base: Circulant, target: Circulant, order: Factorization) -> 
         raise IncompleteFactorization(
             f"group order has unfactored cofactor {order.cofactor}"
         )
-    _check_odd(base.d)
     spec, d, a, b = base.spec, base.d, base.row, target.row
     ring, n = _ring(spec, d), order.n
     residues, moduli = [0], [1]  # x = 0 when ord(base) = 1

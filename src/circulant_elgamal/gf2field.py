@@ -490,32 +490,33 @@ class _Ring:
         return self.reduce(int(format(a, "b"), 4))
 
     def frobenius(self, a: int, j: int) -> int:
-        """a^(q^j), q = 2^n: slot k moves to slot k q^j mod d, no reduction.
+        """a^(q^j), q = 2^n: slot k goes to slot k q^j mod d, no reduction.
 
-        Every coefficient c satisfies c^q = c in F_q, so raising the row
-        to q^j only permutes its slots; d odd makes that a permutation.
+        Raising to q is additive in characteristic 2 and fixes every
+        coefficient of F_q, so it only moves slots, for every d;
+        coefficients that land on one slot add (for odd d none do).
         """
         d, w, mask = self.d, self.width, (1 << self.n) - 1
         e = pow(2, self.n * j, d)
-        if e == 1 % d:  # the identity permutation, always so for d = 1
+        if e == 1 % d:  # the identity map, always so for d = 1
             return a
         r = 0
         for k in range(d):
-            r |= (a >> k * w & mask) << k * e % d * w
+            r ^= (a >> k * w & mask) << k * e % d * w
         return r
 
     def power(self, a: int, m: int) -> int:
         """a^m, m >= 1, in one pass over the base-q^t digits of m.
 
         With sigma(y) = y^q, a^m = prod_i sigma^(ti)(a)^(m_i) for the k
-        digits m_i of m in base q^t, and every sigma^j is a free slot
-        permutation (`frobenius`). The digits are taken g at a time: one
-        table holds the product of every subset of the first g bases,
-        and block G's table is its sigma^(tgG) image; entries are made
-        as they come into use. The pass runs over the nt bit positions
-        once, with one squaring per position shared by all digits and at
-        most one table product per block. With t = ceil(bits / n) and
-        g = 1 this is plain square and multiply.
+        digits m_i of m in base q^t, and every sigma^j is a free slot map
+        (`frobenius`). The digits are taken g at a time: one table holds
+        the product of every subset of the first g bases, and block G's
+        table is its sigma^(tgG) image; entries are made as they come
+        into use. The pass runs over the nt bit positions once, with one
+        squaring per position shared by all digits and at most one table
+        product per block. With t = ceil(bits / n) and g = 1 this is
+        plain square and multiply.
 
         A base seen for the first time runs `_plan`'s cold pick on a table
         made for this call, and only its row is kept (see `KEPT_BASES`); a

@@ -14,7 +14,6 @@ from circulant_elgamal import fileio
 from circulant_elgamal.circulant import (
     Circulant,
     DimensionMismatch,
-    EvenD,
     NotInvertible,
     PhiReducible,
     char_poly_quotient,
@@ -119,10 +118,21 @@ def test_square_equals_mul_and_permutation():
                 assert sq.bits()[2 * i % d] == spec.square(av[i])
 
 
-def test_square_rejects_even_d():
+def test_square_at_even_d_adds_what_lands_on_one_index():
+    # (1 + x + x^3)^2 = 1 + x^2 + x^6 = 1 mod x^4 - 1 over GF(2)
     spec = field_make(1)
-    with pytest.raises(EvenD):
-        square(C(spec, 1, 1, 0, 1))
+    assert square(C(spec, 1, 1, 0, 1)) == C(spec, 1, 0, 0, 0)
+    rng = random.Random(5)
+    for n, d in ((1, 2), (3, 4), (8, 12)):
+        spec = field_make(n)
+        for _ in range(50):
+            a = Circulant.random(spec, d, rng)
+            sq = square(a)
+            assert sq == mul(a, a)
+            want = [0] * d
+            for i, c in enumerate(a.bits()):
+                want[2 * i % d] ^= spec.square(c)
+            assert sq.bits() == want
 
 
 def test_circulant_compares_and_hashes_by_row_and_spec():

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import circulant_elgamal
-from circulant_elgamal import cli, elgamal
+from circulant_elgamal import cli, elgamal, gf2field, keygen
 from circulant_elgamal.circulant import Circulant, power
 from circulant_elgamal.elgamal import PublicKey, load_private, load_public, save_public
 from circulant_elgamal.keygen import load_params, save_params
@@ -112,6 +112,43 @@ def test_params_check_failing_matrix(tmp_path):
     assert got["det_one"] == "true"
     assert got["quotient_irreducible"] == "false"
     assert got["all"] == "false"
+
+
+def test_params_gen_exits_2_when_no_matrix_passes(tmp_path, monkeypatch):
+    calls = []
+    real = keygen.primitive_poly
+    monkeypatch.setattr(keygen, "_quotient_condition", lambda a: False)
+    monkeypatch.setattr(
+        keygen, "primitive_poly", lambda *a: calls.append(a) or real(*a)
+    )
+    out = tmp_path / "x.params"
+    code, stdout, stderr = run_cli(
+        ["params", "gen", "--n", "3", "--d", "11", "--seed", "1", "--out", str(out)]
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == "no matrix passed validation in 32 draws at (2^3, 11)\n"
+    assert len(calls) == 32
+    assert not out.exists()
+
+
+def test_params_gen_exits_2_when_no_polynomial_is_primitive(tmp_path, monkeypatch):
+    monkeypatch.setattr(gf2field, "poly_is_irreducible", lambda p: False)
+    out = tmp_path / "x.params"
+    code, stdout, stderr = run_cli(
+        ["params", "gen", "--n", "3", "--d", "11", "--seed", "1", "--out", str(out)]
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == "no primitive polynomial of degree 10 found in 640 draws\n"
+    assert not out.exists()
+
+
+def test_params_file_blank_lines_are_skipped(tmp_path, params_file):
+    pairs = Path(params_file).read_text().splitlines()
+    spaced = tmp_path / "spaced.params"
+    spaced.write_text("\n\n" + "\n\n".join(pairs) + "\n\n  \n")
+    assert load_params(spaced) == load_params(params_file)
+    code, stdout, _ = run_cli(["params", "check", str(spaced)])
+    assert code == 0 and kv(stdout)["all"] == "true"
 
 
 def test_params_file_tampering_detected(tmp_path, params_file):
@@ -295,6 +332,35 @@ def test_attack_fails_cleanly_off_the_supported_cells(tmp_path, d, a, am):
     lines = stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("attack failed: ")
     assert "Traceback" not in stderr
+
+
+def test_pipeline_at_even_d(tmp_path):
+    # d = 4: keygen, encrypt and decrypt work at any d, and the five
+    # conditions and the attack refuse it
+    params = tmp_path / "e.params"
+    params.write_text(
+        "version = 1\nn = 3\nd = 4\nfield_poly = 0xb\nA = 0x3,0x5,0x0,0x1\n"
+    )
+    priv, pub = str(tmp_path / "e.priv"), str(tmp_path / "e.pub")
+    code, _, _ = run_cli(["keygen", "--params", str(params), "--out-priv", priv,
+                          "--out-pub", pub, "--seed", "51"])
+    assert code == 0
+    data = b"circulants at even d"
+    src, ct, back = tmp_path / "plain.bin", str(tmp_path / "e.ct"), tmp_path / "back"
+    src.write_bytes(data)
+    code, _, _ = run_cli(["encrypt", "--pub", pub, "--infile", str(src),
+                          "--out", ct, "--seed", "52"])
+    assert code == 0
+    code, _, _ = run_cli(["decrypt", "--priv", priv, "--in", ct, "--out", str(back)])
+    assert code == 0
+    assert back.read_bytes() == data
+    code, stdout, _ = run_cli(["params", "check", str(params)])
+    assert code == 2 and kv(stdout)["all"] == "false"
+    code, stdout, stderr = run_cli(
+        ["attack", "dlp", "--params", str(params), "--pub", pub]
+    )
+    assert (code, stdout) == (3, "")
+    assert stderr == "attack failed: the attack needs odd d >= 3, got d = 4\n"
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ import pytest
 import sympy
 
 from circulant_elgamal import dlp, generate
-from circulant_elgamal.circulant import Circulant, power, row_sum
+from circulant_elgamal.circulant import Circulant, det, mul, power, row_sum
 from circulant_elgamal.dlp import (
     BSGS_MAX_ORDER,
     NotFound,
@@ -80,6 +80,23 @@ def test_bsgs_raises_nothing_to_a_power(monkeypatch):
     monkeypatch.setattr(_Ring, "power", lambda *a: calls.append(a) or real(*a))
     assert bsgs(G63, target, 63) == 50
     assert calls == []
+
+
+@pytest.mark.parametrize("n, d", [(2, 4), (3, 6), (5, 8)])
+def test_bsgs_at_even_d_matches_a_scan(n, d):
+    # x^d - 1 has repeated factors at even d; every power of a random
+    # unit, found by scanning them, comes back as its least exponent
+    spec, rng = field_make(n), random.Random(70 + n * d)
+    g = Circulant.random(spec, d, rng)
+    while det(g).is_zero():
+        g = Circulant.random(spec, d, rng)
+    powers = [Circulant.identity(spec, d)]
+    while not (nxt := mul(powers[-1], g)).is_identity():
+        powers.append(nxt)
+    order = len(powers)
+    for x, target in enumerate(powers):
+        assert bsgs(g, target, order) == x
+        assert power(g, x) == target
 
 
 def test_bsgs_bounds():

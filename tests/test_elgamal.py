@@ -173,9 +173,10 @@ def test_decrypt_by_one_power_applies_the_inverse_mask(n, d):
             assert decrypt(bare_key(m, spec, d), Ciphertext(ar, w)) == want
 
 
-@pytest.mark.parametrize("n, d", [(1, 7), (2, 13)])
+@pytest.mark.parametrize("n, d", [(1, 7), (2, 13), (5, 8), (3, 4)])
 def test_roundtrip_off_the_primitive_cells(n, d):
-    # q is not primitive mod d, so decrypt inverts A^{mr}
+    # q is not primitive mod d, so decrypt inverts A^{mr}; at even d the
+    # powers' Frobenius maps send several slots to one
     spec, rng = field_make(n), random.Random(50 + n * d)
     assert not primitive_cell(n, d)
     ps = ParamSet(spec, d, rand_unit(spec, d, rng))
