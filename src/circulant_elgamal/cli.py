@@ -39,10 +39,6 @@ _BUDGET_HELP = (
 )
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; 2 means validation failure here,
     so usage errors are remapped to 1."""
@@ -192,7 +188,8 @@ def cmd_security_estimate(args) -> int:
 def cmd_security_tables(args) -> int:
     from . import security
     if args.n_lo > args.n_hi or args.d_lo > args.d_hi:
-        raise _UsageError("empty range: require --n-lo <= --n-hi and --d-lo <= --d-hi")
+        _diag("empty range: require --n-lo <= --n-hi and --d-lo <= --d-hi")
+        return 1
     ns = range(args.n_lo, args.n_hi + 1)
     ds = range(args.d_lo, args.d_hi + 1)
     if args.which == 1:
@@ -371,9 +368,6 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 0 if code is None else 1
     try:
         return args.func(args)
-    except _UsageError as exc:
-        _diag(str(exc))
-        return 1
     except IncompleteFactorization as exc:
         _diag(str(exc))
         return 3

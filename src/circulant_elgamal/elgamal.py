@@ -57,18 +57,33 @@ def _rng(seed: int | random.Random | None) -> random.Random:
     return random.SystemRandom() if seed is None else random.Random(seed)
 
 
-def _exponent(seed: int | random.Random | None, bound: int) -> int:
-    """A secret exponent drawn uniformly from [2, bound)."""
-    if bound <= 2:
+def _group_exponent(a: Circulant) -> int:
+    """N = 2^(n(d-1)) - 1 for A's cell: secret exponents are drawn from
+    [2, N] and decrypt reduces them mod N."""
+    return (1 << a.spec.n * (a.d - 1)) - 1
+
+
+def _exponent(seed: int | random.Random | None, a: Circulant) -> int:
+    """A secret exponent drawn uniformly from [2, N] (`_group_exponent`)."""
+    top = _group_exponent(a)
+    if top < 2:
         raise ValueError("group too small to hold a secret exponent")
-    return _rng(seed).randrange(2, bound)
+    return _rng(seed).randrange(2, top + 1)
 
 
 def keygen(
     params: ParamSet, seed: int | random.Random | None = None
 ) -> tuple[PrivateKey, PublicKey]:
-    """Draw m uniformly from [2, L) and publish (A, A^m)."""
-    m = _exponent(seed, params.exponent_bound())
+    """Draw m uniformly from [2, 2^(n(d-1))) and publish (A, A^m).
+
+    Only m mod ord(A) matters. On every cell `generate` accepts, ord(A)
+    divides N = 2^(n(d-1)) - 1 (`decrypt`), so that residue is uniform
+    but for 1, one draw short. The rule reads no order, so the CLI draws
+    the same m from a params file for one seed. Elsewhere ord(A) need
+    not divide N (A = circ(3, 5, 0, 1) at (2^3, 4) has order 28, N =
+    511), and the bound only sets the range.
+    """
+    m = _exponent(seed, params.A)
     return PrivateKey(m, params), PublicKey(params.A, power(params.A, m))
 
 
@@ -77,11 +92,13 @@ def encrypt(
     v: Sequence[FieldElement],
     seed: int | random.Random | None = None,
 ) -> Ciphertext:
-    """Fresh r per call; the order surrogate 2^{n(d-1)} bounds it."""
+    """Fresh r per call, drawn by keygen's rule for keygen's reason:
+    uniformly from [2, 2^(n(d-1))), so on a cell `generate` accepts r
+    mod ord(A) is uniform but for 1; elsewhere the bound sets the range."""
     a = pub.A
     if len(v) != a.d:
         raise DimensionMismatch(f"message block has {len(v)} entries, need {a.d}")
-    r = _exponent(seed, 1 << (a.spec.n * (a.d - 1)))
+    r = _exponent(seed, a)
     return Ciphertext(power(a, r), matvec(power(pub.Am, r), v))
 
 
@@ -97,7 +114,7 @@ def decrypt(priv: PrivateKey, ct: Ciphertext) -> tuple[FieldElement, ...]:
         return matvec(inverse(power(ar, m)), ct.w)
     if row_sum(ar).is_zero() or len(set(ar.bits())) == 1:
         raise NotInvertible("A^r is singular, so A^{mr} has no inverse")
-    return matvec(power(ar, -m % ((1 << ar.spec.n * (ar.d - 1)) - 1)), ct.w)
+    return matvec(power(ar, -m % _group_exponent(ar)), ct.w)
 
 
 def oracle_reduction(

@@ -29,7 +29,7 @@ import random
 import sys
 from collections import OrderedDict
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .numtheory import (
     DEFAULT_BUDGET,
@@ -777,24 +777,19 @@ def _x_is_primitive(tau: Poly, fact: Factorization) -> bool:
     return True
 
 
-class PrimitivePoly(NamedTuple):
-    poly: Poly
-    primitivity_verified: bool
-
-
 def primitive_poly(
     degree: int,
     base: FieldSpec,
     rng: random.Random,
     budget: int = DEFAULT_BUDGET,
-) -> PrimitivePoly:
+) -> Poly:
     """Random monic primitive polynomial of the given degree over GF(2^n).
 
     Each draw is tested for irreducibility, and an irreducible one is
     kept when x generates (F_q[x]/tau)* (`_x_is_primitive`). That needs
-    the factorization of q^degree - 1; when the budget cannot finish it,
-    the first irreducible candidate is returned with
-    ``primitivity_verified`` False.
+    the factorization of q^degree - 1; when the budget cannot finish it
+    (`factor(q^degree - 1, budget).complete` is False), the first
+    irreducible candidate is returned unverified.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -808,10 +803,8 @@ def primitive_poly(
         cand = Poly.make(base, coeffs)
         if not poly_is_irreducible(cand):
             continue
-        if not fact.complete:
-            return PrimitivePoly(cand, False)
-        if _x_is_primitive(cand, fact):
-            return PrimitivePoly(cand, True)
+        if not fact.complete or _x_is_primitive(cand, fact):
+            return cand
     raise BudgetExceeded(
         f"no primitive polynomial of degree {degree} found in {max_draws} draws"
     )

@@ -74,17 +74,6 @@ class ParamSet(NamedTuple):
     def n(self) -> int:
         return self.spec.n
 
-    def exponent_bound(self) -> int:
-        """Exclusive upper bound for secret exponents.
-
-        The exact group order when known, else the 2^{n(d-1)} surrogate
-        (the order divides 2^{n(d-1)} - 1, so the surrogate only skews
-        the distribution, never correctness).
-        """
-        if self.order_info is not None and self.order_info.exact:
-            return self.order_info.order
-        return 1 << (self.spec.n * (self.d - 1))
-
 
 def _quotient_condition(a: Circulant) -> bool:
     """Does x - 1 divide chi_A, with chi_A/(x - 1) irreducible?
@@ -175,7 +164,7 @@ def generate(
     q = 1 << n
     order_floor = q ** (d - 3)
     for _ in range(MAX_ATTEMPTS):
-        tau = primitive_poly(d - 1, spec, rng, budget).poly
+        tau = primitive_poly(d - 1, spec, rng, budget)
         # tau is monic of degree d - 1, so tau mod Phi = tau + Phi, and
         # psi = (tau + Phi) + tau(1) Phi is 1 mod (x - 1) (Phi(1) = d = 1)
         s = tau.evaluate(1)

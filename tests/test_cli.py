@@ -229,6 +229,29 @@ def test_full_pipeline_bytes(tmp_path, params_file):
     assert back.read_bytes() == data
 
 
+@pytest.mark.parametrize("n, d", [(3, 11), (11, 11), (5, 19)])
+def test_cli_and_library_draw_one_key_for_one_seed(tmp_path, n, d):
+    # the order is exact at these cells, and the params file does not
+    # carry it; both draw m below 2^(n(d-1)) all the same, so one seed
+    # gives one key file
+    params = tmp_path / "p.params"
+    run_cli(["params", "gen", "--n", str(n), "--d", str(d), "--seed", "1",
+             "--out", str(params)])
+    ps = keygen.generate(n, d, 1)
+    assert ps.order_info.exact
+    for seed in (1, 2):
+        files = {name: tmp_path / f"{name}.{seed}" for name in ("priv", "pub", "lib")}
+        code, _, _ = run_cli(
+            ["keygen", "--params", str(params), "--out-priv", str(files["priv"]),
+             "--out-pub", str(files["pub"]), "--seed", str(seed)]
+        )
+        assert code == 0
+        priv, pub = elgamal.keygen(ps, seed)
+        elgamal.save_private(priv, files["lib"])
+        assert files["priv"].read_bytes() == files["lib"].read_bytes()
+        assert load_public(files["pub"]) == pub
+
+
 @pytest.mark.parametrize(
     "ar",
     [",".join([e] * 11) for e in ("0x0", "0x7")] + ["0x1,0x1" + ",0x0" * 9],

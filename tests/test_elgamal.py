@@ -38,7 +38,7 @@ from circulant_elgamal.elgamal import (
     save_public,
 )
 from circulant_elgamal.gf2field import FieldElement, _ring, field_make
-from circulant_elgamal.keygen import OrderInfo, ParamSet
+from circulant_elgamal.keygen import ParamSet
 from circulant_elgamal.numtheory import primitive_cell
 from oracles import decode_blocks_ref, encode_bytes_ref
 
@@ -73,16 +73,15 @@ def test_keygen_determinism_and_range(params311):
     seen = set()
     for seed in range(50):
         priv, _ = keygen(params311, seed=seed)
-        assert 2 <= priv.m < params311.exponent_bound()
+        assert 2 <= priv.m < 1 << 30
         seen.add(priv.m)
     assert len(seen) > 40  # distinct seeds give distinct secrets
 
 
 def test_keygen_rejects_tiny_group():
+    # n(d - 1) = 1 leaves [2, 2^(n(d-1))) empty
     spec = field_make(1)
-    ps = ParamSet(
-        spec, 3, Circulant.identity(spec, 3), order_info=OrderInfo(2, True)
-    )
+    ps = ParamSet(spec, 2, Circulant.identity(spec, 2))
     with pytest.raises(ValueError):
         keygen(ps, seed=0)
 

@@ -617,28 +617,28 @@ def test_primitive_poly_verified_path():
     rng = random.Random(18)
     for degree in (2, 4, 6):
         got = primitive_poly(degree, s1, rng)
-        assert got.primitivity_verified
-        assert got.poly.degree == degree and got.poly.is_monic()
-        assert poly_is_irreducible(got.poly)
         group = (1 << degree) - 1
-        assert _poly_order(Poly.x(s1), got.poly, factor(group)) == group
+        assert factor(group).complete
+        assert got.degree == degree and got.is_monic()
+        assert poly_is_irreducible(got)
+        assert _poly_order(Poly.x(s1), got, factor(group)) == group
     # degree 2 over GF(2) has exactly one irreducible candidate
     got = primitive_poly(2, s1, random.Random(0))
-    assert got.poly == Poly.make(s1, [1, 1, 1])
+    assert got == Poly.make(s1, [1, 1, 1])
 
 
 def test_primitive_poly_unverified_under_budget():
     spec = field_make(47)
     got = primitive_poly(10, spec, random.Random(19), budget=1 << 10)
-    assert not got.primitivity_verified
-    assert poly_is_irreducible(got.poly)
+    assert not factor((1 << 470) - 1, 1 << 10).complete
+    assert poly_is_irreducible(got)
 
 
 def test_primitive_poly_deterministic():
     s3 = field_make(3)
     a = primitive_poly(4, s3, random.Random(20))
     b = primitive_poly(4, s3, random.Random(20))
-    assert a.poly == b.poly
+    assert a == b
 
 
 @pytest.mark.parametrize(
@@ -665,7 +665,7 @@ def test_x_is_primitive_matches_order_oracle(n, degrees):
                 taus.append(tau)
                 if len(taus) == 6:
                     break
-        prim = primitive_poly(k, spec, rng).poly
+        prim = primitive_poly(k, spec, rng)
         assert _poly_order(x, prim, fact) == N
         for p in fact.primes():
             tau = min_poly_over_base(poly_mod_pow(x, p, prim), prim)
@@ -709,7 +709,7 @@ def test_primitive_poly_tests_each_draw_once(monkeypatch, n, degree, seed):
         if c[0] == 0:
             c[0] = 1 + replay.randrange(spec.order)
         assert cand == Poly.make(spec, c)
-    assert got.primitivity_verified and got.poly == tested[-1]
+    assert factor((1 << n * degree) - 1).complete and got == tested[-1]
     assert verdicts == [False] * (len(verdicts) - 1) + [True]
     assert len(verdicts) == sum(map(irreducible, tested))
     assert len(tested) > len(verdicts) > 1

@@ -25,7 +25,6 @@ from circulant_elgamal.circulant import (
 from circulant_elgamal.gf2field import (
     FieldSpec,
     Poly,
-    PrimitivePoly,
     _ring,
     field_make,
     poly_is_irreducible,
@@ -290,7 +289,6 @@ def test_generate_small_field(params15):
     info = params15.order_info
     assert info.exact and info.order % 1 == 0 and info.order >= 4
     assert info.order in (5, 15)  # divisors of 2^4 - 1 above the floor
-    assert params15.exponent_bound() == info.order
 
 
 def test_generate_regression_values(params311):
@@ -373,8 +371,8 @@ def test_verified_primitive_tau_has_primitive_constant_term(n):
     for degree in (1, 2, 4, 6, 10):
         for _ in range(4):
             got = primitive_poly(degree, spec, rng)
-            assert got.primitivity_verified
-            tau0 = got.poly.coeffs[0]
+            assert factor((1 << n * degree) - 1).complete
+            tau0 = got.coeffs[0]
             assert len({spec.pow(tau0, i) for i in range(q - 1)}) == q - 1
 
 
@@ -437,7 +435,7 @@ def test_generate_rejects_a_phi_draw(monkeypatch):
     def first_phi(degree, spec, rng, budget):
         calls.append(degree)
         if len(calls) == 1:
-            return PrimitivePoly(Poly(_ring(spec, 11).ones, spec), False)
+            return Poly(_ring(spec, 11).ones, spec)
         return primitive_poly(degree, spec, rng, budget)
 
     monkeypatch.setattr("circulant_elgamal.keygen.primitive_poly", first_phi)
@@ -451,7 +449,7 @@ def test_generate_unverified_tau_with_small_constant_order():
     p = generate(33, 11, 4, 1 << 10)
     spec, q = p.spec, 1 << 33
     got = primitive_poly(10, spec, random.Random(4), 1 << 10)
-    assert not got.primitivity_verified and got.poly == p.tau
+    assert not factor((1 << 330) - 1, 1 << 10).complete and got == p.tau
     tau0 = p.tau.coeffs[0]
     assert element_order(factor(q - 1), tau0, spec.pow, lambda x: x == 1).n < q - 1
     assert p.A == power(_psi(p), q - 1) and det(p.A).bits == 1
