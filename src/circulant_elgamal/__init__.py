@@ -22,7 +22,7 @@ _HOME = {
         "gf2field": "FieldElement FieldSpec Poly field_make",
         "keygen": "ConditionReport NotPrimitive OrderInfo ParamSet five_conditions"
         " generate load_params order_of save_params",
-        "numtheory": "Factorization factor is_prime is_primitive_mod",
+        "numtheory": "Factorization factor is_prime",
         "security": "SecurityReport estimate generic_bits index_calculus_bits"
         " regime_check scan_primitive_pairs security_table verify_reference_primes"
         " reference_pairs_diff verify_reference_security_bits",

@@ -24,7 +24,7 @@ from .circulant import (
 )
 from .gf2field import FieldElement, FieldSpec
 from .keygen import ParamSet
-from .numtheory import primitive_cell
+from .numtheory import cell_exponent, primitive_cell
 
 
 class OracleInconsistent(ArithmeticError):
@@ -57,34 +57,40 @@ def _rng(seed: int | random.Random | None) -> random.Random:
     return random.SystemRandom() if seed is None else random.Random(seed)
 
 
-def _group_exponent(a: Circulant) -> int:
-    """N = 2^(n(d-1)) - 1 for A's cell: secret exponents are drawn from
-    [2, N] and decrypt reduces them mod N."""
-    return (1 << a.spec.n * (a.d - 1)) - 1
-
-
-def _exponent(seed: int | random.Random | None, a: Circulant) -> int:
-    """A secret exponent drawn uniformly from [2, N] (`_group_exponent`)."""
-    top = _group_exponent(a)
+def _exponent(
+    seed: int | random.Random | None, base: Circulant, name: str
+) -> tuple[int, Circulant]:
+    """(e, base^e), e uniform in [2, `cell_exponent`] and redrawn while
+    base^e = I. That range holds 2 and 3, so only base = I, refused by its
+    ``name``, has no such e."""
+    top = cell_exponent(base.spec.n, base.d)
     if top < 2:
         raise ValueError("group too small to hold a secret exponent")
-    return _rng(seed).randrange(2, top + 1)
+    if base.is_identity():
+        raise ValueError(f"{name} is the identity matrix, so every power of it is")
+    rng = _rng(seed)
+    while True:
+        e = rng.randrange(2, top + 1)
+        p = power(base, e)
+        if not p.is_identity():
+            return e, p
 
 
 def keygen(
     params: ParamSet, seed: int | random.Random | None = None
 ) -> tuple[PrivateKey, PublicKey]:
-    """Draw m uniformly from [2, 2^(n(d-1))) and publish (A, A^m).
+    """Draw m uniformly from [2, 2^(n(d-1))), redrawn while A^m = I, and
+    publish (A, A^m); ValueError when A = I.
 
     Only m mod ord(A) matters. On every cell `generate` accepts, ord(A)
     divides N = 2^(n(d-1)) - 1 (`decrypt`), so that residue is uniform
-    but for 1, one draw short. The rule reads no order, so the CLI draws
-    the same m from a params file for one seed. Elsewhere ord(A) need
-    not divide N (A = circ(3, 5, 0, 1) at (2^3, 4) has order 28, N =
-    511), and the bound only sets the range.
+    but for 0, which is redrawn, and 1, one draw short. The rule reads no
+    order, so the CLI draws the same m from a params file for one seed.
+    Elsewhere ord(A) need not divide N (A = circ(3, 5, 0, 1) at (2^3, 4)
+    has order 28, N = 511), and the bound only sets the range.
     """
-    m = _exponent(seed, params.A)
-    return PrivateKey(m, params), PublicKey(params.A, power(params.A, m))
+    m, am = _exponent(seed, params.A, "A")
+    return PrivateKey(m, params), PublicKey(params.A, am)
 
 
 def encrypt(
@@ -92,21 +98,21 @@ def encrypt(
     v: Sequence[FieldElement],
     seed: int | random.Random | None = None,
 ) -> Ciphertext:
-    """Fresh r per call, drawn by keygen's rule for keygen's reason:
-    uniformly from [2, 2^(n(d-1))), so on a cell `generate` accepts r
-    mod ord(A) is uniform but for 1; elsewhere the bound sets the range."""
+    """Fresh r per call, drawn by keygen's rule for keygen's reason, and
+    redrawn while the mask (A^m)^r = I would leave v in the clear;
+    ValueError when A^m = I."""
     a = pub.A
     if len(v) != a.d:
         raise DimensionMismatch(f"message block has {len(v)} entries, need {a.d}")
-    r = _exponent(seed, a)
-    return Ciphertext(power(a, r), matvec(power(pub.Am, r), v))
+    r, mask = _exponent(seed, pub.Am, "A^m")
+    return Ciphertext(power(a, r), matvec(mask, v))
 
 
 def decrypt(priv: PrivateKey, ct: Ciphertext) -> tuple[FieldElement, ...]:
-    """Apply A^{-mr} to w. On a primitive cell R = F_q x F_(q^(d-1)), so
-    every unit u has u^N = 1 for N = q^(d-1) - 1, and A^{-mr} is the one
-    power (A^r)^(-m mod N); A^r is a unit there exactly when its row sum
-    is nonzero and its entries are not all equal. Other cells invert A^{mr}."""
+    """Apply A^{-mr} to w. On a primitive cell every unit u has u^N = 1
+    (`cell_exponent`), so A^{-mr} is the one power (A^r)^(-m mod N); A^r
+    is a unit there exactly when its row sum is nonzero and its entries
+    are not all equal. Other cells invert A^{mr}."""
     ar, m = ct.Ar, priv.m
     if m < 0:
         raise ValueError("exponent must be nonnegative")
@@ -114,7 +120,7 @@ def decrypt(priv: PrivateKey, ct: Ciphertext) -> tuple[FieldElement, ...]:
         return matvec(inverse(power(ar, m)), ct.w)
     if row_sum(ar).is_zero() or len(set(ar.bits())) == 1:
         raise NotInvertible("A^r is singular, so A^{mr} has no inverse")
-    return matvec(power(ar, -m % _group_exponent(ar)), ct.w)
+    return matvec(power(ar, -m % cell_exponent(ar.spec.n, ar.d)), ct.w)
 
 
 def oracle_reduction(

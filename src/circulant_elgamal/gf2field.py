@@ -19,8 +19,10 @@ irreducibility test runs on Berlekamp's Q-matrix, x^(q^j) mod p by
 matrix-vector products over F_q whose columns are kernel rows, and
 `primitive_poly` keeps an irreducible tau when x^(N/p) != 1 mod tau
 for every prime p of N = q^deg(tau) - 1, each power a product of the
-Q-matrix's x^(q^j) raised to the base-q digits of N/p. The circulant
-ring of `circulant` is the same kernel at the matrix size d.
+Q-matrix's x^(q^j) raised to the base-q digits of N/p; when the budget
+cannot factor N completely, it keeps the first irreducible draw
+unverified. The circulant ring of `circulant` is the same kernel at
+the matrix size d.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from .gf2field import FieldSpec, Poly, field_make, primitive_poly
 from .numtheory import (
     DEFAULT_BUDGET,
     Factorization,
+    cell_exponent,
     element_order,
     factor,
     is_prime,
@@ -119,7 +120,7 @@ def _group_order(a: Circulant, budget: int) -> tuple[Factorization, Factorizatio
     (`element_order`): exact when the first is complete, else a certified
     divisor. ArithmeticError when a^N != 1.
     """
-    fact = factor((1 << (a.spec.n * (a.d - 1))) - 1, budget)
+    fact = factor(cell_exponent(a.spec.n, a.d), budget)
     try:
         order = element_order(fact, a, power, Circulant.is_identity)
     except ArithmeticError:

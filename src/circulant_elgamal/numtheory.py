@@ -45,14 +45,6 @@ class IncompleteFactorization(ValueError):
     pass
 
 
-class NotAUnit(ValueError):
-    pass
-
-
-class DNotPrime(ValueError):
-    pass
-
-
 class NotCoprime(ValueError):
     pass
 
@@ -370,26 +362,20 @@ def _prime_divisors(k: int) -> list[int]:
     return divs
 
 
-def is_primitive_mod(q: int, d: int) -> bool:
-    """Is q a generator of (Z/dZ)* for prime d?
-
-    It is when q^((d - 1)/p) != 1 mod d for every prime p dividing d - 1.
-    """
-    if not is_prime(d):
-        raise DNotPrime(f"d must be prime, got {d}")
-    r = q % d
-    if r == 0:
-        raise NotAUnit(f"{q} is divisible by {d}")
-    return all(pow(r, (d - 1) // p, d) != 1 for p in _prime_divisors(d - 1))
-
-
 def primitive_cell(n: int, d: int) -> bool:
-    """Is 2^n a generator of (Z/dZ)*? False, not an error, on a d that
-    is not prime or divides 2^n."""
-    try:
-        return is_primitive_mod(1 << n, d)
-    except (DNotPrime, NotAUnit):
+    """Is (2^n, d) a cell of the scheme: d prime and 2^n a generator of
+    (Z/dZ)*? It is when 2^n mod d != 0 and 2^(n(d-1)/p) != 1 mod d for
+    every prime p dividing d - 1. False, not an error, on any other d."""
+    if not is_prime(d):
         return False
+    r = pow(2, n, d)
+    return r != 0 and all(pow(r, (d - 1) // p, d) != 1 for p in _prime_divisors(d - 1))
+
+
+def cell_exponent(n: int, d: int) -> int:
+    """N = 2^(n(d-1)) - 1. On a primitive cell F_q[x]/(x^d - 1), q = 2^n,
+    is F_q x F_(q^(d-1)), so every unit u has u^N = 1."""
+    return (1 << n * (d - 1)) - 1
 
 
 def integer_crt(residues: list[int], moduli: list[int]) -> int:

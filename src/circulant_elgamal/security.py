@@ -14,7 +14,7 @@ import math
 from importlib.resources import files
 from typing import Iterable, NamedTuple
 
-from .numtheory import DEFAULT_BUDGET, factor, is_prime, primitive_cell
+from .numtheory import DEFAULT_BUDGET, cell_exponent, factor, is_prime, primitive_cell
 
 
 def index_calculus_bits(n: int, d: int) -> int:
@@ -83,7 +83,7 @@ def security_table(
     out = []
     for n, ds in scan_primitive_pairs(sorted(set(n_range)), d_range):
         for d in ds:
-            fact = factor((1 << (n * (d - 1))) - 1, budget)
+            fact = factor(cell_exponent(n, d), budget)
             largest = max(fact.factors) if fact.factors else None
             out.append(
                 estimate(n, d)._replace(

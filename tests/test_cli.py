@@ -405,6 +405,17 @@ def test_encrypt_in_a_group_too_small_for_an_exponent(tmp_path, n, d, field_poly
         assert run_cli(argv) == (2, "", "group too small to hold a secret exponent\n")
 
 
+def test_encrypt_refuses_an_identity_public_key(tmp_path, params311):
+    # A^m = I would make every mask the identity and write the block as it is
+    pub, ct = tmp_path / "i.pub", tmp_path / "i.ct"
+    save_public(PublicKey(params311.A, Circulant.identity(params311.spec, 11)), pub)
+    block = _row(11, {0: 1, 2: 1, 3: 1})
+    assert run_cli(["encrypt", "--pub", str(pub), "--in", block, "--out", str(ct)]) == (
+        2, "", "A^m is the identity matrix, so every power of it is\n"
+    )
+    assert not ct.exists()
+
+
 # ---------------------------------------------------------------------------
 # security
 

@@ -24,6 +24,7 @@ from circulant_elgamal.elgamal import (
     Ciphertext,
     OracleInconsistent,
     PrivateKey,
+    PublicKey,
     decode_blocks,
     decrypt,
     encode_bytes,
@@ -38,7 +39,7 @@ from circulant_elgamal.elgamal import (
     save_public,
 )
 from circulant_elgamal.gf2field import FieldElement, _ring, field_make
-from circulant_elgamal.keygen import ParamSet
+from circulant_elgamal.keygen import ParamSet, generate
 from circulant_elgamal.numtheory import primitive_cell
 from oracles import decode_blocks_ref, encode_bytes_ref
 
@@ -84,6 +85,31 @@ def test_keygen_rejects_tiny_group():
     ps = ParamSet(spec, 2, Circulant.identity(spec, 2))
     with pytest.raises(ValueError):
         keygen(ps, seed=0)
+
+
+@pytest.mark.parametrize("n, d", [(1, 5), (5, 3)])
+def test_no_key_or_block_mask_is_the_identity(n, d):
+    # ord(A) is small here, so about one draw in ord(A) is a multiple of
+    # it: keygen redraws such an m, which would publish A^m = I, and
+    # encrypt such an r, whose mask would leave the block in the clear
+    params = generate(n, d, seed=1)
+    rng = random.Random(41)
+    for seed in range(200):
+        priv, pub = keygen(params, seed=seed)
+        assert not pub.Am.is_identity()
+        for _ in range(2):
+            ct = encrypt(pub, rand_vector(params.spec, d, rng), seed=rng)
+            assert not power(ct.Ar, priv.m).is_identity()
+
+
+def test_identity_base_is_refused(params311):
+    spec = params311.spec
+    one = Circulant.identity(spec, 11)
+    with pytest.raises(ValueError, match="^A is the identity"):
+        keygen(ParamSet(spec, 11, one), seed=0)
+    v = rand_vector(spec, 11, random.Random(0))
+    with pytest.raises(ValueError, match=r"^A\^m is the identity"):
+        encrypt(PublicKey(params311.A, one), v, seed=1)
 
 
 def test_encrypt_checks_block_length(params311):

@@ -25,16 +25,15 @@ from circulant_elgamal.gf2field import (
     poly_mod_pow,
 )
 from circulant_elgamal.numtheory import (
-    DNotPrime,
     Factorization,
-    NotAUnit,
     NotCoprime,
     _small_primes,
+    cell_exponent,
     element_order,
     factor,
     integer_crt,
     is_prime,
-    is_primitive_mod,
+    primitive_cell,
 )
 from circulant_elgamal.security import load_reference_security
 from oracles import element_order_scan, is_prime_mr64_ref, rho_brent_ref
@@ -625,34 +624,31 @@ def test_element_order_power_work_at_the_paper_cell():
     assert got == element_order_scan(fact, unit.row, ring.power, _is_one)
 
 
-def test_is_primitive_mod_table_anchors():
-    assert is_primitive_mod(1 << 47, 11)
-    assert not is_primitive_mod(1 << 55, 11)
-    assert is_primitive_mod(2, 3)
+def test_primitive_cell_table_anchors():
+    assert primitive_cell(47, 11)
+    assert not primitive_cell(55, 11)
+    assert primitive_cell(1, 3)
 
 
-def test_is_primitive_mod_depends_only_on_residue():
-    rng = random.Random(6)
-    for _ in range(60):
-        d = rng.choice([3, 5, 7, 11, 13, 19, 29, 37])
-        q = rng.randrange(1, 1 << 60)
-        if q % d == 0:
-            continue
-        assert is_primitive_mod(q, d) == is_primitive_mod(q % d, d)
+def test_primitive_cell_brute_force():
+    # 2^n generates (Z/dZ)* when its nonzero powers take all d - 1 units
+    for n in range(1, 13):
+        for d in range(61):
+            powers = {pow(2, n * k, d) for k in range(1, d)} - {0}
+            generates = sympy.isprime(d) and len(powers) == d - 1
+            assert primitive_cell(n, d) == generates, (n, d)
 
 
-def test_is_primitive_mod_brute_force():
-    for d in (3, 5, 7, 11, 13):
-        for q in range(1, d):
-            generates = len({pow(q, k, d) for k in range(1, d)}) == d - 1
-            assert is_primitive_mod(q, d) == generates
+@pytest.mark.parametrize("d", [0, 1, 2, 9])
+def test_primitive_cell_false_off_the_cells(d):
+    # d not prime, or d = 2 dividing 2^n: False, not an error
+    for n in range(1, 9):
+        assert primitive_cell(n, d) is False
 
 
-def test_is_primitive_mod_rejects_bad_inputs():
-    with pytest.raises(DNotPrime):
-        is_primitive_mod(2, 9)
-    with pytest.raises(NotAUnit):
-        is_primitive_mod(22, 11)
+def test_cell_exponent():
+    assert cell_exponent(47, 11) == (1 << 470) - 1
+    assert cell_exponent(3, 1) == 0
 
 
 def test_integer_crt_known_values():
