@@ -33,9 +33,9 @@ from .numtheory import DEFAULT_BUDGET, IncompleteFactorization
 
 # every --factor-budget, the budget of one factor() call
 _BUDGET_HELP = (
-    "Pollard rho f-evaluations for factoring 2^N - 1, checked before each "
-    "gcd batch, so at most 127 over; only evaluations a gcd reads are "
-    "charged (default: %(default)s)"
+    "work for factoring 2^N - 1, in modular multiplications of Pollard "
+    "rho's walk, checked before each gcd batch of about 128, so less than "
+    "one batch over (default: %(default)s)"
 )
 
 

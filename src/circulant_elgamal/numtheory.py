@@ -2,22 +2,21 @@
 
 Everything operates on plain Python ints. Factoring is budgeted so callers
 can bound work on large inputs: trial division runs below a fixed bound,
-then Brent-cycle Pollard rho consumes the remaining budget, counted in
-f-evaluations. Rho charges an evaluation only when a gcd can read it and
-checks the budget before each gcd batch, so it overdraws by at most one
-batch, 127 evaluations (see `_rho_brent` for the rare replay). Every
-number the library factors is 2^N - 1, the product of the cyclotomic
-pieces Phi_k(2) over the divisors k of N (Brillhart et al.,
-*Factorizations of b^n +- 1*); each piece is factored on its own, so the
-result is a full scan below the bound of each Phi_k(2), then rho on the
-composite leftovers, whose every step squares a piece rather than the
-whole of 2^N - 1. A Factorization records what was proven and whether
-the job finished. `element_order` turns one into an element's order,
-given the element, its group's power map and a test for the identity,
-by one long power and a product tree of short ones; an incomplete
-factorization gives a certified divisor of it. Primality: twelve
-Miller-Rabin witnesses below psi_12 (about 2^78.1), then a base-3 round
-and BPSW (Baillie and Wagstaff, *Math. Comp.* 35, 1980).
+then Brent-cycle Pollard rho consumes the remaining budget, in the unit
+stated at ``DEFAULT_BUDGET``. Every number the library factors is
+2^N - 1, the product of the cyclotomic pieces Phi_k(2) over the divisors
+k of N (Brillhart et al., *Factorizations of b^n +- 1*); each piece is
+factored on its own, so the result is a full scan below the bound of each
+Phi_k(2), then rho on the composite leftovers: every step works modulo
+a leftover of one piece rather than the whole of 2^N - 1, and raises it
+to a power e that divides p - 1 for each of its primes p. A
+Factorization records what was proven and whether the job finished.
+`element_order` turns one into an element's order, given the element,
+its group's power map and a test for the identity, by one long power and
+a product tree of short ones; an incomplete factorization gives a
+certified divisor of it. Primality: twelve Miller-Rabin witnesses below
+psi_12 (about 2^78.1), then a base-3 round and BPSW (Baillie and
+Wagstaff, *Math. Comp.* 35, 1980).
 """
 
 from __future__ import annotations
@@ -27,9 +26,14 @@ import math
 from functools import lru_cache
 from typing import Callable, NamedTuple, TypeVar
 
-# rho f-evaluations per factor() call; rho overdraws it by at most one
-# gcd batch (127), and charges only evaluations a gcd reads
+# The factoring budget per factor() call, in modular multiplications of
+# rho's map y -> y^e + c: a step costs e.bit_length() - 2 + e.bit_count()
+# of them, 1 for y^2 + c. Rho takes a gcd after each batch of
+# ceil(RHO_BATCH / cost) steps, charges only steps a gcd reads, and checks
+# the budget before each batch, so a call overdraws by less than one
+# batch and the replay of a batch whose gcd is n (see `_rho_brent`).
 DEFAULT_BUDGET = 1 << 26
+RHO_BATCH = 128
 TRIAL_DIVISION_BOUND = 10 ** 6
 
 # Below psi_12 these witnesses decide primality deterministically: it is
@@ -167,19 +171,27 @@ def _small_primes() -> bytearray:
     return sieve
 
 
-def _rho_brent(n: int, budget: int) -> tuple[int | None, int]:
+def _rho_brent(n: int, budget: int, e: int = 2) -> tuple[int | None, int]:
     """Find one nontrivial factor of odd composite n, or give up.
 
-    Brent's cycle variant with gcd batched over 128 accumulated
-    differences. Returns (factor_or_None, f_evaluations_used).
+    Brent's cycle variant on y -> y^e + c mod n, one gcd per batch of
+    accumulated differences (see ``DEFAULT_BUDGET`` for the unit and the
+    batch). Returns (factor_or_None, units_used). When e divides
+    p - 1, the map takes only (p - 1)/e + 1 values mod p, so the walk
+    meets itself about sqrt(e) times sooner (Brent and Pollard, *Math.
+    Comp.* 36, 1981). On a leftover of 2^N - 1, 2^e = 1, so the first
+    walk (y = 2, c = 1) stands still, collapses its first batch and
+    retries with c = 2 after three steps.
 
     Brent compares every term after a round's r-step advance with x
     (BIT 20, 1980), so the advance alone finds nothing: a round starts
     only when the budget leaves room for a gcd after its advance, and
-    every evaluation charged is one a gcd can read. The budget is checked
-    before each batch, so ``used`` exceeds it by at most 127, plus the
-    replay of that batch in the rare case its gcd is n itself.
+    every step charged is one a gcd can read. The budget is checked
+    before each batch, so ``used`` exceeds it by less than one batch,
+    plus the replay of that batch when its gcd is n itself.
     """
+    cost = e.bit_length() - 2 + e.bit_count()
+    batch = -(-RHO_BATCH // cost)
     used = 0
     c = 1
     while used < budget:
@@ -187,21 +199,21 @@ def _rho_brent(n: int, budget: int) -> tuple[int | None, int]:
         g = 1
         x = ys = y
         while g == 1:
-            if used + r >= budget:
+            if used + r * cost >= budget:
                 # the advance would spend the rest, and no gcd would follow
                 return None, used
             x = y
             for _ in range(r):
-                y = (y * y + c) % n
-            used += r
+                y = pow(y, e, n) + c
+            used += r * cost
             k = 0
             while k < r and g == 1 and used < budget:
                 ys = y
-                steps = min(128, r - k)
+                steps = min(batch, r - k)
                 for _ in range(steps):
-                    y = (y * y + c) % n
+                    y = pow(y, e, n) + c
                     q = q * (x - y) % n
-                used += steps
+                used += steps * cost
                 g = math.gcd(q, n)
                 k += steps
             r *= 2
@@ -209,8 +221,8 @@ def _rho_brent(n: int, budget: int) -> tuple[int | None, int]:
             # batch collapsed; replay single steps from the saved point
             g = 1
             while g == 1:
-                ys = (ys * ys + c) % n
-                used += 1
+                ys = pow(ys, e, n) + c
+                used += cost
                 g = math.gcd(x - ys, n)
         if 1 < g < n:
             return g, used
@@ -258,11 +270,12 @@ def factor(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     Phi_k(2) gives. (A walk never needs the bound 2^k that every such
     prime lies below: Phi_k(2) divides 2^k - 1, so its square root is
     smaller.) Rho then takes the composite leftovers of all pieces,
-    smallest first, on the one budget of rho f-evaluations; what one
-    leftover leaves unspent passes to the next, and the call overdraws
-    by at most one gcd batch of 127 evaluations and that batch's replay
-    (see ``_rho_brent``). Any other n is scanned whole, 2 and then the
-    odd numbers.
+    smallest first, on the call's one budget (see ``DEFAULT_BUDGET``);
+    what one leftover leaves unspent passes to the next. A leftover of
+    Phi_k(2) walks y -> y^e + c with e its piece's step, which divides
+    p - 1 for each of its primes p, and both parts of a split keep that
+    e. Any other n is scanned whole, 2 and then the odd numbers, and rho
+    walks y -> y^2 + c.
     """
     if n < 1:
         raise ValueError("factor() wants n >= 1")
@@ -284,23 +297,23 @@ def factor(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
                 found[p] = found.get(p, 0) + 1
                 m //= p
         if m > 1:
-            left.append(m)
+            left.append((m, step))
     left.sort(reverse=True)  # rho takes the smallest first, from the end
     cofactor = 1
     remaining = budget
     while left:
-        m = left.pop()
+        m, e = left.pop()
         if m < TRIAL_DIVISION_BOUND ** 2 or is_prime(m):
             # below the trial bound squared anything surviving is prime
             found[m] = found.get(m, 0) + 1
             continue
-        f, used = _rho_brent(m, remaining)
+        f, used = _rho_brent(m, remaining, e)
         remaining -= used
         if f is None:
             cofactor *= m
             continue
         # both parts lie below every leftover still waiting: still sorted
-        left += sorted((f, m // f), reverse=True)
+        left += sorted(((f, e), (m // f, e)), reverse=True)
     return Factorization(n, found, cofactor)
 
 

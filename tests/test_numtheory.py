@@ -171,8 +171,8 @@ def _full_scan(n):
     return found, m
 
 
-# one f-evaluation: rho never splits what trial division leaves, so the
-# result shows exactly what trial division found
+# less than one step of any rho walk: rho never splits what trial
+# division leaves, so the result shows exactly what trial division found
 NO_RHO = 1
 
 
@@ -246,8 +246,23 @@ def test_factor_matches_full_scan_on_other_numbers():
 TABLE2_BUDGET = 1 << 14  # the table2-factor benchmark's
 PAPER_BUDGET = 1 << 12  # the paper-crypto set-up's
 PAPER_CELLS = ((47, 11), (89, 13), (29, 37), (43, 29))
-# rho checks the budget before each gcd batch of at most 128 steps
-BATCH_SLACK = 127
+# the 48 rows at TABLE2_BUDGET left this many cofactor bits under the
+# y^2 + c walk alone
+TABLE2_COFACTOR_BITS_SQUARED = 25956
+
+
+def _step_cost(e):
+    """Budget units one step of the walk y -> y^e + c costs."""
+    return e.bit_length() - 2 + e.bit_count()
+
+
+def _batch_units(e):
+    """One gcd batch of the y^e + c walk, in budget units: rho checks the
+    budget before each batch, so it overdraws by less than this."""
+    return -(-numtheory.RHO_BATCH // _step_cost(e)) * _step_cost(e)
+
+
+BATCH_SLACK = _batch_units(2) - 1
 
 
 def _rho_leftovers(exponents):
@@ -255,9 +270,9 @@ def _rho_leftovers(exponents):
     `factor` hands to rho, over the given N."""
     real, seen = numtheory._rho_brent, set()
 
-    def spy(n, budget):
+    def spy(n, budget, e=2):
         seen.add(n)
-        return real(n, budget)
+        return real(n, budget, e)
 
     factor.cache_clear()
     with mock.patch.object(numtheory, "_rho_brent", spy):
@@ -291,6 +306,80 @@ def test_rho_brent_matches_reference_within_the_budget():
     assert numtheory._rho_brent(m470, TABLE2_BUDGET) == (None, 16382)
 
 
+def test_rho_power_walk_splits_what_the_square_walk_does_not():
+    # the 54-bit leftover of 2^71 - 1: its primes are 1 mod 142, so
+    # y -> y^142 + c takes only (p - 1)/142 + 1 values mod each, and the
+    # walk closes within the table2-factor budget, where y^2 + c (and its
+    # reference) does not
+    m = 10334355636337793
+    assert (1 << 71) - 1 == 228479 * m
+    p, q = sorted(sympy.factorint(m))
+    assert m == p * q and p % 142 == q % 142 == 1
+    assert numtheory._pieces((1 << 71) - 1) == [((1 << 71) - 1, 142, [71])]
+    f, used = numtheory._rho_brent(m, TABLE2_BUDGET, 142)
+    assert f in (p, q) and used <= TABLE2_BUDGET
+    assert numtheory._rho_brent(m, TABLE2_BUDGET) == (None, 16382)
+    assert rho_brent_ref(m, TABLE2_BUDGET)[0] is None
+    assert factor((1 << 71) - 1, TABLE2_BUDGET).factors == {228479: 1, p: 1, q: 1}
+
+
+def _rho_stepwise(n, e):
+    """Brent's walk y -> y^e + c mod n as `_rho_brent` takes it, rounds of
+    an r-step advance and r compared steps, but with a gcd after every
+    step and no budget: the first gcd above 1 ends the walk, and n itself
+    moves on to the next c."""
+    for c in itertools.count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (pow(y, e, n) + c) % n
+            for _ in range(r):
+                y = (pow(y, e, n) + c) % n
+                g = math.gcd(x - y, n)
+                if g > 1:
+                    break
+            r *= 2
+        if g < n:
+            return g
+
+
+@pytest.mark.parametrize("e", [4, 6, 22, 142, 1602])
+def test_rho_power_walk_replays_and_retries_as_a_stepwise_walk(e):
+    # a batched gcd that reads n replays the batch one step at a time, and
+    # a walk that closes on n itself retries with the next c; on a
+    # semiprime or a prime square either way finds the factor that a gcd
+    # after every step finds first (at e = 142, 35 and 143 replay a batch,
+    # and 25 and 221 retry)
+    for n in (15, 21, 25, 35, 49, 143, 221, 323, 899, 10403, 1022117):
+        f, used = numtheory._rho_brent(n, 1 << 20, e)
+        assert f == _rho_stepwise(n, e), (n, e)
+        assert used % _step_cost(e) == 0
+
+
+@pytest.mark.parametrize("big_n", [71, 470, 630, 1068])
+def test_rho_power_walk_stands_still_first_on_a_mersenne_leftover(big_n):
+    # 2^e = 1 modulo a leftover of 2^N - 1, so the first walk (y = 2,
+    # c = 1) maps 2 to 2: its first batch collapses, the replay's one step
+    # reads n too, and rho moves on to c = 2 after three steps; a budget
+    # one unit over them leaves no room for the next round's advance
+    real, walks = numtheory._rho_brent, {}
+
+    def spy(n, budget, e=2):
+        walks[n] = e
+        return real(n, budget, e)
+
+    factor.cache_clear()
+    with mock.patch.object(numtheory, "_rho_brent", spy):
+        factor((1 << big_n) - 1, NO_RHO)
+    factor.cache_clear()
+    assert walks and all(e > 2 and pow(2, e, m) == 1 for m, e in walks.items())
+    for m, e in walks.items():
+        cost = _step_cost(e)
+        assert numtheory._rho_brent(m, 3 * cost + 1, e) == (None, 3 * cost)
+        assert numtheory._rho_brent(m, 3 * cost, e) == (None, 3 * cost)
+
+
 def _run_factor_jobs():
     """(factors in the order found, cofactor) of 2^N - 1 for the 48
     Table-2 rows at the benchmark's budget, and for the paper cells at
@@ -302,40 +391,88 @@ def _run_factor_jobs():
         for budget in (PAPER_BUDGET, 1 << 16)
     ]
     factor.cache_clear()
-    facts = [factor((1 << big_n) - 1, budget) for big_n, budget in jobs]
+    facts = [numtheory.factor((1 << big_n) - 1, budget) for big_n, budget in jobs]
     factor.cache_clear()
     return [(list(f.factors.items()), f.cofactor) for f in facts]
 
 
 @functools.lru_cache(maxsize=None)
 def _traced_factor_jobs():
-    """`_run_factor_jobs()`, every number it asks `is_prime` about, and
-    rho's answer to each (leftover, budget) it tried."""
-    asked, rho = set(), {}
+    """`_run_factor_jobs()`, every number it asks `is_prime` about, rho's
+    answer to each (leftover, budget, e) it tried, and for each job its
+    budget and the (allowance, e, used) of each of its rho calls."""
+    asked, rho, jobs = set(), {}, []
     real_is_prime, real_rho = numtheory.is_prime, numtheory._rho_brent
 
     def spy_is_prime(n):
         asked.add(n)
         return real_is_prime(n)
 
-    def spy_rho(n, budget):
-        rho[n, budget] = real_rho(n, budget)
-        return rho[n, budget]
+    def spy_rho(n, budget, e=2):
+        rho[n, budget, e] = real_rho(n, budget, e)
+        jobs[-1][1].append((budget, e, rho[n, budget, e][1]))
+        return rho[n, budget, e]
+
+    def spy_factor(n, budget):
+        jobs.append((budget, []))
+        return factor(n, budget)
 
     with mock.patch.object(numtheory, "is_prime", spy_is_prime):
         with mock.patch.object(numtheory, "_rho_brent", spy_rho):
-            got = _run_factor_jobs()
-    assert len(got) == 48 + 8
-    return got, sorted(asked), rho
+            with mock.patch.object(numtheory, "factor", spy_factor):
+                got = _run_factor_jobs()
+    assert len(got) == len(jobs) == 48 + 8
+    return got, sorted(asked), rho, jobs
 
 
 def test_factor_matches_reference_rho():
-    # unspent evaluations pass to the next leftover, where the reference
-    # overdrew the budget; on the Table-2 rows and the paper cells that
-    # finds nothing new, and nothing is found in another order
-    got, _, _ = _traced_factor_jobs()
-    with mock.patch.object(numtheory, "_rho_brent", rho_brent_ref):
+    # with rho held to the y^2 + c walk, unspent evaluations pass to the
+    # next leftover, where the reference overdrew the budget; on the
+    # Table-2 rows and the paper cells that finds nothing new, and nothing
+    # is found in another order
+    real_rho = numtheory._rho_brent
+
+    def squared(n, budget, e=2):
+        return real_rho(n, budget)
+
+    def reference(n, budget, e=2):
+        return rho_brent_ref(n, budget)
+
+    with mock.patch.object(numtheory, "_rho_brent", squared):
+        got = _run_factor_jobs()
+    with mock.patch.object(numtheory, "_rho_brent", reference):
         assert _run_factor_jobs() == got
+
+
+def test_factor_jobs_spend_at_most_one_batch_over():
+    # each rho call spends at most its allowance and one batch of its
+    # walk; the allowance is what the job's earlier calls left, so the
+    # job as a whole spends at most its budget and one batch
+    _, _, _, jobs = _traced_factor_jobs()
+    assert sum(len(calls) for _, calls in jobs) > 100
+    for budget, calls in jobs:
+        left = budget
+        for allowance, e, used in calls:
+            assert allowance == left
+            assert used < max(allowance, 0) + _batch_units(e), (allowance, e, used)
+            left -= used
+        spent = budget - left
+        slack = max((_batch_units(e) for _, e, _ in calls), default=0)
+        assert spent < budget + slack, (budget, calls)
+
+
+def test_table2_rows_leave_fewer_cofactor_bits_with_proven_factors():
+    # the y^e + c walk leaves no more of the 48 rows unfactored than the
+    # y^2 + c walk did, and sympy accepts every factor of every job as prime
+    got, _, _, _ = _traced_factor_jobs()
+    table2 = got[: len(_table2_exponents())]
+    assert len(table2) == 48
+    bits = sum(cofactor.bit_length() for _, cofactor in table2 if cofactor > 1)
+    assert bits <= TABLE2_COFACTOR_BITS_SQUARED
+    assert sum(cofactor == 1 for _, cofactor in table2) >= 1
+    for factors, _ in got:
+        for p, _ in factors:
+            assert sympy.isprime(p), p
 
 
 def test_factor_matches_reference_primality():
@@ -343,11 +480,12 @@ def test_factor_matches_reference_primality():
     # rho's answers are replayed from the traced run, so this run costs
     # little and any change comes from the primality oracle alone (a
     # leftover or budget the traced run never tried still runs rho)
-    got, _, rho = _traced_factor_jobs()
+    got, _, rho, _ = _traced_factor_jobs()
     real_rho = numtheory._rho_brent
 
-    def replay(n, budget):
-        return rho[n, budget] if (n, budget) in rho else real_rho(n, budget)
+    def replay(n, budget, e=2):
+        key = n, budget, e
+        return rho[key] if key in rho else real_rho(n, budget, e)
 
     with mock.patch.object(numtheory, "_rho_brent", replay):
         with mock.patch.object(numtheory, "is_prime", is_prime_mr64_ref):
@@ -374,7 +512,7 @@ def test_is_prime_matches_reference_and_sympy_above_psi_12():
     # factor's every primality question on the Table-2 rows and the paper
     # cells, and random odd numbers and primes of 80-1 024 bits; the 64
     # reference rounds keep the random draw small
-    _, asked, _ = _traced_factor_jobs()
+    _, asked, _, _ = _traced_factor_jobs()
     rng = random.Random(32)
     sizes = [rng.randrange(80, 1025) for _ in range(150)]
     odd = [rng.randrange(1 << (b - 1), 1 << b) | 1 for b in sizes]
