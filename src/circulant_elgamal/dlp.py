@@ -19,12 +19,7 @@ from math import isqrt
 
 from .circulant import Circulant, _ring, inverse, power
 from .keygen import _group_order
-from .numtheory import (
-    DEFAULT_BUDGET,
-    Factorization,
-    IncompleteFactorization,
-    integer_crt,
-)
+from .numtheory import DEFAULT_BUDGET, Factorization, IncompleteFactorization
 
 BSGS_MAX_ORDER = 1 << 48
 
@@ -68,25 +63,23 @@ def pohlig_hellman(base: Circulant, target: Circulant, order: Factorization) -> 
     """Composite-order solve; ``order`` must factor ord(base) exactly.
 
     For each prime power p^e of n = ord(base), one `bsgs` of order p^e
-    finds x mod p^e from base^(n/p^e), of order p^e, and
-    target^(n/p^e); `bsgs` holds p^e to the 2^48 desk bound. The answer
-    is the CRT of those residues, canonical in [0, n) and checked:
-    NotFound when base^x is not the target.
+    finds x mod p^e from the leaves base^(n/p^e), of order p^e, and
+    target^(n/p^e), two calls of `power`; `bsgs` holds p^e to the 2^48
+    desk bound. Each residue folds into one running CRT, x mod m with m
+    the product of the prime powers so far, from x = 0, m = 1 (the
+    answer when ord(base) = 1). The answer is canonical in [0, n) and
+    checked: NotFound when base^x is not the target.
     """
     if not order.complete:
         raise IncompleteFactorization(
             f"group order has unfactored cofactor {order.cofactor}"
         )
-    spec, d, a, b = base.spec, base.d, base.row, target.row
-    ring, n = _ring(spec, d), order.n
-    residues, moduli = [0], [1]  # x = 0 when ord(base) = 1
+    n, x, m = order.n, 0, 1
     for p, e in sorted(order.factors.items()):
         pe = p**e
-        gamma = Circulant._of(spec, d, ring.power(a, n // pe))  # order p^e
-        leaf = Circulant._of(spec, d, ring.power(b, n // pe))
-        residues.append(bsgs(gamma, leaf, pe))
-        moduli.append(pe)
-    x = integer_crt(residues, moduli)
+        r = bsgs(power(base, n // pe), power(target, n // pe), pe)
+        x += m * ((r - x) * pow(m, -1, pe) % pe)
+        m *= pe
     if power(base, x) != target:
         raise NotFound("reconstructed exponent does not reproduce the target")
     return x
@@ -99,18 +92,20 @@ def reduce_to_field(
 
     ord(a) divides q^(d-1) - 1, the order of the unit group of the field
     the paper reduces the circulant DLP to; `element_order` peels it out
-    of the factorization of that number. IncompleteFactorization when
-    the budget does not finish it; NotFound when a^(q^(d-1) - 1) is not
-    1 (a lies outside that group) or b^ord(a) is not 1 (b is no power of
-    a).
+    of the factorization of that number. It is proven when that
+    factorization is complete, or when a^D = 1 for the certified divisor
+    D it gives (`order_of`'s rule). IncompleteFactorization when neither
+    holds; NotFound when a^(q^(d-1) - 1) is not 1 (a lies outside that
+    group) or b^ord(a) is not 1 (b is no power of a).
     """
     try:
-        fact, order = _group_order(a, budget)
+        fact, order, exact = _group_order(a, budget)
     except ArithmeticError as exc:
         raise NotFound(str(exc)) from None
-    if not fact.complete:
+    if not exact:
         raise IncompleteFactorization(
-            f"q^(d-1) - 1 has unfactored cofactor {fact.cofactor}"
+            f"q^(d-1) - 1 has unfactored cofactor {fact.cofactor}, and a^D != 1 "
+            f"for the certified divisor D = {order.n} of ord(a)"
         )
     if not power(b, order.n).is_identity():
         raise NotFound("the target's order does not divide ord(a)")

@@ -60,7 +60,9 @@ class ConditionReport(NamedTuple):
 
 
 class OrderInfo(NamedTuple):
-    order: int  # exact order, or a certified divisor of it
+    """ord(A), or a certified divisor D of it; exact when D = ord(A) is proven."""
+
+    order: int
     exact: bool
 
 
@@ -115,10 +117,13 @@ def five_conditions(a: Circulant) -> ConditionReport:
     )
 
 
-def _group_order(a: Circulant, budget: int) -> tuple[Factorization, Factorization]:
-    """The factorization of N = q^(d-1) - 1, and ord(a) factored from it
-    (`element_order`): exact when the first is complete, else a certified
-    divisor. ArithmeticError when a^N != 1.
+def _group_order(
+    a: Circulant, budget: int
+) -> tuple[Factorization, Factorization, bool]:
+    """The factorization of N = q^(d-1) - 1; ord(a) factored from it
+    (`element_order`), a certified divisor D of ord(a); and whether D =
+    ord(a) is proven: by a complete factorization of N, or else by one
+    power, a^D = 1. ArithmeticError when a^N != 1.
     """
     fact = factor(cell_exponent(a.spec.n, a.d), budget)
     try:
@@ -128,7 +133,7 @@ def _group_order(a: Circulant, budget: int) -> tuple[Factorization, Factorizatio
             "order does not divide q^(d-1) - 1; the matrix is outside the "
             "group these parameters assume"
         ) from None
-    return fact, order
+    return fact, order, fact.complete or power(a, order.n).is_identity()
 
 
 def order_of(a: Circulant, budget: int = DEFAULT_BUDGET) -> OrderInfo:
@@ -137,11 +142,12 @@ def order_of(a: Circulant, budget: int = DEFAULT_BUDGET) -> OrderInfo:
     Works from the factorization of N = q^{d-1} - 1, a multiple of the
     order whenever Phi is irreducible. If the budget cannot finish the
     factorization, the result is the product of the prime powers whose
-    exact contribution to the order could be certified, a divisor of
-    the true order, flagged exact=False (`element_order`).
+    exact contribution to the order could be certified, a divisor D of
+    the true order (`element_order`). It is still exact when A^D = 1,
+    and flagged exact=False only when A^D != 1.
     """
-    fact, order = _group_order(a, budget)
-    return OrderInfo(order.n, fact.complete)
+    _, order, exact = _group_order(a, budget)
+    return OrderInfo(order.n, exact)
 
 
 def generate(

@@ -1,4 +1,4 @@
-"""Integer-side number theory: primality, factoring, element orders, CRT.
+"""Integer-side number theory: primality, factoring, element orders.
 
 Everything operates on plain Python ints. Factoring is budgeted so callers
 can bound work on large inputs: trial division runs below a fixed bound,
@@ -46,10 +46,6 @@ T = TypeVar("T")
 
 
 class IncompleteFactorization(ValueError):
-    pass
-
-
-class NotCoprime(ValueError):
     pass
 
 
@@ -389,20 +385,3 @@ def cell_exponent(n: int, d: int) -> int:
     """N = 2^(n(d-1)) - 1. On a primitive cell F_q[x]/(x^d - 1), q = 2^n,
     is F_q x F_(q^(d-1)), so every unit u has u^N = 1."""
     return (1 << n * (d - 1)) - 1
-
-
-def integer_crt(residues: list[int], moduli: list[int]) -> int:
-    """Chinese remainder lift for pairwise coprime moduli."""
-    if len(residues) != len(moduli) or not moduli:
-        raise ValueError("residues and moduli must be equal-length, nonempty")
-    if min(moduli) < 1:
-        raise ValueError("moduli must be >= 1")
-    x = residues[0] % moduli[0]
-    m = moduli[0]
-    for r, mi in zip(residues[1:], moduli[1:]):
-        if math.gcd(m, mi) != 1:
-            raise NotCoprime(f"moduli are not pairwise coprime (gcd with {mi} > 1)")
-        t = (r - x) * pow(m, -1, mi) % mi
-        x += m * t
-        m *= mi
-    return x % m

@@ -124,6 +124,10 @@ def test_pohlig_hellman_prime_power_branch():
     for _ in range(10):
         x = rng.randrange(63)
         assert pohlig_hellman(G63, power(G63, x), f63) == x
+    # a single prime power, or a single prime: one residue, no CRT step
+    for h, order in [(power(G63, 7), 9), (power(G63, 9), 7)]:
+        for x in range(order):
+            assert pohlig_hellman(h, power(h, x), factor(order)) == x
 
 
 def test_pohlig_hellman_one_bsgs_per_prime_power(monkeypatch):
@@ -190,8 +194,12 @@ def test_reduce_to_field_group_order_is_exact(params311):
         assert not power(a, order.n // p).is_identity()
 
 
-def test_reduce_to_field_incomplete_budget():
-    a = Circulant.shift(field_make(47), 11)
+def test_reduce_to_field_incomplete_budget(params4711_toy_budget):
+    # 2^470 - 1 stays incomplete at budget 2^10; S^11 = 1 proves ord(S) =
+    # 11 all the same, but A^D != 1 leaves a generated A's order unproven
+    s = Circulant.shift(field_make(47), 11)
+    assert reduce_to_field(s, s, budget=1 << 10) == Factorization(11, {11: 1})
+    a = params4711_toy_budget.A
     with pytest.raises(IncompleteFactorization):
         reduce_to_field(a, a, budget=1 << 10)
 
@@ -258,7 +266,9 @@ def test_solver_rejects_targets_outside_group(params311):
         solve_circulant_dlp(a, outside)
 
 
-def test_solver_refuses_unfactorable_order():
-    a = Circulant.shift(field_make(47), 11)
+def test_solver_refuses_unfactorable_order(params4711_toy_budget):
+    s = Circulant.shift(field_make(47), 11)  # of proven order 11
+    assert solve_circulant_dlp(s, power(s, 3), budget=1 << 10) == 3
+    a = params4711_toy_budget.A
     with pytest.raises(IncompleteFactorization):
         solve_circulant_dlp(a, power(a, 3), budget=1 << 10)

@@ -267,11 +267,18 @@ def test_order_of_shift(params311):
     assert order_of(Circulant.shift(spec, 11)) == OrderInfo(11, True)
 
 
-def test_order_of_incomplete_budget():
+def test_order_of_incomplete_budget(params4711_toy_budget):
     # 2^470 - 1 cannot be factored with a toy budget, but the factor 11
-    # is found by trial division and its valuation certified
+    # is found by trial division and its valuation certified, and S^11 = 1
+    # proves that this divisor is the order
     a = Circulant.shift(field_make(47), 11)
-    assert order_of(a, budget=1 << 10) == OrderInfo(11, False)
+    assert order_of(a, budget=1 << 10) == OrderInfo(11, True)
+    # a generated A's certified divisor D has A^D != 1: exact stays false
+    a = params4711_toy_budget.A
+    info = order_of(a, budget=1 << 10)
+    assert info == params4711_toy_budget.order_info and not info.exact
+    assert not power(a, info.order).is_identity()
+    assert power(a, (1 << 470) - 1).is_identity()
 
 
 def test_order_of_rejects_singular():

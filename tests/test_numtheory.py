@@ -26,12 +26,10 @@ from circulant_elgamal.gf2field import (
 )
 from circulant_elgamal.numtheory import (
     Factorization,
-    NotCoprime,
     _small_primes,
     cell_exponent,
     element_order,
     factor,
-    integer_crt,
     is_prime,
     primitive_cell,
 )
@@ -787,34 +785,3 @@ def test_primitive_cell_false_off_the_cells(d):
 def test_cell_exponent():
     assert cell_exponent(47, 11) == (1 << 470) - 1
     assert cell_exponent(3, 1) == 0
-
-
-def test_integer_crt_known_values():
-    assert integer_crt([1], [7]) == 1
-    assert integer_crt([2, 3], [3, 5]) == 8
-    assert integer_crt([0, 0], [4, 9]) == 0
-
-
-def test_integer_crt_random_roundtrip():
-    rng = random.Random(7)
-    pool = [4, 9, 25, 7, 11, 13, 17]
-    for _ in range(200):
-        k = rng.randrange(1, len(pool) + 1)
-        moduli = rng.sample(pool, k)
-        prod = math.prod(moduli)
-        x = rng.randrange(prod)
-        got = integer_crt([x % m for m in moduli], moduli)
-        assert got == x
-
-
-def test_integer_crt_rejects_bad_inputs():
-    with pytest.raises(NotCoprime):
-        integer_crt([1, 2], [6, 4])
-    with pytest.raises(ValueError):
-        integer_crt([1, 2], [3])
-    with pytest.raises(ValueError):
-        integer_crt([], [])
-    # the first modulus is checked too, not only those after it
-    for moduli in ([0], [-3], [0, 3], [-3, 5]):
-        with pytest.raises(ValueError, match="moduli must be >= 1"):
-            integer_crt([1] * len(moduli), moduli)
