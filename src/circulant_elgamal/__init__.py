@@ -19,7 +19,7 @@ _HOME = {
         " square",
         "dlp": "NotFound bsgs pohlig_hellman solve_circulant_dlp",
         "elgamal": "Ciphertext PrivateKey PublicKey decrypt encrypt oracle_reduction",
-        "gf2field": "FieldElement FieldSpec Poly field_make",
+        "gf2field": "FieldSpec Poly field_make",
         "keygen": "ConditionReport NotPrimitive OrderInfo ParamSet five_conditions"
         " generate load_params order_of save_params",
         "numtheory": "Factorization factor is_prime",

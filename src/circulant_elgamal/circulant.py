@@ -23,10 +23,8 @@ import random
 from typing import Iterable, Sequence
 
 from .gf2field import (
-    FieldElement,
     FieldSpec,
     Poly,
-    SpecMismatch,
     _ring,
     frobenius,
     linear_factor_product,
@@ -63,20 +61,19 @@ def power_cost(m: int, d: int) -> tuple[int, int, int]:
 class Circulant:
     """A d x d circulant matrix; ``row`` is its first row packed by `_ring(spec, d)`.
 
-    Equal and hashed by (row, d, spec), as rows of different d can pack to
-    the same int; never equal to another class.
+    Built from the first row's d field elements, ints each checked by
+    `FieldSpec.check`. Equal and hashed by (row, d, spec), as rows of
+    different d can pack to the same int; never equal to another class.
     """
 
     __slots__ = ("spec", "d", "row")
 
-    def __init__(self, coeffs: tuple[FieldElement, ...], spec: FieldSpec):
-        if not coeffs:
+    def __init__(self, spec: FieldSpec, entries: Iterable[int]):
+        entries = spec.check(entries)
+        if not entries:
             raise ValueError("a circulant needs at least one coefficient")
-        for c in coeffs:
-            if c.spec != spec:
-                raise SpecMismatch("coefficient from a different field")
-        self.spec, self.d = spec, len(coeffs)
-        self.row = _ring(spec, self.d).pack([c.bits for c in coeffs])
+        self.spec, self.d = spec, len(entries)
+        self.row = _ring(spec, self.d).pack(entries)
 
     @classmethod
     def _of(cls, spec: FieldSpec, d: int, row: int) -> "Circulant":
@@ -94,34 +91,25 @@ class Circulant:
         return hash((self.row, self.d, self.spec))
 
     def __repr__(self) -> str:
-        return f"Circulant(coeffs={self.coeffs!r}, spec={self.spec!r})"
-
-    @property
-    def coeffs(self) -> tuple[FieldElement, ...]:
-        """The row as field elements, built afresh on each read."""
-        return tuple(FieldElement(b, self.spec) for b in self.bits())
-
-    @classmethod
-    def from_bits(cls, spec: FieldSpec, bits: Iterable[int]) -> "Circulant":
-        return cls(tuple(FieldElement(b, spec) for b in bits), spec)
+        return f"Circulant({self.spec!r}, {self.bits()!r})"
 
     def bits(self) -> list[int]:
         return _ring(self.spec, self.d).unpack(self.row)
 
     @classmethod
     def identity(cls, spec: FieldSpec, d: int) -> "Circulant":
-        return cls.from_bits(spec, [1] + [0] * (d - 1))
+        return cls(spec, [1] + [0] * (d - 1))
 
     @classmethod
     def shift(cls, spec: FieldSpec, d: int) -> "Circulant":
         """circ(0,1,0,...,0), the cyclic shift matrix (polynomial x)."""
         if d < 2:
             raise ValueError("shift needs d >= 2")
-        return cls.from_bits(spec, [0, 1] + [0] * (d - 2))
+        return cls(spec, [0, 1] + [0] * (d - 2))
 
     @classmethod
     def random(cls, spec: FieldSpec, d: int, rng: random.Random) -> "Circulant":
-        return cls.from_bits(spec, [spec.rand(rng) for _ in range(d)])
+        return cls(spec, [spec.rand(rng) for _ in range(d)])
 
     def is_identity(self) -> bool:
         return self.row == 1
@@ -179,35 +167,31 @@ def inverse(a: Circulant) -> Circulant:
     return Circulant._of(spec, a.d, u.row)  # deg u < d - deg g = d
 
 
-def matvec(
-    a: Circulant, v: Sequence[FieldElement]
-) -> tuple[FieldElement, ...]:
-    """Product of the expanded matrix with a column vector.
+def matvec(a: Circulant, v: Sequence[int]) -> tuple[int, ...]:
+    """Product of the expanded matrix with a column vector of field
+    elements, each checked by `FieldSpec.check`.
 
     Entry k is sum over i of a_i v_{k+i}, which is entry -k of the
     cyclic convolution of a with the reversed vector v_0, v_{d-1}, ...,
     v_1.
     """
-    d, spec = a.d, a.spec
+    d, ring = a.d, _ring(a.spec, a.d)
     if len(v) != d:
         raise DimensionMismatch(f"vector length {len(v)} != {d}")
-    for x in v:
-        if x.spec != spec:
-            raise DimensionMismatch("vector entry from a different field")
-    vb, ring = [x.bits for x in v], _ring(spec, d)
-    r = ring.unpack(ring.product(a.row, ring.pack(vb[:1] + vb[:0:-1])))
-    return tuple(FieldElement(c, spec) for c in r[:1] + r[:0:-1])
+    v = a.spec.check(v)
+    r = ring.unpack(ring.product(a.row, ring.pack(v[:1] + v[:0:-1])))
+    return tuple(r[:1] + r[:0:-1])
 
 
-def row_sum(a: Circulant) -> FieldElement:
+def row_sum(a: Circulant) -> int:
     """Representer evaluated at 1: an eigenvalue of the matrix."""
     acc = 0
     for c in a.bits():
         acc ^= c
-    return FieldElement(acc, a.spec)
+    return acc
 
 
-def det(a: Circulant) -> FieldElement:
+def det(a: Circulant) -> int:
     """Determinant of the expanded matrix: Res(x^d - 1, a(x)), the product
     of a(zeta) over the roots of x^d - 1, for every d. Euclid, with no
     signs in characteristic 2: Res(f, h) = lc(h)^(deg f - deg r) Res(h, r)
@@ -222,7 +206,7 @@ def det(a: Circulant) -> FieldElement:
         acc = spec.mul(acc, spec.pow(h.leading(), f.degree - r.degree))
         f, h = h, r
     c = h.row  # a constant's row is its value, 0 once a remainder vanished
-    return FieldElement(spec.mul(acc, spec.pow(c, f.degree)), spec)
+    return spec.mul(acc, spec.pow(c, f.degree))
 
 
 # ---------------------------------------------------------------------------

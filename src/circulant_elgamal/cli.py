@@ -76,12 +76,16 @@ def _diag(msg: str) -> None:
 
 def cmd_params_gen(args) -> int:
     from . import keygen as kg
+    from .numtheory import cell_exponent, factor
     ps = kg.generate(args.n, args.d, args.seed, args.factor_budget)
     kg.save_params(ps, args.out)
     _emit("n", ps.n)
     _emit("d", ps.d)
     _emit("order", ps.order_info.order)
     _emit("order_exact", _b(ps.order_info.exact))
+    # the factorization generate made, answered by factor's cache
+    fact = factor(cell_exponent(ps.n, ps.d), args.factor_budget)
+    _emit("cofactor_bits", fact.cofactor_bits)
     _emit("out", args.out)
     return 0
 
@@ -143,7 +147,7 @@ def cmd_decrypt(args) -> int:
         return 2
     blocks = [elgamal.decrypt(priv, ct) for ct in cts]
     if length is None:
-        text = "\n".join(fileio.hex_line(e.bits for e in blk) for blk in blocks)
+        text = "\n".join(fileio.hex_line(blk) for blk in blocks)
         Path(args.out).write_text(text + "\n", encoding="utf-8")
         _emit("encoding", "raw")
     else:
@@ -223,19 +227,35 @@ def cmd_security_verify_paper(args) -> int:
 
 
 def cmd_bench_pow(args) -> int:
-    from .circulant import Circulant, power, power_cost
+    from .circulant import Circulant, _ring, power, power_cost
     from .gf2field import field_make
     spec = field_make(args.n)
     rng = random.Random(args.seed)
+    ring, kernel = _ring(spec, args.d), {"mul": 0, "square": 0}
+
+    def counted(name):
+        method = getattr(ring, name)
+
+        def call(*xs):
+            kernel[name] += 1
+            return method(*xs)
+
+        return call
+
+    # for this command only, instance attributes count what `power` runs
+    ring.mul, ring.square = counted("mul"), counted("square")
     ms, total_s = [], 0.0
-    for _ in range(args.trials):
-        a = Circulant.random(spec, args.d, rng)
-        # top bit forced so every exponent is exactly `bits` long
-        m = 1 << (args.bits - 1) | rng.getrandbits(args.bits - 1)
-        t0 = time.perf_counter()
-        power(a, m)
-        total_s += time.perf_counter() - t0
-        ms.append(m)
+    try:
+        for _ in range(args.trials):
+            a = Circulant.random(spec, args.d, rng)
+            # top bit forced so every exponent is exactly `bits` long
+            m = 1 << (args.bits - 1) | rng.getrandbits(args.bits - 1)
+            t0 = time.perf_counter()
+            power(a, m)
+            total_s += time.perf_counter() - t0
+            ms.append(m)
+    finally:
+        del ring.mul, ring.square
     t = args.trials
     squarings, general_mults, field_mults = map(
         sum, zip(*(power_cost(m, args.d) for m in ms))
@@ -244,10 +264,13 @@ def cmd_bench_pow(args) -> int:
     _emit("d", args.d)
     _emit("bits", args.bits)
     _emit("trials", t)
+    _emit("model", "power_cost")  # the mean_* and predicted_* counts below
     _emit("mean_general_mults", f"{general_mults / t:.4f}")
     _emit("mean_field_mults", f"{field_mults / t:.4f}")
     _emit("mean_squarings", f"{squarings / t:.4f}")
     _emit("predicted_field_mults", f"{args.d * args.d / 2 * args.bits:.1f}")
+    _emit("kernel_products", f"{kernel['mul'] / t:.4f}")
+    _emit("kernel_squarings", f"{kernel['square'] / t:.4f}")
     _emit("mean_power_ms", f"{total_s / t * 1e3:.4f}")
     return 0
 
@@ -348,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="operation-count and timing benchmarks")
     bsub = bench.add_subparsers(dest="subcommand", required=True)
-    bpow = bsub.add_parser("pow", help="exponentiation cost versus the d^2/2 model")
+    bpow = bsub.add_parser(
+        "pow", help="exponentiation: the d^2/2 model's counts and the kernel's"
+    )
     bpow.add_argument("--n", type=_positive, required=True)
     bpow.add_argument("--d", type=_positive, required=True)
     bpow.add_argument("--bits", type=_positive, required=True)

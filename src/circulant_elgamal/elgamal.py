@@ -1,9 +1,10 @@
 """ElGamal encryption over the circulant group.
 
-Keys are (m, (A, A^m)); a message block is a vector of d field
-elements v, encrypted as (A^r, A^{mr} v) for fresh random r. Also here:
-the decryption-oracle reduction showing that d chosen-ciphertext
-queries against such an oracle recover the Diffie-Hellman secret A^{ab}.
+Keys are (m, (A, A^m)); a message block is a vector v of d field
+elements, each an int below 2^n, encrypted as (A^r, A^{mr} v) for fresh
+random r. Also here: the decryption-oracle reduction showing that d
+chosen-ciphertext queries against such an oracle recover the
+Diffie-Hellman secret A^{ab}.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ from .circulant import (
     Circulant,
     DimensionMismatch,
     NotInvertible,
-    SpecMismatch,
     inverse,
     matvec,
     power,
     row_sum,
 )
-from .gf2field import FieldElement, FieldSpec
+from .gf2field import FieldSpec
 from .keygen import ParamSet
 from .numtheory import cell_exponent, primitive_cell
 
@@ -43,7 +43,7 @@ class PublicKey(NamedTuple):
 
 class Ciphertext(NamedTuple):
     Ar: Circulant  # A^r
-    w: tuple[FieldElement, ...]  # A^{mr} v
+    w: tuple[int, ...]  # A^{mr} v
 
 
 def _rng(seed: int | random.Random | None) -> random.Random:
@@ -95,7 +95,7 @@ def keygen(
 
 def encrypt(
     pub: PublicKey,
-    v: Sequence[FieldElement],
+    v: Sequence[int],
     seed: int | random.Random | None = None,
 ) -> Ciphertext:
     """Fresh r per call, drawn by keygen's rule for keygen's reason, and
@@ -108,7 +108,7 @@ def encrypt(
     return Ciphertext(power(a, r), matvec(mask, v))
 
 
-def decrypt(priv: PrivateKey, ct: Ciphertext) -> tuple[FieldElement, ...]:
+def decrypt(priv: PrivateKey, ct: Ciphertext) -> tuple[int, ...]:
     """Apply A^{-mr} to w. On a primitive cell every unit u has u^N = 1
     (`cell_exponent`), so A^{-mr} is the one power (A^r)^(-m mod N); A^r
     is a unit there exactly when its row sum is nonzero and its entries
@@ -118,13 +118,13 @@ def decrypt(priv: PrivateKey, ct: Ciphertext) -> tuple[FieldElement, ...]:
         raise ValueError("exponent must be nonnegative")
     if not primitive_cell(ar.spec.n, ar.d):
         return matvec(inverse(power(ar, m)), ct.w)
-    if row_sum(ar).is_zero() or len(set(ar.bits())) == 1:
+    if not row_sum(ar) or len(set(ar.bits())) == 1:
         raise NotInvertible("A^r is singular, so A^{mr} has no inverse")
     return matvec(power(ar, -m % cell_exponent(ar.spec.n, ar.d)), ct.w)
 
 
 def oracle_reduction(
-    decrypt_oracle: Callable[[Ciphertext], Sequence[FieldElement]],
+    decrypt_oracle: Callable[[Ciphertext], Sequence[int]],
     a: Circulant,
     g: Circulant,
     h: Circulant,
@@ -133,16 +133,18 @@ def oracle_reduction(
 
     Feeds the oracle exactly d ciphertexts (h, e_i) where h = A^b and
     e_i is the i-th unit vector; each answer is a column of A^{-ab}.
-    The assembled matrix must be circulant, over A's field and
-    invertible, otherwise the oracle lied.
+    The answers must be elements of A's field (`FieldSpec.check`), and
+    the assembled matrix circulant and invertible, otherwise the oracle
+    lied.
     """
     d, spec = a.d, a.spec
     columns = []
     for i in range(d):
-        probe = tuple(
-            spec.one if j == i else spec.zero for j in range(d)
-        )
-        answer = tuple(decrypt_oracle(Ciphertext(h, probe)))
+        probe = tuple(int(j == i) for j in range(d))
+        try:
+            answer = spec.check(decrypt_oracle(Ciphertext(h, probe)))
+        except ValueError:
+            raise OracleInconsistent("oracle answered outside A's field") from None
         if len(answer) != d:
             raise OracleInconsistent("oracle returned a wrong-size vector")
         columns.append(answer)
@@ -153,9 +155,7 @@ def oracle_reduction(
             if columns[i][k] != first_row[(i - k) % d]:
                 raise OracleInconsistent("assembled matrix is not circulant")
     try:
-        return inverse(Circulant(first_row, spec))
-    except SpecMismatch:
-        raise OracleInconsistent("oracle answered in another field") from None
+        return inverse(Circulant(spec, first_row))
     except NotInvertible:
         raise OracleInconsistent("assembled matrix is singular") from None
 
@@ -168,9 +168,7 @@ def _block_count(length: int, n: int, d: int) -> int:
     return max(1, (8 * length + n * d - 1) // (n * d))
 
 
-def encode_bytes(
-    data: bytes, spec: FieldSpec, d: int
-) -> list[tuple[FieldElement, ...]]:
+def encode_bytes(data: bytes, spec: FieldSpec, d: int) -> list[tuple[int, ...]]:
     """Chunk a byte string into blocks of d field elements.
 
     The message is written out once in base 2, where int <-> str runs in
@@ -181,19 +179,18 @@ def encode_bytes(
     count = _block_count(len(data), n, d)
     text = format(int.from_bytes(data, "little"), f"0{width * count}b")
     rows = (int(text[end - width : end], 2) for end in range(len(text), 0, -width))
-    return [
-        tuple(FieldElement(row >> k & mask, spec) for k in range(0, width, n))
-        for row in rows
-    ]
+    return [tuple(row >> k & mask for k in range(0, width, n)) for row in rows]
 
 
 def decode_blocks(
-    blocks: Sequence[Sequence[FieldElement]], spec: FieldSpec, length: int
+    blocks: Sequence[Sequence[int]], spec: FieldSpec, length: int
 ) -> bytes:
-    """Inverse of encode_bytes given the original byte length."""
+    """Inverse of encode_bytes given the original byte length; each
+    entry must be a field element (`FieldSpec.check`), as a wider int
+    would carry into the next unit."""
     n = spec.n
     text = "".join(
-        format(sum(e.bits << (n * k) for k, e in enumerate(b)), f"0{n * len(b)}b")
+        format(sum(e << n * k for k, e in enumerate(spec.check(b))), f"0{n * len(b)}b")
         for b in reversed(blocks) if b
     )
     total = int(text or "0", 2) & ((1 << (8 * length)) - 1)
@@ -215,7 +212,7 @@ def load_private(path) -> PrivateKey:
     m = r.expect_int("m")
     if m < 0:
         raise fileio.FileFormatError(f"{path}: m must be nonnegative")
-    a = Circulant(r.entries("A"), r.spec)
+    a = Circulant(r.spec, r.entries("A"))
     r.done()
     return PrivateKey(m, ParamSet(r.spec, r.d, a))
 
@@ -228,8 +225,8 @@ def save_public(pub: PublicKey, path) -> None:
 
 def load_public(path) -> PublicKey:
     r = fileio.KvReader(path)
-    a = Circulant(r.entries("A"), r.spec)
-    am = Circulant(r.entries("Am"), r.spec)
+    a = Circulant(r.spec, r.entries("A"))
+    am = Circulant(r.spec, r.entries("Am"))
     r.done()
     return PublicKey(a, am)
 
@@ -248,7 +245,7 @@ def save_ciphertexts(
     pairs.append(("blocks", str(len(blocks))))
     for ct in blocks:
         pairs.append(("Ar", fileio.hex_line(ct.Ar.bits())))
-        pairs.append(("w", fileio.hex_line(e.bits for e in ct.w)))
+        pairs.append(("w", fileio.hex_line(ct.w)))
     fileio.write_kv(path, spec, d, pairs)
 
 
@@ -266,7 +263,7 @@ def load_ciphertexts(
         raise fileio.FileFormatError(f"{path}: blocks must be positive, got {count}")
     blocks = []
     for _ in range(count):
-        ar = Circulant(r.entries("Ar"), spec)
+        ar = Circulant(spec, r.entries("Ar"))
         blocks.append(Ciphertext(ar, r.entries("w")))
     r.done()
     if length is not None:

@@ -2,7 +2,7 @@
 
 A file is `key = value` lines: a header (version, n, d, field_poly),
 then the pairs of its kind. Rows and vectors are entry lines, d
-comma-separated `0x` hex field elements.
+comma-separated `0x` hex field elements, each parsed to its int.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from typing import Iterable
 
-from .gf2field import FieldElement, FieldSpec
+from .gf2field import FieldSpec
 
 
 class FileFormatError(ValueError):
@@ -18,21 +18,21 @@ class FileFormatError(ValueError):
 
 
 def hex_line(ints: Iterable[int]) -> str:
-    """An entry line: each field element's bits as `0x` hex."""
+    """An entry line: each field element as `0x` hex."""
     return ",".join(format(b, "#x") for b in ints)
 
 
-def parse_entries(
-    text: str, spec: FieldSpec, d: int, where: str
-) -> tuple[FieldElement, ...]:
-    """An entry line of d field elements; errors begin with `where`."""
+def parse_entries(text: str, spec: FieldSpec, d: int, where: str) -> tuple[int, ...]:
+    """An entry line of d field elements (`FieldSpec.check`); errors begin
+    with `where`."""
     try:
         entries = []
         for part in text.split(","):
             s = part.strip().lower()
             if not s.startswith("0x"):
                 raise ValueError(f"field element must start with 0x, got {part!r}")
-            entries.append(FieldElement(int(s, 16), spec))
+            entries.append(int(s, 16))
+        entries = spec.check(entries)
     except ValueError as exc:
         raise FileFormatError(f"{where}: {exc}") from None
     if len(entries) != d:
@@ -109,7 +109,7 @@ class KvReader:
         except ValueError:
             raise FileFormatError(f"{self.path}: {key} is not an integer: {v!r}")
 
-    def entries(self, key: str) -> tuple[FieldElement, ...]:
+    def entries(self, key: str) -> tuple[int, ...]:
         """The entry line under `key`: a row or a vector."""
         return parse_entries(self.expect(key), self.spec, self.d, f"{self.path}: {key}")
 

@@ -132,10 +132,10 @@ def _pirreducible(f: int) -> bool:
 class FieldSpec:
     """GF(2^n) with a fixed irreducible modulus.
 
-    Raw arithmetic works on ints; ``element`` wraps them in FieldElement
-    for operator syntax. Instances compare equal iff (n, modulus) match.
-    Products and squares run on the packed kernel at d = 1, inverses on
-    the extended Euclid of `_pinvert`.
+    An element is its int, 0 .. 2^n - 1, and ``check`` is that rule.
+    Instances compare equal iff (n, modulus) match. Products and squares
+    run on the packed kernel at d = 1, inverses on the extended Euclid of
+    `_pinvert`.
     """
 
     __slots__ = ("n", "modulus", "order", "_ring")
@@ -186,18 +186,13 @@ class FieldSpec:
     def rand(self, rng: random.Random) -> int:
         return rng.getrandbits(self.n)
 
-    # -- wrappers ------------------------------------------------------------
-
-    def element(self, bits: int) -> "FieldElement":
-        return FieldElement(bits, self)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
+    def check(self, values: Iterable[int]) -> tuple[int, ...]:
+        """The values as a tuple; ValueError unless each is an element."""
+        values = tuple(values)
+        for x in values:
+            if not 0 <= x <= self.order:
+                raise ValueError(f"value {x:#x} out of range for GF(2^{self.n})")
+        return values
 
     def __eq__(self, other) -> bool:
         return (
@@ -227,64 +222,6 @@ def field_make(n: int) -> FieldSpec:
         if _pirreducible(cand):
             return FieldSpec(n, cand)
         cand += 2
-
-
-class FieldElement:
-    """A residue in GF(2^n); bit i of ``bits`` is the coefficient of t^i.
-
-    Equal and hashed by (bits, spec); never equal to another class.
-    """
-
-    __slots__ = ("bits", "spec")
-
-    def __init__(self, bits: int, spec: FieldSpec):
-        if not 0 <= bits <= spec.order:
-            raise ValueError(f"value {bits:#x} out of range for GF(2^{spec.n})")
-        self.bits = bits
-        self.spec = spec
-
-    def __eq__(self, other):
-        if other.__class__ is not FieldElement:
-            return NotImplemented
-        return self.bits == other.bits and self.spec == other.spec
-
-    def __hash__(self) -> int:
-        return hash((self.bits, self.spec))
-
-    def _same(self, other: "FieldElement") -> None:
-        if self.spec != other.spec:
-            raise SpecMismatch("operands live in different fields")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._same(other)
-        return FieldElement(self.bits ^ other.bits, self.spec)
-
-    __sub__ = __add__  # characteristic 2
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._same(other)
-        return FieldElement(self.spec.mul(self.bits, other.bits), self.spec)
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._same(other)
-        return FieldElement(
-            self.spec.mul(self.bits, self.spec.inv(other.bits)), self.spec
-        )
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.spec.pow(self.bits, e), self.spec)
-
-    def square(self) -> "FieldElement":
-        return FieldElement(self.spec.square(self.bits), self.spec)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec.inv(self.bits), self.spec)
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.bits:#x}, GF(2^{self.spec.n}))"
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +254,8 @@ class Poly:
 
     @classmethod
     def make(cls, spec: FieldSpec, coeffs: Iterable[int]) -> "Poly":
-        c = list(coeffs)
-        for v in c:
-            if not 0 <= v <= spec.order:
-                raise ValueError(f"coefficient {v:#x} out of range")
-        return cls(spec._ring.pack(c), spec)  # pack reads only the slot width
+        # pack reads only the slot width
+        return cls(spec._ring.pack(spec.check(coeffs)), spec)
 
     @classmethod
     def x(cls, spec: FieldSpec) -> "Poly":

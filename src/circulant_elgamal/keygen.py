@@ -96,7 +96,7 @@ def _quotient_condition(a: Circulant) -> bool:
     a(1) = 1 leaves x + 1; at d = 1 the quotient is a constant.
     """
     d, spec = a.d, a.spec
-    if row_sum(a).bits != 1:
+    if row_sum(a) != 1:
         return False
     if d == 2:
         return True
@@ -109,8 +109,8 @@ def _quotient_condition(a: Circulant) -> bool:
 def five_conditions(a: Circulant) -> ConditionReport:
     """Evaluate the five security conditions; reports, never raises."""
     return ConditionReport(
-        det_one=det(a).bits == 1,
-        row_sum_one=row_sum(a).bits == 1,
+        det_one=det(a) == 1,
+        row_sum_one=row_sum(a) == 1,
         d_prime=is_prime(a.d),
         quotient_irreducible=_quotient_condition(a),
         q_primitive=primitive_cell(a.spec.n, a.d),
@@ -199,6 +199,6 @@ def save_params(params: ParamSet, path) -> None:
 
 def load_params(path) -> ParamSet:
     r = fileio.KvReader(path)
-    a = Circulant(r.entries("A"), r.spec)
+    a = Circulant(r.spec, r.entries("A"))
     r.done()
     return ParamSet(r.spec, r.d, a)

@@ -141,6 +141,11 @@ class Factorization(NamedTuple):
     def complete(self) -> bool:
         return self.cofactor == 1
 
+    @property
+    def cofactor_bits(self) -> int:
+        """The cofactor's bit length; 0 when the factorization is complete."""
+        return 0 if self.complete else self.cofactor.bit_length()
+
     def primes(self) -> list[int]:
         return sorted(self.factors)
 
@@ -235,8 +240,12 @@ def _pieces(n: int) -> list[tuple[int, int, list[int]]]:
     by exact division: Phi_k(2) = (2^k - 1) / prod_(e | k, e < k) Phi_e(2).
     A prime divides Phi_k(2) either because it divides k (the intrinsic
     primes), or because ord_p(2) = k; then k | p - 1, and p is odd, so
-    p = 1 mod 2k for odd k. Any other n is one piece: 2, then the odd
-    numbers.
+    p = 1 mod 2k for odd k. For k = 4h, h odd, Phi_k(2) divides 2^(2h) +
+    1 = (2^h - 2^((h+1)/2) + 1)(2^h + 2^((h+1)/2) + 1) (Aurifeuille; Brent,
+    *Math. Comp.* 61, 1993), so its gcd with the first factor and the
+    cofactor of that gcd are two pieces, each with Phi_k(2)'s step and
+    intrinsic primes, and a part equal to 1 is skipped. Any other n is
+    one piece: 2, then the odd numbers.
     """
     if n & (n + 1):
         return [(n, 2, [2])]
@@ -246,10 +255,16 @@ def _pieces(n: int) -> list[tuple[int, int, list[int]]]:
     for k in divisors:
         below = math.prod(phi[e] for e in phi if k % e == 0)
         phi[k] = ((1 << k) - 1) // below
-    return [
-        (phi[k], k if k % 2 == 0 else 2 * k, _prime_divisors(k))
-        for k in divisors[1:]
-    ]
+    pieces = []
+    for k in divisors[1:]:
+        parts = [phi[k]]
+        if k % 8 == 4:
+            h = k // 4
+            low = math.gcd(phi[k], (1 << h) - (1 << (h + 1) // 2) + 1)
+            parts = [low, phi[k] // low]
+        step, first = k if k % 2 == 0 else 2 * k, _prime_divisors(k)
+        pieces += [(m, step, first) for m in parts if m > 1]
+    return pieces
 
 
 @lru_cache(maxsize=512)
@@ -259,8 +274,9 @@ def factor(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     Trial division below 10^6 first, then budgeted Brent rho on what
     remains. Composite leftovers end up multiplied into ``cofactor``.
 
-    For n = 2^N - 1 each piece Phi_k(2), k | N, is factored on its own
-    (see ``_pieces``): its intrinsic primes go first, then one walk over
+    For n = 2^N - 1 each piece Phi_k(2), k | N, is factored on its own,
+    or each of its two Aurifeuillian parts when k = 4 mod 8 (see
+    ``_pieces``): its intrinsic primes go first, then one walk over
     the primes that can divide it, stopping once p^2 exceeds what is left,
     so the result is the one a scan of every prime below 10^6 of each
     Phi_k(2) gives. (A walk never needs the bound 2^k that every such

@@ -55,6 +55,7 @@ class SecurityReport(NamedTuple):
     largest_prime: int | None = None  # exact, or best lower bound found
     largest_prime_exact: bool = False
     generic_bits: float | None = None
+    cofactor_bits: int | None = None  # of what is left unfactored; 0 when exact
 
 
 def estimate(n: int, d: int) -> SecurityReport:
@@ -78,7 +79,8 @@ def security_table(
 
     The largest-prime column comes from factoring 2^{n(d-1)} - 1 under
     the budget; when the factorization does not complete, the largest
-    prime found so far is reported as a lower bound with exact=False.
+    prime found so far is reported as a lower bound with exact=False,
+    and cofactor_bits is the size of the unfactored rest.
     """
     out = []
     for n, ds in scan_primitive_pairs(sorted(set(n_range)), d_range):
@@ -90,12 +92,15 @@ def security_table(
                     largest_prime=largest,
                     largest_prime_exact=fact.complete,
                     generic_bits=generic_bits(largest) if largest else None,
+                    cofactor_bits=fact.cofactor_bits,
                 )
             )
     return out
 
 
-TSV_HEADER = "n\td\tprimitive\tindex_bits\tlargest_prime\texact\tgeneric_bits"
+TSV_HEADER = (
+    "n\td\tprimitive\tindex_bits\tlargest_prime\texact\tgeneric_bits\tcofactor_bits"
+)
 
 
 def render_tsv(reports: Iterable[SecurityReport]) -> str:
@@ -116,6 +121,7 @@ def render_tsv(reports: Iterable[SecurityReport]) -> str:
                     "-"
                     if r.generic_bits is None
                     else f"{r.generic_bits:.2f}",
+                    "-" if r.cofactor_bits is None else str(r.cofactor_bits),
                 ]
             )
         )

@@ -5,19 +5,28 @@ import random
 from functools import lru_cache
 
 from circulant_elgamal.circulant import Circulant
-from circulant_elgamal.gf2field import FieldElement, FieldSpec
+from circulant_elgamal.gf2field import FieldSpec
 from circulant_elgamal.numtheory import Factorization
 
 
 def C(spec, *bits):
     """The circulant whose first row is `bits`."""
-    return Circulant.from_bits(spec, bits)
+    return Circulant(spec, bits)
 
 
 def expand(a: Circulant):
-    """Full d x d matrix; row k is the first row right-rotated k times."""
-    d, c = a.d, a.coeffs
+    """Full d x d matrix of ints; row k is the first row right-rotated k
+    times."""
+    d, c = a.d, a.bits()
     return [[c[(j - k) % d] for j in range(d)] for k in range(d)]
+
+
+def dot(spec: FieldSpec, xs, ys) -> int:
+    """sum of x y over GF(2^n), by the field's own products."""
+    acc = 0
+    for x, y in zip(xs, ys):
+        acc ^= spec.mul(x, y)
+    return acc
 
 
 def mulmod(a: int, b: int, m: int) -> int:
@@ -64,7 +73,7 @@ def field_ops(spec: FieldSpec):
 def gaussian_det(a: Circulant) -> int:
     """det of the expanded matrix by Gaussian elimination."""
     d, (fmul, finv) = a.d, field_ops(a.spec)
-    rows = [[c.bits for c in r] for r in expand(a)]
+    rows = expand(a)
     acc = 1
     for col in range(d):
         piv = next((r for r in range(col, d) if rows[r][col]), None)
@@ -90,7 +99,7 @@ def encode_bytes_ref(data: bytes, spec: FieldSpec, d: int):
     total = int.from_bytes(data, "little")
     mask = (1 << n) - 1
     count = max(1, (8 * len(data) + n * d - 1) // (n * d))
-    elems = [FieldElement((total >> (n * i)) & mask, spec) for i in range(d * count)]
+    elems = [(total >> (n * i)) & mask for i in range(d * count)]
     return [tuple(elems[i : i + d]) for i in range(0, len(elems), d)]
 
 
@@ -101,7 +110,7 @@ def decode_blocks_ref(blocks, spec: FieldSpec, length: int) -> bytes:
     i = 0
     for block in blocks:
         for e in block:
-            total |= e.bits << (n * i)
+            total |= e << (n * i)
             i += 1
     total &= (1 << (8 * length)) - 1
     return total.to_bytes(length, "little")

@@ -16,13 +16,14 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import circulant_elgamal
-from circulant_elgamal import cli, elgamal, gf2field, keygen
+from circulant_elgamal import cli, elgamal, gf2field, keygen, numtheory
 from circulant_elgamal.circulant import Circulant, power
 from circulant_elgamal.elgamal import PublicKey, load_private, load_public, save_public
 from circulant_elgamal.keygen import load_params, save_params
@@ -75,6 +76,7 @@ def test_params_gen_and_check(tmp_path):
     assert "det_order" not in got
     assert got["order"] == "153391689"
     assert got["order_exact"] == "true"
+    assert got["cofactor_bits"] == "0"
     assert got["out"] == str(out)
     assert out.read_text().startswith("version = 1\n")
 
@@ -90,6 +92,21 @@ def test_params_gen_and_check(tmp_path):
         "all",
     ):
         assert got[key] == "true"
+
+
+def test_params_gen_prints_the_cofactor_left_unfactored(tmp_path):
+    # 2^470 - 1 does not factor completely at budget 2^12: params gen prints
+    # the bits of the cofactor that generate's own factor call left
+    out = tmp_path / "p47.params"
+    code, stdout, _ = run_cli(
+        ["params", "gen", "--n", "47", "--d", "11", "--seed", "1",
+         "--factor-budget", "4096", "--out", str(out)]
+    )
+    assert code == 0
+    got = kv(stdout)
+    fact = numtheory.factor((1 << 470) - 1, 4096)
+    assert got["order_exact"] == "false" and not fact.complete
+    assert got["cofactor_bits"] == str(fact.cofactor.bit_length()) == "368"
 
 
 def test_params_gen_rejects_non_primitive(tmp_path):
@@ -314,8 +331,7 @@ def test_attack_rejects_foreign_public_key(tmp_path, params_file, params311):
 def test_attack_failure_exit_code(tmp_path, params_file, params311):
     # Am outside the group generated by A: row sum is not 1
     spec = params311.spec
-    t = spec.element(0x2)
-    liar = Circulant(tuple(t * c for c in params311.A.coeffs), spec)
+    liar = Circulant(spec, [spec.mul(0x2, c) for c in params311.A.bits()])
     pub = tmp_path / "bad.pub"
     save_public(PublicKey(params311.A, liar), pub)
     code, _, stderr = run_cli(
@@ -437,7 +453,7 @@ def test_security_tables_scan():
     lines = stdout.splitlines()
     assert lines[0] == TSV_HEADER
     assert [l.split("\t")[1] for l in lines[1:]] == ["11", "13", "19", "29", "37"]
-    assert lines[1] == "41\t11\ttrue\t410\t-\t-\t-"
+    assert lines[1] == "41\t11\ttrue\t410\t-\t-\t-\t-"
 
 
 def test_security_tables_factored():
@@ -448,8 +464,8 @@ def test_security_tables_factored():
     assert code == 0
     assert stdout.splitlines() == [
         TSV_HEADER,
-        "3\t3\ttrue\t6\t7\ttrue\t1.40",
-        "3\t5\ttrue\t12\t13\ttrue\t1.85",
+        "3\t3\ttrue\t6\t7\ttrue\t1.40\t0",
+        "3\t5\ttrue\t12\t13\ttrue\t1.85\t0",
     ]
 
 
@@ -482,20 +498,62 @@ def test_security_verify_paper():
 # ---------------------------------------------------------------------------
 # bench
 
-def test_bench_pow_pinned():
-    code, stdout, _ = run_cli(
-        ["bench", "pow", "--n", "3", "--d", "11", "--bits", "128",
-         "--trials", "200", "--seed", "1"]
-    )
+def _bench_pow(n, d, bits, trials, seed):
+    # the ring is shared with earlier tests in this process; a base it
+    # keeps would run the wide plan, so each run starts as a fresh process does
+    gf2field._ring(gf2field.field_make(n), d).kept.clear()
+    argv = ["bench", "pow", "--n", str(n), "--d", str(d), "--bits", str(bits),
+            "--trials", str(trials), "--seed", str(seed)]
+    code, stdout, _ = run_cli(argv)
     assert code == 0
-    got = kv(stdout)
+    return kv(stdout)
+
+
+def test_bench_pow_pinned():
+    got = _bench_pow(3, 11, 128, 200, 1)
+    assert got["model"] == "power_cost"
     assert got["mean_general_mults"] == "63.2800"
     assert got["mean_field_mults"] == "7656.8800"
     assert got["mean_squarings"] == "127.0000"
     assert got["predicted_field_mults"] == "7744.0"
+    # what `power` ran: 15-bit digits, so 14 squarings a power
+    assert got["kernel_products"] == "49.5600"
+    assert got["kernel_squarings"] == "14.0000"
     assert float(got["mean_power_ms"]) > 0
-    # measured within 5 percent of the d^2/2 per-bit model
+    # the model within 5 percent of the d^2/2 per-bit prediction
     assert abs(float(got["mean_field_mults"]) - 7744.0) <= 0.05 * 7744.0
+
+
+def test_bench_pow_kernel_counts_match_a_count_of_the_kernel_class():
+    # the same bases and exponents, drawn as bench pow draws them, raised by
+    # `power` on a fresh ring while the kernel's class counts its own calls
+    n, d, bits, trials, seed = 47, 11, 470, 5, 1
+    got = _bench_pow(n, d, bits, trials, seed)
+    ring = gf2field._ring(gf2field.field_make(n), d)
+    assert "mul" not in vars(ring) and "square" not in vars(ring)
+    ring.kept.clear()
+    counts = {"mul": 0, "square": 0}
+    real_mul, real_square = gf2field._Ring.mul, gf2field._Ring.square
+
+    def mul(self, table, b):
+        counts["mul"] += 1
+        return real_mul(self, table, b)
+
+    def square(self, a):
+        counts["square"] += 1
+        return real_square(self, a)
+
+    rng = random.Random(seed)
+    with mock.patch.object(gf2field._Ring, "mul", mul), \
+            mock.patch.object(gf2field._Ring, "square", square):
+        for _ in range(trials):
+            a = Circulant.random(ring.spec, d, rng)
+            power(a, 1 << bits - 1 | rng.getrandbits(bits - 1))
+    assert got["kernel_products"] == f"{counts['mul'] / trials:.4f}"
+    assert got["kernel_squarings"] == f"{counts['square'] / trials:.4f}"
+    # the model squares at every bit, the kernel once per bit of a digit
+    assert got["mean_squarings"] == "469.0000"
+    assert got["kernel_squarings"] == "46.0000"
 
 
 # ---------------------------------------------------------------------------

@@ -192,17 +192,31 @@ def _mersenne_exponents():
     return sorted(set(range(1, 301)) | set(_table2_exponents()) | {470, 1068})
 
 
+def _aurifeuillian_parts(k, phi):
+    """Phi_k(2) = phi as its two Aurifeuillian parts when k = 4 mod 8, h =
+    k / 4: the gcd with 2^h - 2^((h + 1) / 2) + 1 and its cofactor, each
+    a product of whole primes of phi; else phi alone."""
+    if k % 8 != 4:
+        return [phi]
+    h = k // 4
+    low = math.gcd(phi, 2 ** h - 2 ** ((h + 1) // 2) + 1)
+    return [low, phi // low]
+
+
 @functools.lru_cache(maxsize=None)
 def _piece_by_full_scan(k):
-    """The full scan of Phi_k(2); the pieces recur across exponents."""
-    return _factor_by_full_scan(int(sympy.cyclotomic_poly(k, polys=True).eval(2)))
+    """The full scan of Phi_k(2), each Aurifeuillian part on its own; the
+    pieces recur across exponents."""
+    phi = int(sympy.cyclotomic_poly(k, polys=True).eval(2))
+    return tuple(_factor_by_full_scan(m) for m in _aurifeuillian_parts(k, phi))
 
 
 def _factor_by_full_scan_of_pieces(big_n):
-    """The full scan of each piece Phi_k(2), k | N, of 2^N - 1, merged:
-    proven primes add up, leftovers multiply into the cofactor."""
+    """The full scan of each piece Phi_k(2), k | N, of 2^N - 1, or of its
+    two Aurifeuillian parts, merged: proven primes add up, leftovers
+    multiply into the cofactor."""
     n = (1 << big_n) - 1
-    pieces = [_piece_by_full_scan(k) for k in sympy.divisors(big_n)]
+    pieces = [part for k in sympy.divisors(big_n) for part in _piece_by_full_scan(k)]
     assert math.prod(piece.n for piece in pieces) == n
     found, cofactor = {}, 1
     for piece in pieces:
@@ -473,6 +487,32 @@ def test_table2_rows_leave_fewer_cofactor_bits_with_proven_factors():
             assert sympy.isprime(p), p
 
 
+def test_aurifeuillian_split_of_phi_36():
+    # h = 9: 2^9 - 2^5 + 1 = 481 = 13 * 37, and Phi_36(2) = 4033 = 37 * 109,
+    # so the gcd takes 37 and leaves 109; at k = 4 and 12 the gcd is 1, a
+    # part that is skipped, and the piece stays whole
+    assert 2 ** 9 - 2 ** 5 + 1 == 481 == 13 * 37
+    pieces = numtheory._pieces((1 << 36) - 1)
+    assert (37, 36, [2, 3]) in pieces and (109, 36, [2, 3]) in pieces
+    assert (5, 4, [2]) in pieces and (13, 12, [2, 3]) in pieces
+    assert math.prod(m for m, _, _ in pieces) == (1 << 36) - 1
+
+
+def test_aurifeuillian_split_completes_table2_row_49_13():
+    # N = 588: Phi_196(2) = 197 * 19707683773 * 4981857697937. Trial
+    # division takes 197 and leaves the 77-bit product of the other two,
+    # which rho's y^196 + c walk does not split at the table2-factor
+    # budget; the split puts them in different parts, so the row completes
+    p, q = 19707683773, 4981857697937
+    assert int(sympy.cyclotomic_poly(196, polys=True).eval(2)) == 197 * p * q
+    assert numtheory._rho_brent(p * q, TABLE2_BUDGET, 196)[0] is None
+    pieces = numtheory._pieces((1 << 588) - 1)
+    assert (q, 196, [2, 7]) in pieces and (197 * p, 196, [2, 7]) in pieces
+    got = factor((1 << 588) - 1, TABLE2_BUDGET)
+    assert got.complete and got.check() and got.factors[p] == got.factors[q] == 1
+    assert all(sympy.isprime(r) for r in got.factors)
+
+
 def test_factor_matches_reference_primality():
     # what factor finds depends only on what is_prime and rho answer;
     # rho's answers are replayed from the traced run, so this run costs
@@ -652,7 +692,7 @@ def _circulant_units(n, d, count, seed):
     done = 0
     while done < count:
         unit = Circulant.random(spec, d, rng)
-        if det(unit).is_zero():
+        if not det(unit):
             continue
         a = unit.row
         big_n = (1 << n * (d - 1)) - 1
@@ -747,7 +787,7 @@ def test_element_order_power_work_at_the_paper_cell():
     assert not fact.complete and len(fact.factors) > 2
     ring, rng = _ring(spec, d), random.Random(16)
     unit = Circulant.random(spec, d, rng)
-    while det(unit).is_zero():
+    while not det(unit):
         unit = Circulant.random(spec, d, rng)
     bits = []
 

@@ -126,15 +126,28 @@ def test_render_tsv_golden():
     text = render_tsv(security_table(range(3, 4), range(3, 6)))
     assert text.splitlines() == [
         TSV_HEADER,
-        "3\t3\ttrue\t6\t7\ttrue\t1.40",
-        "3\t5\ttrue\t12\t13\ttrue\t1.85",
+        "3\t3\ttrue\t6\t7\ttrue\t1.40\t0",
+        "3\t5\ttrue\t12\t13\ttrue\t1.85\t0",
     ]
-    assert TSV_HEADER == "n\td\tprimitive\tindex_bits\tlargest_prime\texact\tgeneric_bits"
+    # cofactor_bits is appended eighth, so CI's $5 and $6 keep their meaning
+    assert TSV_HEADER == (
+        "n\td\tprimitive\tindex_bits\tlargest_prime\texact\tgeneric_bits"
+        "\tcofactor_bits"
+    )
 
 
 def test_render_tsv_placeholders():
     text = render_tsv([estimate(47, 11)])
-    assert text.splitlines()[1] == "47\t11\ttrue\t470\t-\t-\t-"
+    assert text.splitlines()[1] == "47\t11\ttrue\t470\t-\t-\t-\t-"
+
+
+def test_security_table_cofactor_bits():
+    # what the budget left unfactored, 0 for a complete row
+    (r,) = security_table([47], [11], 1 << 14)
+    f = factor((1 << 470) - 1, 1 << 14)
+    assert not f.complete and r.cofactor_bits == f.cofactor.bit_length() == 368
+    (r,) = security_table([63], [11], 1 << 14)
+    assert r.largest_prime_exact and r.cofactor_bits == 0
 
 
 # ---------------------------------------------------------------------------
