@@ -14,15 +14,16 @@ product of `Poly` a and b (Kronecker substitution); a row of k terms
 squares on 2k - 1 slots the same way. One long-division loop,
 `_divider`, keeps the remainder packed and subtracts one kernel product
 of the divisor a step; `Poly` division and every reduction mod tau run
-on it. Set-up computes in F_q[x]/tau on packed rows only: the
-irreducibility test runs on Berlekamp's Q-matrix, x^(q^j) mod p by
-matrix-vector products over F_q whose columns are kernel rows, and
-`primitive_poly` keeps an irreducible tau when x^(N/p) != 1 mod tau
-for every prime p of N = q^deg(tau) - 1, each power a product of the
-Q-matrix's x^(q^j) raised to the base-q digits of N/p; when the budget
-cannot factor N completely, it keeps the first irreducible draw
-unverified. The circulant ring of `circulant` is the same kernel at
-the matrix size d.
+on it. Field inverses and the modulus test's gcds run on `_pinvert`,
+the binary algorithm over GF(2)[t]. Set-up computes in F_q[x]/tau on
+packed rows only: the irreducibility test runs on Berlekamp's Q-matrix,
+x^(q^j) mod p by matrix-vector products over F_q whose columns are
+kernel rows, and `primitive_poly` keeps an irreducible tau when
+x^(N/p) != 1 mod tau for every prime p of N = q^deg(tau) - 1, each
+power a product of the Q-matrix's x^(q^j) raised to the base-q digits
+of N/p; when the budget cannot factor N completely, it keeps the first
+irreducible draw unverified. The circulant ring of `circulant` is the
+same kernel at the matrix size d.
 """
 
 from __future__ import annotations
@@ -62,16 +63,6 @@ def _pdeg(a: int) -> int:
     return a.bit_length() - 1
 
 
-def _pmul(a: int, b: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
 def _pmod(a: int, b: int) -> int:
     db = _pdeg(b)
     da = _pdeg(a)
@@ -93,14 +84,20 @@ def _pdivmod(a: int, b: int) -> tuple[int, int]:
 
 
 def _pinvert(a: int, m: int) -> int:
-    # inverse of a mod m in GF(2)[t], or 0 when gcd(a, m) != 1
-    r0, r1 = m, _pmod(a, m)
-    s0, s1 = 0, 1
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 ^ _pmul(q, s1)
-    return _pmod(s0, m) if r0 == 1 else 0
+    # a^-1 mod m in GF(2)[t], or 0 when gcd(a, m) != 1 (u then ends at 0),
+    # by the binary algorithm (Hankerson, Menezes and Vanstone, Alg. 2.49):
+    # g1 a = u and g2 a = v mod m, and a swap puts each sum in u, so v stays
+    # odd. Halving g1 needs m(0) = 1: every caller's m is odd, or is t at
+    # n = 1, where u = a mod t is 0 or 1 and nothing halves.
+    u, v, g1, g2 = _pmod(a, m), m, 1, 0
+    while u > 1:
+        if not u & 1:
+            u, g1 = u >> 1, (g1 ^ m if g1 & 1 else g1) >> 1
+            continue
+        if u.bit_length() < v.bit_length():
+            u, v, g1, g2 = v, u, g2, g1
+        u, g1 = u ^ v, g1 ^ g2
+    return g1 if u == 1 else 0
 
 
 def _pirreducible(f: int) -> bool:
@@ -134,7 +131,7 @@ class FieldSpec:
 
     An element is its int, 0 .. 2^n - 1, and ``check`` is that rule.
     Instances compare equal iff (n, modulus) match. Products and squares
-    run on the packed kernel at d = 1, inverses on the extended Euclid of
+    run on the packed kernel at d = 1, inverses on the binary algorithm of
     `_pinvert`.
     """
 

@@ -42,6 +42,23 @@ def mulmod(a: int, b: int, m: int) -> int:
     return r
 
 
+def pinvert_ref(a: int, m: int) -> int:
+    """a^-1 mod m in GF(2)[t], or 0 when gcd(a, m) != 1, by the extended
+    Euclid on long-division quotients that `gf2field._pinvert` ran before
+    the binary algorithm; any m of degree >= 1, even ones too."""
+    r0, r1 = m, mulmod(a, 1, m)  # a mod m
+    s0, s1 = 0, 1
+    while r1:
+        q, r = 0, r0
+        while r.bit_length() >= r1.bit_length():
+            shift = r.bit_length() - r1.bit_length()
+            q ^= 1 << shift
+            r ^= r1 << shift
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 ^ mulmod(q, s1, m)
+    return s0 if r0 == 1 else 0
+
+
 @lru_cache(maxsize=None)
 def field_ops(spec: FieldSpec):
     """(mul, inv) of GF(2^n) by `mulmod` and by Fermat, a^(2^n - 2), not

@@ -30,8 +30,6 @@ from circulant_elgamal.gf2field import (
     _frobenius_orbit,
     _pinvert,
     _pirreducible,
-    _pmod,
-    _pmul,
     _ring,
     _x_is_primitive,
     field_make,
@@ -44,7 +42,7 @@ from circulant_elgamal.gf2field import (
     primitive_poly,
 )
 from circulant_elgamal.numtheory import element_order, factor
-from oracles import field_ops
+from oracles import field_ops, mulmod, pinvert_ref
 
 
 def bits_to_sympy(v: int):
@@ -191,9 +189,9 @@ def test_field_mul_square_match_bitwise_reduction(n, dense):
     m, rng = spec.modulus, random.Random(n)
     vals = [0, 1, spec.order, 1 << n - 1] + [spec.rand(rng) for _ in range(36)]
     for a in vals:
-        assert spec.square(a) == _pmod(_pmul(a, a), m)
+        assert spec.square(a) == mulmod(a, a, m)
         for b in vals:
-            assert spec.mul(a, b) == _pmod(_pmul(a, b), m)
+            assert spec.mul(a, b) == mulmod(a, b, m)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -218,16 +216,39 @@ def test_field_tables_match_kernel(n):
 
 def test_pinvert_zero_exactly_off_coprime():
     # every a < 2^7 against every m of degree 1 to 6, reducible ones too:
-    # the inverse is 0 exactly when sympy's gcd of a and m over GF(2) is
-    # not 1 (on dense coefficient lists, leading coefficient first)
+    # the reference Euclid's inverse is 0 exactly when sympy's gcd of a and
+    # m over GF(2) is not 1 (on dense coefficient lists, leading
+    # coefficient first). The library's binary algorithm halves by t, so it
+    # gives the same answer on every m with a constant term and on m = t,
+    # the moduli the library passes
     dense = [[int(b) for b in f"{v:b}"] for v in range(1 << 7)]
     for m in range(2, 1 << 7):
         for a in range(1 << 7):
-            u = _pinvert(a, m)
+            u = pinvert_ref(a, m)
             coprime = a != 0 and gf_gcd(dense[a], dense[m], 2, ZZ) == [1]
             assert (u != 0) == coprime, (a, m)
             if coprime:
-                assert _pmod(_pmul(a, u), m) == 1, (a, m)
+                assert mulmod(a, u, m) == 1, (a, m)
+            if m & 1 or m == 0b10:
+                assert _pinvert(a, m) == u, (a, m)
+
+
+def test_field_inv_matches_reference_euclid():
+    # the binary algorithm against the quotient Euclid it replaced, for
+    # every n on the default modulus and, where the table has one, the
+    # dense modulus; the samples hold 1, 2^n - 1 and t^(n - 1)
+    rng = random.Random(44)
+    for n in range(1, 129):
+        specs = [field_make(n)]
+        if n in DENSE_MODULI:
+            specs.append(FieldSpec(n, DENSE_MODULI[n]))
+        for spec in specs:
+            vals = [1, spec.order, 1 << n - 1]
+            vals += [spec.rand(rng) or 1 for _ in range(8)]
+            for a in vals:
+                u = spec.inv(a)
+                assert u == pinvert_ref(a, spec.modulus), (n, spec.modulus, a)
+                assert spec.mul(a, u) == 1, (n, spec.modulus, a)
 
 
 def poly_mul_naive(a: Poly, b: Poly) -> Poly:
