@@ -10,9 +10,9 @@ The row is packed into one int, the form the kernel `gf2field._Ring`
 at size d computes on, so products, squares, powers and matrix-vector
 products hand it to the kernel as it is: one carry-less product per
 ring product, squares by spreading bits and Frobenius-digit powers.
-The same row is a `Poly`, so the inverse is extended Euclid against
-x^d - 1 and the determinant a resultant by Euclid. This module holds
-the `Circulant` type and its operations, `power_cost`, the paper's
+The inverse is extended Euclid on the same row against x^d - 1 and the
+determinant a resultant by Euclid, both on packed rows. This module
+holds the `Circulant` type and its operations, `power_cost`, the paper's
 cost model of a power, and the characteristic-polynomial quotient over
 F_q[x]/Phi, kept as a test oracle.
 """
@@ -25,6 +25,8 @@ from typing import Iterable, Sequence
 from .gf2field import (
     FieldSpec,
     Poly,
+    _degree,
+    _divider,
     _ring,
     frobenius,
     linear_factor_product,
@@ -160,11 +162,11 @@ def inverse(a: Circulant) -> Circulant:
     extended Euclid on packed rows, for every d (v is not computed);
     NotInvertible when the gcd is not 1, that is when the matrix is singular."""
     spec = a.spec
-    f = Poly(1 << _ring(spec, a.d).row_bits | 1, spec)  # x^d + 1 in slots d and 0
-    g, u = poly_ext_gcd(Poly(a.row, spec), f)
-    if g.row != 1:
+    f = 1 << _ring(spec, a.d).row_bits | 1  # x^d + 1 in slots d and 0
+    g, u = poly_ext_gcd(spec, a.row, f)
+    if g != 1:
         raise NotInvertible("the matrix is singular, it has no inverse")
-    return Circulant._of(spec, a.d, u.row)  # deg u < d - deg g = d
+    return Circulant._of(spec, a.d, u)  # deg u < d - deg g = d
 
 
 def matvec(a: Circulant, v: Sequence[int]) -> tuple[int, ...]:
@@ -197,16 +199,15 @@ def det(a: Circulant) -> int:
     signs in characteristic 2: Res(f, h) = lc(h)^(deg f - deg r) Res(h, r)
     for r = f mod h, and Res(f, c) = c^(deg f) for a constant c, on
     packed rows: h starts as a's row as it is."""
-    spec = a.spec
-    f = Poly(1 << _ring(spec, a.d).row_bits | 1, spec)  # x^d + 1 in slots d and 0
-    h = Poly(a.row, spec)
-    acc = 1
-    while h.degree > 0:
-        r = f % h
-        acc = spec.mul(acc, spec.pow(h.leading(), f.degree - r.degree))
-        f, h = h, r
-    c = h.row  # a constant's row is its value, 0 once a remainder vanished
-    return spec.mul(acc, spec.pow(c, f.degree))
+    spec, ring = a.spec, _ring(a.spec, a.d)
+    f, df = 1 << ring.row_bits | 1, a.d  # x^d + 1 in slots d and 0
+    h, dh, acc = a.row, _degree(spec, a.row), 1
+    while dh > 0:
+        r = _divider(spec, h)(f)[1]
+        dr = _degree(spec, r)
+        acc = spec.mul(acc, spec.pow(h >> dh * ring.width, df - dr))
+        f, df, h, dh = h, dh, r, dr
+    return spec.mul(acc, spec.pow(h, df))  # h is a constant, 0 if a remainder vanished
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 attack or
 verification failure. Stdout carries machine-readable `key=value` lines
 (TSV for the tables subcommand); diagnostics go to stderr. A fixed
---seed makes every run bit-identical; without one, secret exponents
-come from the OS CSPRNG.
+--seed makes every run bit-identical; without one, tau and secret
+exponents come from the OS CSPRNG.
 """
 
 from __future__ import annotations
@@ -115,10 +115,10 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_encrypt(args) -> int:
-    from . import elgamal, fileio
+    from . import elgamal, fileio, keygen as kg
     pub = elgamal.load_public(args.pub)
     spec, d = pub.A.spec, pub.A.d
-    rng = elgamal._rng(args.seed)
+    rng = kg._rng(args.seed)
     if args.hexblock is not None:
         v = fileio.parse_entries(args.hexblock, spec, d, "--in")
         cts = [elgamal.encrypt(pub, v, rng)]

@@ -23,7 +23,7 @@ from .circulant import (
     row_sum,
 )
 from .gf2field import FieldSpec
-from .keygen import ParamSet
+from .keygen import ParamSet, _rng
 from .numtheory import cell_exponent, primitive_cell
 
 
@@ -44,17 +44,6 @@ class PublicKey(NamedTuple):
 class Ciphertext(NamedTuple):
     Ar: Circulant  # A^r
     w: tuple[int, ...]  # A^{mr} v
-
-
-def _rng(seed: int | random.Random | None) -> random.Random:
-    """The caller's generator, a seeded one, or the OS CSPRNG when unseeded.
-
-    random.SystemRandom is the class `secrets` exports; importing it from
-    `random` keeps hashlib and OpenSSL out of every CLI process.
-    """
-    if isinstance(seed, random.Random):
-        return seed
-    return random.SystemRandom() if seed is None else random.Random(seed)
 
 
 def _exponent(

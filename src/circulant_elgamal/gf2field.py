@@ -9,21 +9,21 @@ Products over the field run on one kernel, `_Ring`: rows of
 F_q[x]/(x^d - 1) packed into one int, multiplied with one carry-less
 product and reduced mod the field polynomial by one Barrett step. At
 d = 1 it is GF(2^n) itself, which every field multiplies and squares
-on, and at d = deg(ab) + 1 its fold never wraps, so it is the plain
-product of `Poly` a and b (Kronecker substitution); a row of k terms
-squares on 2k - 1 slots the same way. One long-division loop,
-`_divider`, keeps the remainder packed and subtracts one kernel product
-of the divisor a step; `Poly` division and every reduction mod tau run
-on it. Field inverses and the modulus test's gcds run on `_pinvert`,
-the binary algorithm over GF(2)[t]. Set-up computes in F_q[x]/tau on
-packed rows only: the irreducibility test runs on Berlekamp's Q-matrix,
-x^(q^j) mod p by matrix-vector products over F_q whose columns are
-kernel rows, and `primitive_poly` keeps an irreducible tau when
-x^(N/p) != 1 mod tau for every prime p of N = q^deg(tau) - 1, each
-power a product of the Q-matrix's x^(q^j) raised to the base-q digits
-of N/p; when the budget cannot factor N completely, it keeps the first
-irreducible draw unverified. The circulant ring of `circulant` is the
-same kernel at the matrix size d.
+on, and at d = deg(ab) + 1 its fold never wraps: `_times` is the plain
+product of rows (Kronecker substitution); a row of k terms squares on
+2k - 1 slots the same way. One long-division loop, `_divider`, divides
+by a row with one kernel product of it a step; `Poly` division, Euclid
+on rows (`poly_ext_gcd`) and every reduction mod tau run on it. Field
+inverses and the modulus test's gcds run on `_pinvert`, the binary
+algorithm over GF(2)[t]. Set-up computes in F_q[x]/tau on packed rows
+only: the irreducibility test runs on Berlekamp's Q-matrix, x^(q^j) mod
+p by matrix-vector products over F_q whose columns are kernel rows, and
+`primitive_poly` keeps an irreducible tau when x^(N/p) != 1 mod tau for
+every prime p of N = q^deg(tau) - 1, each power a product of the
+Q-matrix's x^(q^j) raised to the base-q digits of N/p; when the budget
+cannot factor N completely, it keeps the first irreducible draw
+unverified. The circulant ring of `circulant` is the same kernel at the
+matrix size d.
 """
 
 from __future__ import annotations
@@ -270,8 +270,7 @@ class Poly:
 
     @property
     def degree(self) -> int:
-        # -1 for the zero polynomial
-        return (self.row.bit_length() - 1) // self.spec._ring.width
+        return _degree(self.spec, self.row)
 
     def is_zero(self) -> bool:
         return not self.row
@@ -294,22 +293,16 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._same(other)
-        if self.is_zero() or other.is_zero():
-            return Poly(0, self.spec)
-        # d = deg(ab) + 1, so the x^d - 1 fold never wraps
-        ring = _ring(self.spec, self.degree + other.degree + 1)
-        return Poly(ring.product(self.row, other.row), self.spec)
+        return Poly(_times(self.spec, self.row, other.row), self.spec)
 
     def scale(self, c: int) -> "Poly":
-        if self.is_zero():
-            return self
-        return Poly(_ring(self.spec, self.degree + 1).product(self.row, c), self.spec)
+        return Poly(_times(self.spec, self.row, c), self.spec)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._same(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q, r = _divider(other)(self.row)
+        q, r = _divider(self.spec, other.row)(self.row)
         return Poly(q, self.spec), Poly(r, self.spec)
 
     def __mod__(self, other: "Poly") -> "Poly":
@@ -319,13 +312,6 @@ class Poly:
         if self.is_zero() or self.is_monic():
             return self
         return self.scale(self.spec.inv(self.leading()))
-
-    def evaluate(self, a: int) -> int:
-        spec = self.spec
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = spec.mul(acc, a) ^ c
-        return acc
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -558,17 +544,30 @@ def _ring(spec: FieldSpec, d: int) -> _Ring:
     return _Ring(spec, d)
 
 
-def _divider(b: Poly) -> Callable[[int], tuple[int, int]]:
-    """Long division by b != 0 on packed rows, the layout of `Poly.row`.
+def _degree(spec: FieldSpec, row: int) -> int:
+    """Degree of a packed row, -1 for the zero row."""
+    return (row.bit_length() - 1) // spec._ring.width
+
+
+def _times(spec: FieldSpec, a: int, b: int) -> int:
+    """Product of packed rows a and b, a constant being its own row."""
+    if not a or not b:
+        return 0
+    # d = deg(ab) + 1, so the x^d - 1 fold never wraps
+    return _ring(spec, _degree(spec, a) + _degree(spec, b) + 1).product(a, b)
+
+
+def _divider(spec: FieldSpec, b: int) -> Callable[[int], tuple[int, int]]:
+    """Long division by a packed row b != 0, in the layout of `Poly.row`.
 
     The returned function maps a row of any length to its packed quotient
     and packed remainder. b's window and lead inverse are made once, and
     each step subtracts one kernel product of b.
     """
-    spec, db = b.spec, b.degree
+    db = _degree(spec, b)
     sub = _ring(spec, db + 1)
-    win, w, mask = sub.window(b.row), sub.width, (1 << spec.n) - 1
-    lead = b.leading()
+    win, w, mask = sub.window(b), sub.width, spec.order
+    lead = b >> db * w
     inv_lead = spec.inv(lead) if lead != 1 else None
 
     def divide(rem: int) -> tuple[int, int]:
@@ -586,21 +585,19 @@ def _divider(b: Poly) -> Callable[[int], tuple[int, int]]:
     return divide
 
 
-def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+def poly_ext_gcd(spec: FieldSpec, a: int, b: int) -> tuple[int, int]:
     """Monic g = gcd(a, b) and the Bezout coefficient u of a, with
-    u*a = g mod b; b's coefficient is not computed."""
-    a._same(b)
-    spec = a.spec
-    r0, r1 = a, b
-    s0, s1 = Poly.const(spec, 1), Poly(0, spec)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
+    u*a = g mod b, for packed rows a and b (g = 0 when both are 0); b's
+    coefficient is not computed."""
+    r0, r1, s0, s1 = a, b, 1, 0
+    while r1:
+        q, r = _divider(spec, r1)(r0)
         r0, r1 = r1, r
-        s0, s1 = s1, s0 + q * s1
-    if r0.is_zero():
-        return r0, s0
-    c = spec.inv(r0.leading())
-    return r0.scale(c), s0.scale(c)
+        s0, s1 = s1, s0 ^ _times(spec, q, s1)
+    if not r0:
+        return 0, s0
+    c = spec.inv(r0 >> _degree(spec, r0) * spec._ring.width)
+    return _times(spec, r0, c), _times(spec, s0, c)
 
 
 def poly_mod_mul(a: Poly, b: Poly, tau: Poly) -> Poly:
@@ -631,14 +628,14 @@ def _frobenius_orbit(p: Poly) -> tuple[int, ...]:
     as rows packed by `_ring(spec, k)`.
 
     Products and squares run on the kernel at 2k - 1 slots, where the
-    fold never wraps, and `_divider(p)` reduces them: x^q is n squarings
+    fold never wraps, and `_divider` by p reduces them: x^q is n squarings
     of x, and k - 2 products give the columns (x^q)^i of Berlekamp's
     Q-matrix. In F_q[x]/p, (sum y_i x^i)^q = sum y_i (x^q)^i, so each next
     x^(q^j) is one matrix-vector product over F_q on the packed kernel.
     The last orbit is kept: a draw's primitivity test reads it again.
     """
     spec, k = p.spec, p.degree
-    ring, big, div = _ring(spec, k), _ring(spec, 2 * k - 1), _divider(p)
+    ring, big, div = _ring(spec, k), _ring(spec, 2 * k - 1), _divider(spec, p.row)
     x = xq = div(Poly.x(spec).row)[1]  # p(0) when k = 1
     for _ in range(spec.n):
         xq = div(big.square(xq))[1]
@@ -664,7 +661,7 @@ def poly_is_irreducible(p: Poly) -> bool:
 
     p is irreducible when x^(q^k) = x mod p and gcd(x^(q^(k/r)) - x, p)
     = 1 for every prime r dividing k; `_frobenius_orbit` gives the
-    x^(q^j), and the gcds take them as `Poly` rows as they are.
+    x^(q^j), and the gcds take their rows as they are.
     """
     k = p.degree
     if k <= 0:
@@ -677,7 +674,7 @@ def poly_is_irreducible(p: Poly) -> bool:
     ys = _frobenius_orbit(p)
     x = ys[0]
     return ys[k] == x and all(
-        poly_ext_gcd(Poly(ys[k // r] ^ x, p.spec), p)[0].degree <= 0
+        poly_ext_gcd(p.spec, ys[k // r] ^ x, p.row)[0] == 1
         for r in _prime_divisors(k)
     )
 
@@ -692,11 +689,11 @@ def _x_is_primitive(tau: Poly, fact: Factorization) -> bool:
     1992): one pass over the n bit positions of the digits, a squaring
     per position and one product by y_j for each digit e_j with that bit
     set. Every value is a packed row, multiplied and squared on the
-    kernel at 2k - 1 slots and reduced by `_divider(tau)`. The primes go
+    kernel at 2k - 1 slots and reduced by `_divider` by tau. The primes go
     in ascending order, and the first that rejects stops it.
     """
     spec, k = tau.spec, tau.degree
-    n, big, div = spec.n, _ring(spec, 2 * k - 1), _divider(tau)
+    n, big, div = spec.n, _ring(spec, 2 * k - 1), _divider(spec, tau.row)
     wins = [big.window(y) for y in _frobenius_orbit(tau)[:k]]
     for p in fact.primes():
         e, r = fact.n // p, 1

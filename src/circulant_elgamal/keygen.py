@@ -78,6 +78,17 @@ class ParamSet(NamedTuple):
         return self.spec.n
 
 
+def _rng(seed: int | random.Random | None) -> random.Random:
+    """The caller's generator, a seeded one, or the OS CSPRNG when unseeded.
+
+    random.SystemRandom is the class `secrets` exports; importing it from
+    `random` keeps hashlib and OpenSSL out of every CLI process.
+    """
+    if isinstance(seed, random.Random):
+        return seed
+    return random.SystemRandom() if seed is None else random.Random(seed)
+
+
 def _quotient_condition(a: Circulant) -> bool:
     """Does x - 1 divide chi_A, with chi_A/(x - 1) irreducible?
 
@@ -162,19 +173,20 @@ def generate(
     mod (x-1) and psi = tau mod Phi; A = circ(psi)^(q-1). Four conditions
     hold by construction (module docstring): only the quotient condition,
     which rejects tau = Phi, and the floor q^{d-3} on an exact order
-    reject a draw, for a fresh tau, up to MAX_ATTEMPTS times.
+    reject a draw, for a fresh tau, up to MAX_ATTEMPTS times. Without a
+    seed, tau is drawn from the OS CSPRNG (`_rng`).
     """
     if not primitive_cell(n, d):
         raise NotPrimitive(f"d = {d} is not a prime with 2^{n} primitive mod d")
     spec = field_make(n)
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    rng = _rng(seed)
     q = 1 << n
     order_floor = q ** (d - 3)
     for _ in range(MAX_ATTEMPTS):
         tau = primitive_poly(d - 1, spec, rng, budget)
-        # tau is monic of degree d - 1, so tau mod Phi = tau + Phi, and
-        # psi = (tau + Phi) + tau(1) Phi is 1 mod (x - 1) (Phi(1) = d = 1)
-        s = tau.evaluate(1)
+        # tau is monic of degree d - 1: tau(1) is its d-slot row sum, tau mod Phi
+        # = tau + Phi, and psi = tau + Phi + tau(1) Phi is 1 mod x - 1 (Phi(1) = 1)
+        s = row_sum(Circulant._of(spec, d, tau.row))
         psi = Circulant._of(spec, d, tau.row ^ _ring(spec, d).ones * (1 ^ s))
         a = power(psi, q - 1)
         if not _quotient_condition(a):

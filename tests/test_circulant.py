@@ -6,6 +6,8 @@ The expanded d x d matrix is the oracle for everything the first-row
 representation claims.
 """
 
+import functools
+import operator
 import random
 
 import pytest
@@ -270,10 +272,12 @@ def test_det():
 @pytest.mark.parametrize("n", [1, 3, 11, 17, 47])
 def test_det_matches_gaussian_elimination(n):
     # the resultant against elimination on every d, even d and singular
-    # rows included; zeros forced into some rows make singular ones common
+    # rows included; zeros forced into some rows make singular ones common.
+    # At n = 3 it also runs d = 29 and 37, the longest remainder sequences
+    # of the paper cells
     spec = field_make(n)
     rng = random.Random(1000 + n)
-    for d in range(1, 18):
+    for d in [*range(1, 18), *((29, 37) if n == 3 else ())]:
         rows = [[0] * d, [1] * d]
         for i in range(8):
             row = [spec.rand(rng) for _ in range(d)]
@@ -332,7 +336,7 @@ def test_char_poly_quotient_constructed_minimal_polynomial():
             break
     assert beta is not None
     # the row that is 1 mod (x - 1) and beta mod Phi: beta + (1 + beta(1)) Phi
-    s = 1 ^ beta.evaluate(1)
+    s = 1 ^ functools.reduce(operator.xor, beta.coeffs, 0)  # 1 + beta(1)
     coeffs = list(beta.coeffs) + [0] * (4 - len(beta.coeffs))
     a = Circulant(s1, [c ^ s for c in coeffs] + [s])
     g, irred = char_poly_quotient(a)

@@ -20,7 +20,6 @@ from circulant_elgamal.circulant import (
     row_sum,
 )
 from circulant_elgamal.elgamal import (
-    _rng,
     Ciphertext,
     OracleInconsistent,
     PrivateKey,
@@ -39,7 +38,7 @@ from circulant_elgamal.elgamal import (
     save_public,
 )
 from circulant_elgamal.gf2field import _ring, field_make
-from circulant_elgamal.keygen import ParamSet, generate
+from circulant_elgamal.keygen import ParamSet, _rng, generate
 from circulant_elgamal.numtheory import primitive_cell
 from oracles import decode_blocks_ref, encode_bytes_ref
 

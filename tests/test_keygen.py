@@ -7,14 +7,17 @@ sympy's charpoly; everything else is checked against brute force or
 pinned regression values.
 """
 
+import functools
 import hashlib
 import itertools
+import operator
 import random
+from unittest import mock
 
 import pytest
 import sympy
 
-from circulant_elgamal import fileio
+from circulant_elgamal import fileio, keygen
 from circulant_elgamal.circulant import (
     Circulant,
     char_poly_quotient,
@@ -349,6 +352,22 @@ def test_generate_determinism():
     assert a == b and a != generate(3, 11, seed=8)
 
 
+def test_unseeded_generate_draws_from_system_random():
+    # generate takes its generator from keygen._rng, as keygen and encrypt
+    # do: the OS CSPRNG when unseeded, random.Random(seed) under a seed
+    seen = []
+
+    def spy(degree, base, rng, budget):
+        seen.append(type(rng))
+        return primitive_poly(degree, base, rng, budget)
+
+    with mock.patch.object(keygen, "primitive_poly", side_effect=spy):
+        generate(3, 11)
+        generate(3, 11, seed=7)
+    assert seen[0] is random.SystemRandom and seen[-1] is random.Random
+    assert generate(3, 11, seed=random.Random(7)) == generate(3, 11, seed=7)
+
+
 def test_generate_respects_order_floor():
     for seed in range(6):
         p = generate(1, 11, seed=seed)
@@ -385,7 +404,7 @@ def test_verified_primitive_tau_has_primitive_constant_term(n):
 
 def _psi(p):
     """The row generate raises: 1 mod (x - 1), tau mod Phi."""
-    s = p.tau.evaluate(1)
+    s = functools.reduce(operator.xor, p.tau.coeffs)  # tau(1)
     return Circulant(p.spec, [c ^ 1 ^ s for c in p.tau.coeffs[:-1]] + [s])
 
 
