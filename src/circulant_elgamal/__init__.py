@@ -17,7 +17,7 @@ _HOME = {
     for module, names in {
         "circulant": "Circulant NotInvertible inverse matvec mul power power_cost"
         " square",
-        "dlp": "NotFound bsgs pohlig_hellman solve_circulant_dlp",
+        "dlp": "NotFound bsgs pohlig_hellman rho solve_circulant_dlp",
         "elgamal": "Ciphertext PrivateKey PublicKey decrypt encrypt oracle_reduction",
         "gf2field": "FieldSpec Poly field_make",
         "keygen": "ConditionReport NotPrimitive OrderInfo ParamSet five_conditions"

@@ -5,12 +5,15 @@ Everything runs in groups of circulants. At (1,5) the ring is F_2 x
 GF(16), and 1 + x + x^2 generates a cyclic group of order 15, small
 enough that exhaustive search is the oracle; at (3,3) it is F_8 x F_64,
 and x + 2x^2 has order 63 = 3^2 * 7, which gives Pohlig-Hellman a
-prime-power leaf of order 9.
+prime-power leaf of order 9. Pollard rho runs on these groups with the
+cutoff lowered, and on the large leaves of the seed-1 desk keys, where
+baby-step giant-step is its oracle.
 """
 
 import functools
 import operator
 import random
+import tracemalloc
 
 import pytest
 import sympy
@@ -23,11 +26,17 @@ from circulant_elgamal.dlp import (
     bsgs,
     pohlig_hellman,
     reduce_to_field,
+    rho,
     solve_circulant_dlp,
 )
 from circulant_elgamal.elgamal import keygen
 from circulant_elgamal.gf2field import Poly, _Ring, field_make
-from circulant_elgamal.numtheory import Factorization, IncompleteFactorization, factor
+from circulant_elgamal.numtheory import (
+    Factorization,
+    IncompleteFactorization,
+    cell_exponent,
+    factor,
+)
 
 S1, S3 = field_make(1), field_make(3)
 G15 = Circulant(S1, [1, 1, 1, 0, 0])  # order 15 at (1,5)
@@ -110,6 +119,82 @@ def test_bsgs_bounds():
 
 
 # ---------------------------------------------------------------------------
+# Pollard rho
+
+def test_rho_knowns_and_scan():
+    assert rho(G15, Circulant.identity(S1, 5), 15) == 0
+    assert rho(G15, G15, 15) == 1
+    for x in range(15):
+        assert rho(G15, power(G15, x), 15) == x
+    for h, order in [(power(G63, 7), 9), (power(G63, 9), 7)]:
+        for x in range(order):
+            assert rho(h, power(h, x), order) == x
+
+
+def test_rho_not_found():
+    with pytest.raises(NotFound):
+        rho(power(G15, 3), G15, 5)  # the generator is outside the subgroup
+
+
+def test_rho_bounds():
+    with pytest.raises(ValueError):
+        rho(G15, G15, 0)
+    with pytest.raises(ValueError):
+        rho(G15, G15, BSGS_MAX_ORDER + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def desk_leaf(n: int, d: int, p: int) -> Circulant:
+    """A^(ord(A)/p) for the seed-1 parameters at (n, d): of order p."""
+    params = generate(n, d, seed=1)
+    order = params.order_info.order
+    assert order % p == 0 and order % (p * p)
+    return power(params.A, order // p)
+
+
+@pytest.mark.parametrize("n, d, p", [(11, 11, 48912491), (5, 19, 18837001)])
+def test_rho_matches_bsgs_on_desk_leaves(n, d, p):
+    g = desk_leaf(n, d, p)
+    rng = random.Random(p)
+    for _ in range(5):
+        target = power(g, rng.randrange(p))
+        x = rho(g, target, p)
+        assert x == bsgs(g, target, p)
+        assert power(g, x) == target
+
+
+def test_rho_repeats_its_work(monkeypatch):
+    # the walk is a pure function of its inputs: the same products each run
+    g = desk_leaf(5, 19, 18837001)
+    target = power(g, 1234567)
+    calls = []
+    real = _Ring.mul
+    monkeypatch.setattr(_Ring, "mul", lambda *a: calls.append(1) or real(*a))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert rho(g, target, 18837001) == 1234567
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_solve_memory_stays_small():
+    # the (11,11) key's leaf of order 48 912 491 needs a 6 994-row table by
+    # baby-step giant-step (about 0.9 MB); rho keeps about a hundred rows
+    params = generate(11, 11, seed=1)
+    priv, pub = keygen(params, seed=1)
+    factor(cell_exponent(11, 11))
+    tracemalloc.start()
+    try:
+        m = solve_circulant_dlp(pub.A, pub.Am)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m == priv.m % params.order_info.order
+    assert peak < 256 << 10, peak
+
+
+# ---------------------------------------------------------------------------
 # Pohlig-Hellman
 
 def test_pohlig_hellman_exhaustive_gf16():
@@ -132,12 +217,36 @@ def test_pohlig_hellman_prime_power_branch():
             assert pohlig_hellman(h, power(h, x), factor(order)) == x
 
 
-def test_pohlig_hellman_one_bsgs_per_prime_power(monkeypatch):
-    orders = []
-    real = dlp.bsgs
-    monkeypatch.setattr(dlp, "bsgs", lambda g, h, o: orders.append(o) or real(g, h, o))
+def spy_leaves(monkeypatch) -> dict[str, list[int]]:
+    """The leaf orders Pohlig-Hellman hands to `bsgs` and to `rho`."""
+    orders = {"bsgs": [], "rho": []}
+    for name, real in [("bsgs", dlp.bsgs), ("rho", dlp.rho)]:
+        def spy(g, h, o, name=name, real=real):
+            orders[name].append(o)
+            return real(g, h, o)
+        monkeypatch.setattr(dlp, name, spy)
+    return orders
+
+
+@pytest.mark.parametrize(
+    "cutoff, by_bsgs, by_rho",
+    [(dlp.RHO_CUTOFF, [7, 9], []), (8, [7], [9])],
+    ids=["default_cutoff", "cutoff_8"],
+)
+def test_pohlig_hellman_one_leaf_solve_per_prime_power(monkeypatch, cutoff, by_bsgs, by_rho):
+    orders = spy_leaves(monkeypatch)
+    monkeypatch.setattr(dlp, "RHO_CUTOFF", cutoff)
     assert pohlig_hellman(G63, power(G63, 41), factor(63)) == 41
-    assert sorted(orders) == [7, 9]
+    assert sorted(orders["bsgs"]) == by_bsgs and orders["rho"] == by_rho
+
+
+def test_pohlig_hellman_through_rho(monkeypatch):
+    # with the cutoff at 1 every leaf of G15 and G63 (3, 5, 7, 9) is rho's
+    orders = spy_leaves(monkeypatch)
+    monkeypatch.setattr(dlp, "RHO_CUTOFF", 1)
+    test_pohlig_hellman_exhaustive_gf16()
+    test_pohlig_hellman_prime_power_branch()
+    assert orders["bsgs"] == [] and set(orders["rho"]) == {3, 5, 7, 9}
 
 
 def test_pohlig_hellman_refuses_incomplete():
